@@ -20,13 +20,13 @@ coefficients, limits, per-k tables) that the dispatch rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any
 
 from . import seifert as sf
-from .contfrac import expand, ncf_eval, reverse_shift, solid_torus_count, tight_count
+from .contfrac import expand, shifted_product, solid_torus_count
 from .convex import max_twist_table, slope_coeffs, v3_slope_limit
 from .seifert import SeifertData
+from .slopes import Slope
 
 EXACT = "exact"
 INFINITE = "infinite"
@@ -67,13 +67,17 @@ class ClassificationResult:
 
 
 def _fiber_certificate(sd: SeifertData) -> dict[str, Any]:
-    """Per-fiber counts plus the solid-torus shortcut data."""
+    """Per-fiber counts plus the solid-torus shortcut data.
+
+    Each leg is expanded once.  The boundary slope ncf_eval(reverse_shift(entries))
+    equals (p - q)/(v - u) from the convergents stored in sd.
+    """
     t_values = []
     shortcut = []
-    for r in sd.r:
+    for r, (p, q, u, v) in zip(sd.r, sd.conv):
         entries = expand(-1 / r)
-        slope = ncf_eval(reverse_shift(entries))
-        t_values.append(tight_count(r))
+        slope = Slope(p - q, v - u)
+        t_values.append(shifted_product(entries))
         shortcut.append(
             {"r": r, "entries": entries, "boundary": slope, "count": solid_torus_count(slope)}
         )

@@ -12,7 +12,7 @@ _VALUE_PATTERN = re.compile(r"^-\d[\d;/,.]*$")
 
 from . import report
 from .classify import EXACT, INFINITE, UNKNOWN, classify
-from .contfrac import convergents, expand, ncf_eval, reverse_shift, tight_count
+from .contfrac import convergents, expand, reverse_shift, tight_count
 from .convex import measured_slope, slope_coeffs, v3_slope, v3_slope_limit
 from .farey import BACK, FRONT, bypass_attach, bypass_oracle
 from .floer import ContactIndex, expansion, index_set, laurent_image, pairwise_distinct, stein_obstructed
@@ -27,6 +27,7 @@ def _cmd_cf(args) -> int:
     entries = expand(x)
     p, q, u, v = convergents(x)
     shifted = reverse_shift(entries)
+    shifted_value = Slope(p - q, v - u)  # equals ncf_eval(shifted)
     t = tight_count(Fraction(p, q))
     if args.json:
         print(report.report("cf", {
@@ -35,13 +36,13 @@ def _cmd_cf(args) -> int:
             "p": p, "q": q, "u": u, "v": v,
             "t": t,
             "reverse_shift": list(shifted),
-            "reverse_shift_value": report.rat(ncf_eval(shifted)),
+            "reverse_shift_value": report.rat(shifted_value),
         }))
     else:
         print(f"{x} = {list(entries)}")
         print(f"convergents: p={p} q={q} u={u} v={v}")
         print(f"tight count T({p}/{q}) = {t}")
-        print(f"reverse shift: {list(shifted)} = {ncf_eval(shifted)}")
+        print(f"reverse shift: {list(shifted)} = {shifted_value}")
     return 0
 
 

@@ -15,6 +15,7 @@ one; they always satisfy p*v - q*u = 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import NamedTuple
 
 from .slopes import INF, Slope
@@ -27,24 +28,65 @@ class Convergents(NamedTuple):
     v: int
 
 
-def expand(x: Slope | Fraction) -> tuple[int, ...]:
-    """Canonical expansion of a rational x < -1, as a tuple of entries <= -2."""
+# An expansion of -1/r with r = p/q has up to q - 1 entries; a longer one is
+# refused before its tuple is built, so a short input cannot ask for an
+# unbounded amount of memory.
+MAX_EXPANSION = 10**6
+
+
+def _below_minus_one(x: Slope | Fraction) -> Fraction:
     if isinstance(x, Slope):
         if x.is_inf:
             raise ValueError("not of the form -1/r with r in (0,1)")
         x = x.as_fraction()
     if x >= -1:
         raise ValueError("not of the form -1/r with r in (0,1)")
-    n, d = x.numerator, x.denominator
+    return x
+
+
+def _runs(x: Slope | Fraction) -> list[tuple[int, int]]:
+    """Runs (a, m) of m consecutive entries a in the canonical expansion of x < -1.
+
+    With x = -n/d, a step with n/d in (1, 2] starts a run of -2 entries whose
+    length d // (n - d) is read off at once, so the loop runs once per regular
+    partial quotient: O(log q) steps however long the expansion is.  Runs of
+    -2 alternate with single entries <= -3.
+    """
+    f = _below_minus_one(x)
+    n, d = -f.numerator, f.denominator
+    runs = []
+    while d:
+        e = n - d
+        if e <= d:
+            m = d // e
+            runs.append((-2, m))
+            n, d = d - (m - 1) * e, d - m * e
+        else:
+            b = -(-n // d)  # ceiling
+            runs.append((-b, 1))
+            # remainder 1/(b - n/d) = d/(b*d - n)
+            n, d = d, b * d - n
+    return runs
+
+
+def expand(x: Slope | Fraction) -> tuple[int, ...]:
+    """Canonical expansion of a rational x < -1, as a tuple of entries <= -2.
+
+    Raises ValueError when it would have more than MAX_EXPANSION entries.
+    """
+    runs = _runs(x)
+    length = sum(m for _, m in runs)
+    if length > MAX_EXPANSION:
+        raise ValueError(f"expansion has {length} entries, more than the limit {MAX_EXPANSION}")
     out = []
-    while True:
-        if n % d == 0:
-            out.append(n // d)
-            return tuple(out)
-        a = n // d  # floor
-        out.append(a)
-        # remainder 1/(a - x) = -d/(n - a*d), normalized to positive denominator
-        n, d = -d, n - a * d
+    for a, m in runs:
+        out += (a,) * m
+    return tuple(out)
+
+
+def shifted_product(entries) -> int:
+    """|prod (a_k + 1)| over canonical entries; each -2 adds a factor -1 and is skipped."""
+    return abs(prod(a + 1 for a in entries if a != -2))
 
 
 def ncf_eval(entries) -> Slope:
@@ -63,18 +105,15 @@ def ncf_eval(entries) -> Slope:
 
 
 def convergents(x: Slope | Fraction) -> Convergents:
-    """Convergents (p, q, u, v) of x = -q/p < -1, with p*v - q*u = 1."""
-    entries = expand(x)
-    f = x.as_fraction() if isinstance(x, Slope) else Fraction(x)
+    """Convergents (p, q, u, v) of x = -q/p < -1, with p*v - q*u = 1.
+
+    -v/u is the expansion without its last entry, so v is the inverse of p
+    modulo q with 0 < v < q (v = 1, u = 0 for p = 1), and u = (p*v - 1)/q.
+    """
+    f = _below_minus_one(x)
     q, p = -f.numerator, f.denominator
-    head = entries[:-1]
-    if not head:
-        u, v = 0, 1
-    else:
-        mvu = ncf_eval(head).as_fraction()  # equals -v/u
-        v, u = -mvu.numerator, mvu.denominator
-    assert p * v - q * u == 1
-    return Convergents(p, q, u, v)
+    v = pow(p, -1, q)
+    return Convergents(p, q, (p * v - 1) // q, v)
 
 
 def reverse_shift(entries) -> tuple[int, ...]:
@@ -92,15 +131,13 @@ def tight_count(r: Fraction) -> int:
     """|prod (a_k + 1)| over the expansion of -1/r, for r in (0, 1).
 
     This is the number of tight contact structures contributed by a singular
-    fiber with normalized invariant r.
+    fiber with normalized invariant r.  It is read off the runs of the
+    expansion, in O(log q) steps, without building the expansion.
     """
     r = Fraction(r)
     if not 0 < r < 1:
         raise ValueError("invariant must lie in (0, 1)")
-    prod = 1
-    for a in expand(-1 / r):
-        prod *= a + 1
-    return abs(prod)
+    return shifted_product(a for a, _ in _runs(-1 / r))
 
 
 def solid_torus_count(s: Slope | Fraction) -> int:
@@ -108,15 +145,14 @@ def solid_torus_count(s: Slope | Fraction) -> int:
 
     For s = -1 the torus is a standard neighborhood and the count is 1; for
     rational s < -1 with expansion [b_0, ..., b_m] the count is
-    |(b_0 + 1) ... (b_{m-1} + 1) * b_m| (last factor unshifted).
+    |(b_0 + 1) ... (b_{m-1} + 1) * b_m| (last factor unshifted).  Dropping
+    one b_m = -2 from the runs drops a factor -1, so every run head but the
+    last gives the shifted factors.
     """
     f = s.as_fraction() if isinstance(s, Slope) else Fraction(s)
     if f > -1:
         raise ValueError("boundary slope must be <= -1 in these coordinates")
     if f == -1:
         return 1
-    entries = expand(f)
-    prod = entries[-1]
-    for b in entries[:-1]:
-        prod *= b + 1
-    return abs(prod)
+    heads = [a for a, _ in _runs(f)]
+    return abs(heads[-1]) * shifted_product(heads[:-1])

@@ -120,11 +120,17 @@ def v3_slope_limit(
 
     Only meaningful when A >= 1/4 or A < 0 (the two finite-count regimes with
     C of a definite sign).  "increasing" means the value strictly rises toward
-    the limit as the twisting n_1 descends through -1, -2, ..., -window, and
-    is verified exactly on that range; threshold_ok records whether the limit
-    stays on the attainable side of (p_3 - q_3)/(v_3 - u_3).
+    the limit as the twisting n_1 descends through -1, -2, ..., -window;
+    threshold_ok records whether the limit stays on the attainable side of
+    (p_3 - q_3)/(v_3 - u_3).
 
-    The closed form is a Moebius function of n_1, so the flag can come back
+    The closed form is the Moebius function (a n + f)/(c n + d) of n_1, and
+    one step from n + 1 down to n changes it by (f c - a d) divided by the
+    product of the two denominators.  Away from the pole -d/c that product is
+    positive, so the values rise on the whole window exactly when a d - f c < 0
+    and the pole lies outside [-window, -1].  (With window = 2 and the pole in
+    (-2, -1), the one step would also rise if a d - f c > 0; no input in the
+    two regimes has that sign.)  The flag can therefore come back
     False for honest reasons near the -1 end: the form is constant whenever
     the first two invariants both make balanced standard neighborhoods (for
     example r_1 = r_2 = 1/2), and a pole between -2 and -1 puts n_1 = -1 on
@@ -138,17 +144,11 @@ def v3_slope_limit(
     p3, q3, u3, v3 = sd.conv[2]
     a, f, c, d = integer_form(sd, coeffs)
     limit = Fraction(a, c)
-    prev_num, prev_den = -a + f, -c + d
-    increasing = prev_den != 0
-    for n in range(-2, -window - 1, -1):
-        num, den = a * n + f, c * n + d
-        if den == 0 or prev_den == 0:  # pole inside the window
-            increasing = False
-            break
-        if (num * prev_den - prev_num * den) * (prev_den * den) <= 0:
-            increasing = False
-            break
-        prev_num, prev_den = num, den
+    pole = Fraction(-d, c)
+    if window < 2:  # no step to compare: only the value at -1 must exist
+        increasing = pole != -1
+    else:
+        increasing = a * d - f * c < 0 and not -window <= pole <= -1
     threshold_ok = limit <= Fraction(p3 - q3, v3 - u3)
     return LimitInfo(Slope.from_fraction(limit), increasing, threshold_ok)
 

@@ -5,8 +5,8 @@ no value in a report is ever a float.
 """
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .classify import ClassificationResult
@@ -25,13 +25,14 @@ def rat(x) -> dict[str, int]:
 
 
 def encode(value: Any) -> Any:
+    t = type(value)
+    if t is int or t is str or t is bool or value is None:
+        return value
+    if (t is tuple or t is list) and set(map(type, value)) == {int}:
+        return value
     if isinstance(value, (Slope, Fraction)):
         return rat(value)
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return value
     if isinstance(value, SlopeCoeffs):
         return {"A": rat(value.A), "C": rat(value.C), "F": rat(value.F), "D": rat(value.D)}
@@ -83,6 +84,57 @@ def classification_json(res: ClassificationResult) -> dict[str, Any]:
     return out
 
 
+def _write(value: Any, pad: str, out: list[str]) -> None:
+    """Append the text json.dumps(value, indent=2) gives, at indentation pad, to out.
+
+    Keys must be strings and no value may be a float; a list of plain ints
+    is written in one join.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for k, v in value.items():
+            if not isinstance(k, str):
+                raise TypeError(f"report keys must be str, not {type(k).__name__}")
+            out.append(sep)
+            out.append(encode_basestring_ascii(k))
+            out.append(": ")
+            _write(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        if set(map(type, value)) == {int}:
+            out.append("[\n" + inner + (",\n" + inner).join(map(int.__repr__, value)) + "\n" + pad + "]")
+            return
+        sep = "[\n" + inner
+        for v in value:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} into a report")
+
+
 def report(command: str, result: dict[str, Any]) -> str:
-    doc = {"schema": SCHEMA, "exact": True, "command": command, "result": result}
-    return json.dumps(doc, indent=2)
+    """The report document as json.dumps(doc, indent=2) writes it, in one pass."""
+    out: list[str] = []
+    _write({"schema": SCHEMA, "exact": True, "command": command, "result": result}, "", out)
+    return "".join(out)

@@ -68,8 +68,10 @@ def parse_manifold(text: str) -> SeifertData:
 
 def _parse_fraction(text: str) -> Fraction:
     if "/" in text:
-        p, q = text.split("/", 1)
-        return Fraction(int(p), int(q))
+        p, q = (int(s) for s in text.split("/", 1))
+        if q == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(p, q)
     return Fraction(int(text))
 
 
@@ -88,11 +90,18 @@ def h1_order(sd: SeifertData) -> int:
     return abs(val.numerator)
 
 
+# The linking matrix has n^2 entries for n vertices, so the plumbing size
+# is capped before the matrix is allocated.
+MAX_PLUMBING_VERTICES = 1000
+
+
 def linking_matrix(sd: SeifertData) -> tuple[tuple[int, ...], ...]:
     """Star-shaped plumbing matrix: central vertex framed e0, one leg per
     fiber carrying the expansion of -1/ri, consecutive vertices linked once."""
     legs = [expand(-1 / ri) for ri in sd.r]
     n = 1 + sum(len(l) for l in legs)
+    if n > MAX_PLUMBING_VERTICES:
+        raise ValueError(f"plumbing has {n} vertices, more than the limit {MAX_PLUMBING_VERTICES}")
     m = [[0] * n for _ in range(n)]
     m[0][0] = sd.e0
     idx = 1

@@ -1,6 +1,8 @@
 import json
+from time import perf_counter
 
 from tightsf.cli import main
+from tightsf.seifert import parse_manifold
 
 
 def run(capsys, *argv):
@@ -112,3 +114,29 @@ def test_selftest_cli(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert out.count("PASS") == 4 and "FAIL" not in out
+
+
+def test_zero_denominator_is_one_line_error(capsys):
+    code, out, err = run(capsys, "classify", "-2;1/0,1/2,1/3")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_huge_leg_fails_fast(capsys):
+    # 10^12 - 1 entries -2: classify refuses to build the expansion
+    manifold = "-2;1/3,1/3,999999999999/1000000000000"
+    sd = parse_manifold(manifold)
+    assert sd.conv[2] == (10**12 - 1, 10**12, 10**12 - 2, 10**12 - 1)
+    for argv in (("classify", manifold, "--json"), ("seifert", manifold), ("cf", "-1000000000000/999999999999")):
+        start = perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_plumbing_cap(capsys):
+    # 1 + 2 + 2 + 2999 vertices, over the cap; the expansions themselves are short
+    code, out, err = run(capsys, "seifert", "-2;1/3,1/3,2999/3000")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "vertices" in err

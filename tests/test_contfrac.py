@@ -1,13 +1,17 @@
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from tightsf.contfrac import (
+    MAX_EXPANSION,
+    Convergents,
     convergents,
     expand,
     ncf_eval,
     reverse_shift,
+    shifted_product,
     solid_torus_count,
     tight_count,
 )
@@ -108,3 +112,81 @@ def test_family_expansion_pattern():
     for n in range(2, 31):
         expected = (-2, -2, -2, -2, -3) + (-2,) * (n - 2)
         assert expand(Fraction(-(6 * n - 1), 5 * n - 1)) == expected
+
+
+# Oracles for the fast paths: the one-entry-per-step expansion loop, and the
+# convergents read off by evaluating the expansion without its last entry.
+
+
+def expand_stepwise(x: Fraction) -> tuple[int, ...]:
+    n, d = x.numerator, x.denominator
+    out = []
+    while n % d:
+        a = n // d  # floor
+        out.append(a)
+        n, d = -d, n - a * d
+    out.append(n // d)
+    return tuple(out)
+
+
+def convergents_via_eval(x: Fraction, entries) -> Convergents:
+    q, p = -x.numerator, x.denominator
+    if len(entries) == 1:
+        return Convergents(p, q, 0, 1)
+    mvu = ncf_eval(entries[:-1]).as_fraction()  # equals -v/u
+    return Convergents(p, q, mvu.denominator, -mvu.numerator)
+
+
+def prod_shifted(entries) -> int:
+    out = 1
+    for a in entries:
+        out *= a + 1
+    return out
+
+
+def unshifted_last_count(entries) -> int:
+    prod = entries[-1]
+    for b in entries[:-1]:
+        prod *= b + 1
+    return abs(prod)
+
+
+def _oracle_legs():
+    for p, q in fractions_upto(200):
+        yield Fraction(p, q)
+    for q in list(range(2, 10**4, 331)) + [10**4]:
+        yield Fraction(q - 1, q)
+        yield Fraction(1, q)
+    rng = random.Random(512)
+    for _ in range(40):
+        q = rng.getrandbits(512) | (1 << 511)
+        r = Fraction(rng.randrange(1, q), q)
+        yield r
+        yield 1 - r
+
+
+def test_fast_paths_match_stepwise_oracles():
+    for r in _oracle_legs():
+        x = -1 / r
+        entries = expand_stepwise(x)
+        conv = convergents_via_eval(x, entries)
+        assert expand(x) == entries
+        assert convergents(x) == conv
+        assert tight_count(r) == shifted_product(entries) == abs(prod_shifted(entries))
+        boundary = Fraction(conv.p - conv.q, conv.v - conv.u)
+        assert solid_torus_count(boundary) == unshifted_last_count(expand_stepwise(boundary))
+
+
+def test_expansion_cap():
+    # r = (q-1)/q expands to q-1 entries -2
+    q = MAX_EXPANSION + 1
+    assert expand(Fraction(-q, q - 1)) == (-2,) * MAX_EXPANSION
+    with pytest.raises(ValueError, match="entries"):
+        expand(Fraction(-(q + 1), q))
+    # the counts and convergents never build the expansion, so they stay exact
+    huge = Fraction(10**12 - 1, 10**12)
+    with pytest.raises(ValueError):
+        expand(-1 / huge)
+    assert tight_count(huge) == 1
+    assert convergents(-1 / huge) == (10**12 - 1, 10**12, 10**12 - 2, 10**12 - 1)
+    assert solid_torus_count(Slope(-(10**12), 10**12 - 1)) == 2

@@ -6,6 +6,7 @@ import pytest
 
 from tightsf.contfrac import convergents
 from tightsf.convex import (
+    integer_form,
     max_twist_table,
     measured_slope,
     rounded_slope,
@@ -197,6 +198,67 @@ def _check_tail_monotone(sd, coeffs, info):
     values = [v3_slope(sd, n).as_fraction() for n in range(start, start - 30, -1)]
     assert all(x < y for x, y in zip(values, values[1:]))
     assert all(v < limit for v in values)
+
+
+def increasing_stepwise(sd, coeffs, window=100):
+    # the step-by-step check that the closed form in v3_slope_limit replaced:
+    # the value strictly rises at each step n + 1 -> n down to -window
+    a, f, c, d = integer_form(sd, coeffs)
+    prev_num, prev_den = -a + f, -c + d
+    if prev_den == 0:
+        return False
+    for n in range(-2, -window - 1, -1):
+        num, den = a * n + f, c * n + d
+        if den == 0 or (num * prev_den - prev_num * den) * (prev_den * den) <= 0:
+            return False
+        prev_num, prev_den = num, den
+    return True
+
+
+def _limit_regime(sd):
+    c = slope_coeffs(sd)
+    return c if c.A >= Fraction(1, 4) or c.A < 0 else None
+
+
+def test_increasing_matches_stepwise_sweep():
+    # every sorted triple with q_i <= 12 in the two limit regimes
+    fracs = sorted({Fraction(p, q) for q in range(2, 13) for p in range(1, q)})
+    checked = rising = 0
+    for i, r1 in enumerate(fracs):
+        for j in range(i, len(fracs)):
+            for k in range(j, len(fracs)):
+                sd = normalize((r1, fracs[j], fracs[k]), -2)
+                c = _limit_regime(sd)
+                if c is None:
+                    continue
+                info = v3_slope_limit(sd, c)
+                assert info.increasing == increasing_stepwise(sd, c)
+                checked += 1
+                rising += info.increasing
+    assert checked == 14686 and 0 < rising < checked
+
+
+def test_increasing_matches_stepwise_windows_and_big_legs():
+    rng = random.Random(256)
+    cases = []
+    for bits in (256, 512, 1024):
+        while len(cases) < 8 * bits // 256:
+            legs = []
+            for _ in range(3):
+                q = rng.getrandbits(bits) | (1 << (bits - 1))
+                legs.append(Fraction(rng.randrange(1, q), q))
+            sd = normalize(legs, -2)
+            if _limit_regime(sd) is not None:
+                cases.append(sd)
+    # a constant form, poles at -22/19 and at -1, and two rising forms
+    for text in ("-2;1/2,1/2,1/2", "-2;3/7,10/11,11/12", "-2;5/8,8/11,11/12",
+                 "-2;1/12,1/12,1/12", "-2;7/9,7/9,7/9"):
+        cases.append(parse_manifold(text))
+    for sd in cases:
+        c = _limit_regime(sd)
+        assert c is not None
+        for window in (0, 1, 2, 3, 5, 40, 100):
+            assert v3_slope_limit(sd, c, window).increasing == increasing_stepwise(sd, c, window)
 
 
 def test_max_twist_table():

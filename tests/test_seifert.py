@@ -149,3 +149,8 @@ def test_sphere_family_sits_in_gap():
         sd = parse_manifold(f"-2;1/2,2/3,{5 * n + 1}/{6 * n + 1}")
         assert detect_family(sd).kind == SPHERE_FAMILY
         assert 2 < sd.invariant_sum < Fraction(9, 4)
+
+
+def test_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_manifold("-2;1/0,1/2,1/3")
