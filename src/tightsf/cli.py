@@ -19,7 +19,7 @@ from .floer import ContactIndex, expansion, index_set, laurent_image, pairwise_d
 from .seifert import detect_family, h1_order, linking_matrix, parse_manifold
 from .selftest import run_all
 from .slopes import Slope
-from .theta import SurgeryDiagram, c1_squared, signature, theta
+from .theta import SurgeryDiagram, c1_squared, signature
 
 
 def _cmd_cf(args) -> int:
@@ -127,8 +127,10 @@ def _cmd_floer(args) -> int:
     n = args.n
     indices = index_set(n)
     if args.index:
-        i, j = (int(x) for x in args.index.split(","))
-        indices = [ContactIndex(n, i, j)]
+        parts = args.index.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"--index expected 'i,j', got {args.index!r}")
+        indices = [ContactIndex(n, int(parts[0]), int(parts[1]))]
     rows = []
     for idx in indices:
         vec = expansion(idx)
@@ -160,11 +162,13 @@ def _cmd_floer(args) -> int:
 def _cmd_theta(args) -> int:
     with open(args.diagram, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("diagram must be a JSON object with keys L and rot")
     diagram = SurgeryDiagram.from_lists(data["L"], data["rot"])
     c1sq = c1_squared(diagram)
     sigma = signature(diagram.linking)
     chi = 1 + len(diagram.linking)
-    value = theta(diagram)
+    value = c1sq - 3 * sigma - 2 * chi  # theta(diagram), from the parts above
     if args.json:
         print(report.report("theta", {
             "c1sq": report.rat(c1sq),

@@ -49,6 +49,8 @@ class ContactIndex:
 
 def index_set(n: int) -> list[ContactIndex]:
     """All valid (i, j) for the given n; there are n(n+1)/2 of them."""
+    if n < 1:
+        raise ValueError("n must be positive")
     out = []
     for i in range(n):
         top = n - i - 1

@@ -4,14 +4,38 @@ The 4-manifold is a handlebody on the 4-ball with one 2-handle per link
 component, so chi = 1 + m.  The linking matrix L (framings on the diagonal)
 presents the intersection form; a rotation vector rot represents the first
 Chern class, and c1^2 = rot^T L^{-1} rot whenever rot lies in the rational
-column span of L (the value does not depend on the chosen solution).  All
-linear algebra is exact over the rationals: the signature comes from a
-congruence diagonalization, never from numerical eigenvalues.
+column span of L (the value does not depend on the chosen solution).
+
+Both sigma and c1^2 come from one exact congruence diagonalization
+C^T L C = D over the rationals, never from numerical eigenvalues.  The
+elimination is sparse: each row keeps only its nonzero entries and a pivot
+updates only its neighbours.  Pivots are taken from the last index down, so
+on a plumbing tree numbered from its centre outwards (as
+`seifert.linking_matrix` numbers it) every pivot is a leaf and nothing fills
+in: the work is linear in the number of vertices.  The same column
+operations carry y = C^T rot, and with d = diag(D)
+
+    sigma = #{d_k > 0} - #{d_k < 0},    c1^2 = sum of y_k^2 / d_k over d_k != 0,
+
+where rot lies in the span of L exactly when y_k = 0 wherever d_k = 0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+
+
+def _check_square_symmetric(matrix) -> None:
+    m = len(matrix)
+    if any(len(row) != m for row in matrix):
+        raise ValueError("linking matrix must be square")
+    if list(map(tuple, matrix)) != list(zip(*matrix)):
+        raise ValueError("linking matrix must be symmetric")
+
+
+def _int_list(xs) -> bool:
+    return isinstance(xs, (list, tuple)) and all(type(x) is int for x in xs)
 
 
 @dataclass(frozen=True)
@@ -20,98 +44,82 @@ class SurgeryDiagram:
     rot: tuple[int, ...]
 
     def __post_init__(self):
-        m = len(self.linking)
-        if any(len(row) != m for row in self.linking):
-            raise ValueError("linking matrix must be square")
-        if any(self.linking[i][j] != self.linking[j][i] for i in range(m) for j in range(m)):
-            raise ValueError("linking matrix must be symmetric")
-        if len(self.rot) != m:
+        _check_square_symmetric(self.linking)
+        if len(self.rot) != len(self.linking):
             raise ValueError("rotation vector length must match the matrix")
 
     @classmethod
     def from_lists(cls, linking, rot) -> "SurgeryDiagram":
-        return cls(tuple(tuple(int(x) for x in row) for row in linking),
-                   tuple(int(x) for x in rot))
+        """Diagram from nested lists such as parsed JSON; every entry must be an int."""
+        if not isinstance(linking, (list, tuple)) or not all(map(_int_list, linking)):
+            raise ValueError("linking matrix must be a list of integer lists")
+        if not _int_list(rot):
+            raise ValueError("rotation vector must be a list of integers")
+        return cls(tuple(map(tuple, linking)), tuple(rot))
+
+
+def _congruence(linking, rot) -> list[tuple[Fraction, Fraction]]:
+    """Pairs (d_k, y_k): C^T L C = diag(d) and y = C^T rot for an invertible C."""
+    _check_square_symmetric(linking)
+    rows = [{j: Fraction(row[j]) for j in compress(range(len(row)), row)} for row in linking]
+    y = [Fraction(x) for x in rot]
+    pending = list(range(len(rows)))  # rows hold entries in pending columns only
+    pairs = []
+    while pending:
+        if pending[-1] not in rows[pending[-1]]:
+            p = next((p for p in reversed(range(len(pending))) if pending[p] in rows[pending[p]]), None)
+            if p is not None:
+                # symmetric swap: pivot on the next nonzero diagonal entry instead
+                pending[p], pending[-1] = pending[-1], pending[p]
+            else:
+                i = next((i for i in pending if rows[i]), None)
+                if i is None:
+                    pairs.extend((Fraction(0), y[i]) for i in pending)  # a zero block is left
+                    break
+                # every diagonal entry is zero: adding row and column j to i
+                # makes the diagonal entry 2 L[i][j] != 0
+                ri = rows[i]
+                j = next(iter(ri))
+                for c, v in rows[j].items():
+                    if c != i:
+                        x = ri.get(c, 0) + v
+                        if x:
+                            ri[c] = rows[c][i] = x
+                        else:
+                            del ri[c], rows[c][i]
+                ri[i] = 2 * ri[j]
+                y[i] += y[j]
+                continue
+        k = pending.pop()
+        row = rows[k]
+        d = row.pop(k)
+        pairs.append((d, y[k]))
+        for i, v in row.items():
+            f = v / d
+            ri = rows[i]
+            del ri[k]
+            for j, w in row.items():
+                x = ri.get(j, 0) - f * w
+                if x:
+                    ri[j] = x
+                else:
+                    ri.pop(j, None)
+            if y[k]:
+                y[i] -= f * y[k]
+    return pairs
 
 
 def signature(linking) -> int:
-    """Signature of a symmetric integer matrix by exact congruence reduction."""
-    a = [[Fraction(x) for x in row] for row in linking]
-    m = len(a)
-    if any(len(row) != m for row in a):
-        raise ValueError("matrix must be square")
-    sig = 0
-    k = 0
-    while k < m:
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, m) if a[i][i] != 0), None)
-            if pivot is not None:
-                # symmetric swap of rows/columns k and pivot
-                a[k], a[pivot] = a[pivot], a[k]
-                for row in a:
-                    row[k], row[pivot] = row[pivot], row[k]
-            else:
-                off = next(
-                    ((i, j) for i in range(k, m) for j in range(i + 1, m) if a[i][j] != 0),
-                    None,
-                )
-                if off is None:
-                    break  # remaining block is zero, contributes nothing
-                i, j = off
-                # row/column addition creates a nonzero diagonal entry at (i, i)
-                for col in range(m):
-                    a[i][col] += a[j][col]
-                for row in a:
-                    row[i] += row[j]
-                continue
-        piv = a[k][k]
-        sig += 1 if piv > 0 else -1
-        for i in range(k + 1, m):
-            f = a[i][k] / piv
-            if f:
-                for j in range(k, m):
-                    a[i][j] -= f * a[k][j]
-        for j in range(k + 1, m):
-            a[k][j] = Fraction(0)
-            a[j][k] = Fraction(0)
-        k += 1
-    return sig
-
-
-def _solve(linking, rhs) -> list[Fraction]:
-    """One rational solution of L x = rhs; raises when rhs is outside the span."""
-    m = len(linking)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(linking)]
-    pivots = []
-    row = 0
-    for col in range(m):
-        pivot = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, m):
-        if aug[r][m] != 0:
-            raise ValueError("c1 not liftable")
-    x = [Fraction(0)] * m
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][m]
-    return x
+    """Signature of a symmetric matrix: the sign count of its congruence pivots."""
+    return sum(1 if d > 0 else -1 for d, _ in _congruence(linking, (0,) * len(linking)) if d)
 
 
 def c1_squared(diagram: SurgeryDiagram) -> Fraction:
     """rot^T L^{-1} rot, well-defined whenever rot lies in the span of L."""
-    if not diagram.rot:
-        return Fraction(0)
-    x = _solve(diagram.linking, diagram.rot)
-    return sum((Fraction(r) * xi for r, xi in zip(diagram.rot, x)), Fraction(0))
+    pairs = _congruence(diagram.linking, diagram.rot)
+    if any(yk for d, yk in pairs if not d):
+        raise ValueError("c1 not liftable")
+    return sum((yk * yk / d for d, yk in pairs if d), Fraction(0))
 
 
 def theta(diagram: SurgeryDiagram) -> Fraction:

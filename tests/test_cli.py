@@ -140,3 +140,22 @@ def test_plumbing_cap(capsys):
     code, out, err = run(capsys, "seifert", "-2;1/3,1/3,2999/3000")
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and "vertices" in err
+
+
+def test_theta_malformed_diagram_is_one_line_error(tmp_path, capsys):
+    texts = ('{"L": 5, "rot": [1]}', '{"L": [[1.5]], "rot": [0]}', '{"L": [[-2]], "rot": 0}',
+             '{"L": [[-2]], "rot": [true]}', '[1]', '{"L": [[0]], "rot": [1]}')
+    for i, text in enumerate(texts):
+        diagram = tmp_path / f"bad_{i}.json"
+        diagram.write_text(text)
+        code, out, err = run(capsys, "theta", "--diagram", str(diagram), "--json")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_floer_rejects_bad_n_and_index(capsys):
+    for argv in (("--n", "0"), ("--n", "-3", "--json"), ("--n", "3", "--index", "0")):
+        code, out, err = run(capsys, "floer", *argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "expected 'i,j'" in err

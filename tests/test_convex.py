@@ -188,14 +188,14 @@ def _check_tail_monotone(sd, coeffs, info):
     a, f, c, d = integer_form(sd, coeffs)
     limit = Fraction(a, c)
     if a * d - f * c == 0:
-        assert v3_slope(sd, -1).as_fraction() == limit
-        assert v3_slope(sd, -17).as_fraction() == limit
+        assert v3_slope(sd, -1, coeffs).as_fraction() == limit
+        assert v3_slope(sd, -17, coeffs).as_fraction() == limit
         return
     start = -1
     pole = Fraction(-d, c)
     if pole < 0:
         start = min(-1, floor(pole) - (1 if pole == floor(pole) else 0))
-    values = [v3_slope(sd, n).as_fraction() for n in range(start, start - 30, -1)]
+    values = [v3_slope(sd, n, coeffs).as_fraction() for n in range(start, start - 30, -1)]
     assert all(x < y for x, y in zip(values, values[1:]))
     assert all(v < limit for v in values)
 

@@ -126,3 +126,211 @@ def test_diagram_validation():
         SurgeryDiagram(((0, 1), (2, 0)), (0, 0))
     with pytest.raises(ValueError):
         SurgeryDiagram(((0,),), (0, 0))
+
+
+# ---------------------------------------------------------------- dense oracles
+# Dense Gauss-Jordan references for the sparse congruence elimination in
+# tightsf.theta: they share no code with it and fill in freely.
+
+
+def dense_signature(linking) -> int:
+    """Signature by dense congruence reduction over Fraction."""
+    a = [[Fraction(x) for x in row] for row in linking]
+    m = len(a)
+    sig = 0
+    k = 0
+    while k < m:
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, m) if a[i][i] != 0), None)
+            if pivot is not None:
+                a[k], a[pivot] = a[pivot], a[k]
+                for row in a:
+                    row[k], row[pivot] = row[pivot], row[k]
+            else:
+                off = next(
+                    ((i, j) for i in range(k, m) for j in range(i + 1, m) if a[i][j] != 0),
+                    None,
+                )
+                if off is None:
+                    break
+                i, j = off
+                for col in range(m):
+                    a[i][col] += a[j][col]
+                for row in a:
+                    row[i] += row[j]
+                continue
+        piv = a[k][k]
+        sig += 1 if piv > 0 else -1
+        for i in range(k + 1, m):
+            f = a[i][k] / piv
+            if f:
+                for j in range(k, m):
+                    a[i][j] -= f * a[k][j]
+        for j in range(k + 1, m):
+            a[k][j] = Fraction(0)
+            a[j][k] = Fraction(0)
+        k += 1
+    return sig
+
+
+def dense_solve(linking, rhs) -> list[Fraction]:
+    """One rational solution of L x = rhs by Gauss-Jordan; raises outside the span."""
+    m = len(linking)
+    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(linking)]
+    pivots = []
+    row = 0
+    for col in range(m):
+        pivot = next((r for r in range(row, m) if aug[r][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        pv = aug[row][col]
+        aug[row] = [x / pv for x in aug[row]]
+        for r in range(m):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+    for r in range(row, m):
+        if aug[r][m] != 0:
+            raise ValueError("c1 not liftable")
+    x = [Fraction(0)] * m
+    for r, col in enumerate(pivots):
+        x[col] = aug[r][m]
+    return x
+
+
+def dense_c1_squared(linking, rot) -> Fraction:
+    return sum((Fraction(r) * xi for r, xi in zip(rot, dense_solve(linking, rot))), Fraction(0))
+
+
+def _c1_or_none(c1, linking, rot):
+    try:
+        return c1(linking, rot)
+    except ValueError as exc:
+        assert str(exc) == "c1 not liftable"
+        return None
+
+
+def _sparse_c1_squared(linking, rot):
+    return c1_squared(SurgeryDiagram.from_lists(linking, rot))
+
+
+def assert_matches_dense(linking, rot):
+    assert signature(linking) == dense_signature(linking)
+    assert _c1_or_none(_sparse_c1_squared, linking, rot) == _c1_or_none(dense_c1_squared, linking, rot)
+
+
+def _awkward_symmetric(rng, m):
+    """Random symmetric matrix, often with a kernel, a zero diagonal or a zero block."""
+    a = [list(row) for row in _random_symmetric(rng, m, rng.choice((1, 2, 4)))]
+    shape = rng.randrange(5)
+    if shape == 1:  # zero diagonal: only the row/column addition finds a pivot
+        for i in range(m):
+            a[i][i] = 0
+    elif shape == 2 and m >= 2:  # an all-zero diagonal block
+        k = rng.randint(2, m)
+        for i in range(k):
+            for j in range(k):
+                a[i][j] = 0
+    elif shape == 3 and m >= 2:  # a repeated row and column: a forced kernel
+        i, j = rng.sample(range(m), 2)
+        a[j] = list(a[i])
+        for row in a:
+            row[j] = row[i]
+    elif shape == 4:  # a sprinkled zero diagonal with an isolated zero vertex
+        for i in range(m):
+            if rng.random() < 0.5:
+                a[i][i] = 0
+        k = rng.randrange(m)
+        for j in range(m):
+            a[k][j] = a[j][k] = 0
+    return a
+
+
+def test_congruence_matches_dense_on_random_matrices():
+    rng = random.Random(41)
+    not_liftable = 0
+    for _ in range(1000):
+        m = rng.randint(1, 7)
+        a = _awkward_symmetric(rng, m)
+        if rng.random() < 0.5:
+            rot = [rng.randint(-3, 3) for _ in range(m)]  # often outside the span
+        else:
+            x = [rng.randint(-2, 2) for _ in range(m)]
+            rot = [sum(a[i][j] * x[j] for j in range(m)) for i in range(m)]
+        not_liftable += _c1_or_none(dense_c1_squared, a, rot) is None
+        assert_matches_dense(a, rot)
+    assert not_liftable > 150
+
+
+def _star_plumbing(manifold, rot_shift=2):
+    matrix = linking_matrix(parse_manifold(manifold))
+    return matrix, [matrix[i][i] + rot_shift for i in range(len(matrix))]
+
+
+def _sweep_q12():
+    fracs = sorted({Fraction(p, q) for q in range(2, 13) for p in range(1, q)})
+    return [(a, b, c) for i, a in enumerate(fracs) for j, b in enumerate(fracs[i:], i)
+            for c in fracs[j:]]
+
+
+def test_congruence_matches_dense_on_sweep_sample():
+    # a fixed sample of the 16,215 star plumbings with q_i <= 12, largest included
+    triples = _sweep_q12()
+    assert len(triples) == 16215
+    sample = random.Random(43).sample(triples, 40) + triples[-3:]
+    for i, t in enumerate(sample):
+        manifold = "-2;" + ",".join(f"{r.numerator}/{r.denominator}" for r in t)
+        assert_matches_dense(*_star_plumbing(manifold, 2 if i % 2 else 0))
+
+
+def test_congruence_matches_dense_on_large_plumbings():
+    rng = random.Random(47)
+    for manifold, relabel in (("-2;19/20,19/20,19/20", False), ("-2;7/9,13/14,24/25", False),
+                              ("-2;1/2,2/3,40/41", True)):
+        matrix, rot = _star_plumbing(manifold)
+        assert 33 <= len(matrix) <= 60
+        if relabel:
+            # pivots are no longer leaves, so entries fill in
+            perm = list(range(len(matrix)))
+            rng.shuffle(perm)
+            matrix = [[matrix[i][j] for j in perm] for i in perm]
+            rot = [rot[i] for i in perm]
+        assert_matches_dense(matrix, rot)
+
+
+def test_congruence_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(53)
+    inverted = pivoted = 0
+    while inverted < 25 or pivoted < 25:
+        m = rng.randint(1, 6)
+        a = _random_symmetric(rng, m)
+        rot = [rng.randint(-4, 4) for _ in range(m)]
+        mat = sympy.Matrix(a)
+        if mat.det() != 0:
+            v = sympy.Matrix(rot)
+            want = (v.T * mat.inv() * v)[0, 0]
+            assert c1_squared(SurgeryDiagram.from_lists(a, rot)) == Fraction(int(want.p), int(want.q))
+            inverted += 1
+        _, d = mat.LDLdecomposition(hermitian=False)
+        pivots = [d[i, i] for i in range(m)]
+        if all(p.is_finite and p != 0 for p in pivots):
+            assert signature(a) == sum(1 if p > 0 else -1 for p in pivots)
+            pivoted += 1
+
+
+def test_signature_rejects_asymmetric_matrix():
+    with pytest.raises(ValueError):
+        signature(((0, 1), (2, 0)))
+    with pytest.raises(ValueError):
+        signature(((0, 1),))
+
+
+def test_from_lists_rejects_malformed_input():
+    for linking, rot in ((5, [1]), ([[1.5]], [0]), ([["1"]], [0]), ([[-2]], 0), ([[-2]], [True]),
+                         ([5], [1]), (None, [])):
+        with pytest.raises(ValueError):
+            SurgeryDiagram.from_lists(linking, rot)
