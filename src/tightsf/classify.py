@@ -103,7 +103,8 @@ def classify(sd: SeifertData) -> ClassificationResult:
         n = family.n
         table = max_twist_table(n)
         count = n * (n + 1) // 2
-        assert table.total == count
+        if table.total != count:
+            raise ArithmeticError(f"max_twist_table rows sum to {table.total}, not n(n+1)/2 = {count}")
         data: dict[str, Any] = {
             "n": n,
             "per_k": tuple(
@@ -123,7 +124,8 @@ def classify(sd: SeifertData) -> ClassificationResult:
         count = 1
         for t in data["t_values"]:
             count *= t
-        assert count == 1
+        if count != 1:
+            raise ArithmeticError(f"product of T values is {count}, not 1 on (1/2, 2/3, k/(k+1))")
         fill = Fillability(ALL_STEIN, stein_lower=count, non_stein_lower=0, all_strong=True)
         return ClassificationResult(sd, EXACT, count, fill, Certificate(family.kind, data))
     if family.kind in (sf.SUM_GE_9_4, sf.SUM_LT_2):

@@ -276,7 +276,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.fn(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

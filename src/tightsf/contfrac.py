@@ -143,16 +143,20 @@ def tight_count(r: Fraction) -> int:
 def solid_torus_count(s: Slope | Fraction) -> int:
     """Number of tight contact structures on a solid torus with boundary slope s.
 
-    For s = -1 the torus is a standard neighborhood and the count is 1; for
-    rational s < -1 with expansion [b_0, ..., b_m] the count is
-    |(b_0 + 1) ... (b_{m-1} + 1) * b_m| (last factor unshifted).  Dropping
-    one b_m = -2 from the runs drops a factor -1, so every run head but the
-    last gives the shifted factors.
+    For rational s <= -1 with expansion [b_0, ..., b_m] the count is
+    |(b_0 + 1) ... (b_{m-1} + 1) * b_m| (last factor unshifted).  An integer
+    slope -m has the expansion [-m] and the count m, read off in O(1); m = 1
+    is a standard neighborhood.  Otherwise, dropping one b_m = -2 from the
+    runs drops a factor -1, so every run head but the last gives the shifted
+    factors.
     """
-    f = s.as_fraction() if isinstance(s, Slope) else Fraction(s)
+    if isinstance(s, Slope):
+        f = s.num if s.den == 1 else s.as_fraction()
+    else:
+        f = Fraction(s)
     if f > -1:
         raise ValueError("boundary slope must be <= -1 in these coordinates")
-    if f == -1:
-        return 1
+    if f.denominator == 1:
+        return -f.numerator
     heads = [a for a, _ in _runs(f)]
     return abs(heads[-1]) * shifted_product(heads[:-1])

@@ -32,7 +32,8 @@ def measured_slope(i: int, sd: SeifertData, n: int) -> Slope:
         raise ValueError("twisting must be negative")
     p, q, u, v = sd.conv[i - 1]
     den = q * n + v
-    assert den != 0  # q >= v > 0 forces q*n + v < 0 for n < 0
+    if den == 0:  # q >= v > 0 forces q*n + v < 0 for n < 0
+        raise ArithmeticError(f"q*n + v = 0 for fiber {i} at twisting {n}, but q >= v > 0")
     if i == 1:
         return Slope(-p * n - u, den)
     if i in (2, 3):
@@ -41,13 +42,15 @@ def measured_slope(i: int, sd: SeifertData, n: int) -> Slope:
 
 
 def rounded_slope(s_a: Slope, s_b: Slope, delta: int) -> Slope:
-    """Slope after cutting along the balanced annulus and rounding: sA + sB - 1/delta."""
+    """Slope after cutting along the balanced annulus and rounding: sA + sB - 1/delta.
+
+    Both denominators divide delta, so the sum is one integer over delta.
+    """
     if delta == 0:
         raise ValueError("delta must be nonzero")
     if s_a.is_inf or s_b.is_inf or delta % s_a.den or delta % s_b.den:
         raise ValueError("imbalanced dividing sets")
-    val = s_a.as_fraction() + s_b.as_fraction() - Fraction(1, delta)
-    return Slope.from_fraction(val)
+    return Slope(s_a.num * (delta // s_a.den) + s_b.num * (delta // s_b.den) - 1, delta)
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,8 @@ def v3_slope_limit(
         coeffs = slope_coeffs(sd)
     if not (coeffs.A >= Fraction(1, 4) or coeffs.A < 0):
         raise ValueError("gap region")
-    assert coeffs.C != 0
+    if coeffs.C == 0:
+        raise ArithmeticError("coefficient C vanishes outside the gap region")
     p3, q3, u3, v3 = sd.conv[2]
     a, f, c, d = integer_form(sd, coeffs)
     limit = Fraction(a, c)
@@ -164,6 +168,12 @@ def integer_form(sd: SeifertData, coeffs: SlopeCoeffs | None = None) -> tuple[in
         scale = scale * x.denominator // gcd_int(scale, x.denominator)
     a, f, c, d = (int(x * scale) for x in parts)
     return a, f, c, d
+
+
+# A sphere-family table has one row per k < n, and a report prints each row;
+# a larger n is refused before any row is built, so a short input cannot ask
+# for an unbounded amount of work.
+MAX_TWIST_ROWS = 10**5
 
 
 @dataclass(frozen=True)
@@ -190,21 +200,27 @@ def max_twist_table(n: int) -> MaxTwistTable:
     Maximal twisting forces n_1 = -3k-1, n_2 = -2k-1 for some 0 <= k <= n-1;
     rounding gives -k/(6k+1) and the V_3 boundary slope -n+k, a solid torus
     carrying n-k tight structures.  The rows sum to n(n+1)/2.
+
+    Each row is derived once, in integer arithmetic: the two measured slopes
+    are rounded, and the V_3 transfer of v3_slope_stepwise, built once per
+    table, carries the negated rounded slope to the boundary.  Every boundary
+    is checked against -n+k.  Raises ValueError above MAX_TWIST_ROWS rows.
     """
     if n < 1:
         raise ValueError("family parameter must be positive")
+    if n > MAX_TWIST_ROWS:
+        raise ValueError(f"the table has {n} rows, more than the limit {MAX_TWIST_ROWS}")
     sd = normalize(
         (Fraction(1, 2), Fraction(2, 3), Fraction(5 * n + 1, 6 * n + 1)), -2
     )
+    transfer = fiber3_matrix(sd).inverse()
     rows = []
     for k in range(n):
-        boundary = v3_slope_stepwise(sd, -3 * k - 1, -2 * k - 1)
-        assert boundary == Slope(-n + k)
-        rounded = rounded_slope(
-            measured_slope(1, sd, -3 * k - 1),
-            measured_slope(2, sd, -2 * k - 1),
-            2 * (-3 * k - 1) + 1,
-        )
+        n1 = -3 * k - 1
+        rounded = rounded_slope(measured_slope(1, sd, n1), measured_slope(2, sd, -2 * k - 1), 2 * n1 + 1)
+        boundary = transfer.apply(-rounded)
+        if boundary.den != 1 or boundary.num != k - n:
+            raise ArithmeticError(f"row k = {k}: V_3 boundary slope {boundary} is not -n+k = {k - n}")
         rows.append(MaxTwistRow(k, rounded, boundary, solid_torus_count(boundary)))
     return MaxTwistTable(n, tuple(rows))
 

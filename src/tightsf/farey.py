@@ -99,7 +99,8 @@ def bypass_attach(dividing: Slope, ruling: Slope, side: str = FRONT) -> Slope:
     rx, ry = ruling.vec()
     ix = ys * rx - xs * ry
     iy = alpha * rx + beta * ry
-    assert ix != 0  # only the dividing slope maps to inf
+    if ix == 0:  # only the dividing slope maps to inf
+        raise ArithmeticError(f"ruling {ruling} maps to inf but differs from the dividing slope")
     if side == FRONT:
         k = -((-iy) // ix) if ix > 0 else -(iy // -ix)  # ceil(iy/ix)
     else:

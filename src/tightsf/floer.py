@@ -47,10 +47,17 @@ class ContactIndex:
             raise ValueError("index j has the wrong parity")
 
 
+# The table of classes grows about as n^3.5, so a larger n is refused before
+# any class is built.
+MAX_N = 100
+
+
 def index_set(n: int) -> list[ContactIndex]:
     """All valid (i, j) for the given n; there are n(n+1)/2 of them."""
     if n < 1:
         raise ValueError("n must be positive")
+    if n > MAX_N:
+        raise ValueError(f"n = {n} is more than the limit {MAX_N}")
     out = []
     for i in range(n):
         top = n - i - 1

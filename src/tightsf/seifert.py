@@ -86,7 +86,8 @@ def h1_order(sd: SeifertData) -> int:
         return 0
     q1, q2, q3 = (c.q for c in sd.conv)
     val = q1 * q2 * q3 * total
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise ArithmeticError(f"q1 q2 q3 (e0 + r1 + r2 + r3) = {val} is not an integer")
     return abs(val.numerator)
 
 

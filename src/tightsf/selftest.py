@@ -17,6 +17,12 @@ from .seifert import normalize
 from .slopes import INF, Slope
 
 
+def _check(ok: bool, message: str) -> None:
+    """Fail the running suite unless ok; an explicit raise, so -O keeps it."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _fractions(max_q: int):
     for q in range(2, max_q + 1):
         for p in range(1, q):
@@ -29,12 +35,13 @@ def check_contfrac_identities(max_q: int = 100) -> str:
     for p, q in _fractions(max_q):
         x = Fraction(-q, p)
         entries = expand(x)
-        assert ncf_eval(entries) == Slope(-q, p)
+        _check(ncf_eval(entries) == Slope(-q, p), f"expansion of {x} does not evaluate back")
         cp, cq, u, v = convergents(x)
-        assert (cp, cq) == (p, q) and p * v - q * u == 1
+        _check((cp, cq) == (p, q) and p * v - q * u == 1, f"convergents of {x} break p*v - q*u = 1")
         shifted = ncf_eval(reverse_shift(entries))
-        assert shifted == Slope(p - q, v - u)
-        assert solid_torus_count(shifted) == tight_count(Fraction(p, q))
+        _check(shifted == Slope(p - q, v - u), f"reverse shift of {x} is not (p - q)/(v - u)")
+        _check(solid_torus_count(shifted) == tight_count(Fraction(p, q)),
+               f"solid torus count differs from T at r = {p}/{q}")
         n += 1
     return f"{n} expansions, q <= {max_q}"
 
@@ -51,7 +58,8 @@ def check_bypass_oracle(max_den: int = 12, samples: int = 300, seed: int = 7) ->
             if s == r:
                 continue
             for side in (FRONT, BACK):
-                assert bypass_attach(s, r, side) == bypass_oracle(s, r, side)
+                _check(bypass_attach(s, r, side) == bypass_oracle(s, r, side),
+                       f"bypass on {s} along {r} ({side}) differs from the oracle")
                 checked += 1
     rng = random.Random(seed)
     for _ in range(samples):
@@ -60,7 +68,8 @@ def check_bypass_oracle(max_den: int = 12, samples: int = 300, seed: int = 7) ->
         if s == r:
             continue
         side = rng.choice((FRONT, BACK))
-        assert bypass_attach(s, r, side) == bypass_oracle(s, r, side)
+        _check(bypass_attach(s, r, side) == bypass_oracle(s, r, side),
+               f"bypass on {s} along {r} ({side}) differs from the oracle")
         checked += 1
     return f"{checked} attachments agree with the oracle"
 
@@ -87,7 +96,8 @@ def check_closed_form(samples: int = 200, seed: int = 11) -> str:
         n2 = (delta - v2) // q2
         if n2 >= 0:
             continue
-        assert v3_slope(sd, n1) == v3_slope_stepwise(sd, n1, n2)
+        _check(v3_slope(sd, n1) == v3_slope_stepwise(sd, n1, n2),
+               f"closed form differs from stepwise rounding at {sd.r}, n1 = {n1}")
         done += 1
     return f"{done} random tuples, closed form = stepwise rounding"
 
@@ -102,11 +112,11 @@ def check_max_twist_chain(max_n: int = 20) -> str:
     rows = 0
     for n in range(1, max_n + 1):
         table = max_twist_table(n)
-        assert table.total == n * (n + 1) // 2
+        _check(table.total == n * (n + 1) // 2, f"n = {n}: rows sum to {table.total}, not n(n+1)/2")
         for row in table.rows:
-            assert row.rounded == Slope(-row.k, 6 * row.k + 1)
-            assert row.boundary == Slope(-n + row.k)
-            assert row.count == n - row.k
+            _check(row.rounded == Slope(-row.k, 6 * row.k + 1), f"n = {n}, k = {row.k}: rounded is not -k/(6k+1)")
+            _check(row.boundary == Slope(-n + row.k), f"n = {n}, k = {row.k}: boundary is not -n+k")
+            _check(row.count == n - row.k, f"n = {n}, k = {row.k}: count is not n-k")
             rows += 1
     return f"{rows} rows across n <= {max_n}"
 
@@ -120,11 +130,12 @@ SUITES = (
 
 
 def run_all() -> list[tuple[str, bool, str]]:
+    """Run every suite; a failed check or a broken library identity is a FAIL."""
     results = []
     for name, fn in SUITES:
         try:
             detail = fn()
             results.append((name, True, detail))
-        except AssertionError as exc:
+        except (AssertionError, ArithmeticError) as exc:
             results.append((name, False, str(exc) or "assertion failed"))
     return results

@@ -133,7 +133,8 @@ class UniMat:
         den, num = s.vec()
         x = self.a * den + self.b * num
         y = self.c * den + self.d * num
-        assert x != 0 or y != 0  # unimodular matrices kill no line
+        if x == 0 and y == 0:
+            raise ArithmeticError(f"{self!r} kills the line of {s}, but a unimodular matrix kills none")
         return Slope(y, x)
 
     def __eq__(self, other) -> bool:
@@ -146,12 +147,3 @@ class UniMat:
 
     def __repr__(self) -> str:
         return f"UniMat({self.a}, {self.b}, {self.c}, {self.d})"
-
-
-def slope_vec(s: Slope) -> tuple[int, int]:
-    """(den, num) of a slope; the infinite slope gives (0, 1)."""
-    return s.vec()
-
-
-def apply_mat(m: UniMat, s: Slope) -> Slope:
-    return m.apply(s)

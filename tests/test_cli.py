@@ -1,7 +1,14 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from time import perf_counter
 
 from tightsf.cli import main
+from tightsf.convex import MAX_TWIST_ROWS, MaxTwistTable, max_twist_table
+from tightsf.floer import MAX_N
 from tightsf.seifert import parse_manifold
 
 
@@ -159,3 +166,71 @@ def test_floer_rejects_bad_n_and_index(capsys):
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "expected 'i,j'" in err
+
+
+def test_sphere_family_cap_fails_fast(capsys):
+    # n = MAX_TWIST_ROWS + 1: a 30-character input that would print one row per k
+    n = MAX_TWIST_ROWS + 1
+    manifold = f"-2;1/2,2/3,{5 * n + 1}/{6 * n + 1}"
+    for argv in (("classify", manifold, "--json"), ("classify", manifold)):
+        start = perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "limit" in err
+
+
+def test_floer_cap_fails_fast(capsys):
+    # just over the cap, so that a missing check costs seconds, not memory
+    n = str(MAX_N + 1)
+    for argv in (("--n", n), ("--n", n, "--json"), ("--n", n, "--index", "0,100")):
+        start = perf_counter()
+        code, out, err = run(capsys, "floer", *argv)
+        assert perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "limit" in err
+
+
+def test_broken_table_identity_is_one_line_error(capsys, monkeypatch):
+    # rows that no longer sum to n(n+1)/2 stop classify, with -O as without
+    def short_table(n):
+        table = max_twist_table(n)
+        return MaxTwistTable(n, table.rows[:-1])
+
+    # the package exports the function classify under the submodule's name
+    monkeypatch.setattr(importlib.import_module("tightsf.classify"), "max_twist_table", short_table)
+    code, out, err = run(capsys, "classify", "-2;1/2,2/3,11/13", "--json")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "n(n+1)/2" in err
+
+
+SABOTAGED_SELFTEST = """
+import sys
+import tightsf.selftest as selftest
+from tightsf.cli import main
+from tightsf.convex import MaxTwistRow, MaxTwistTable, max_twist_table
+
+def sabotaged(n):
+    rows = max_twist_table(n).rows
+    return MaxTwistTable(n, rows[:-1] + (MaxTwistRow(n - 1, rows[-1].rounded, rows[-1].boundary, 2),))
+
+if sys.argv[1] == "sabotage":
+    selftest.max_twist_table = sabotaged
+sys.exit(main(["selftest"]))
+"""
+
+
+def test_selftest_checks_survive_optimize():
+    # python -O strips assert statements; the selftest must still check
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    outs = {}
+    for mode in ("plain", "sabotage"):
+        proc = subprocess.run([sys.executable, "-O", "-c", SABOTAGED_SELFTEST, mode],
+                              capture_output=True, text=True, env=env, timeout=120)
+        outs[mode] = (proc.returncode, proc.stdout)
+    code, out = outs["plain"]
+    assert code == 0 and out.count("PASS") == 4 and "FAIL" not in out
+    code, out = outs["sabotage"]
+    assert code == 1 and out.count("PASS") == 3
+    assert "FAIL  maximal twisting tables" in out and "n(n+1)/2" in out

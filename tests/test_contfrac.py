@@ -177,6 +177,18 @@ def test_fast_paths_match_stepwise_oracles():
         assert solid_torus_count(boundary) == unshifted_last_count(expand_stepwise(boundary))
 
 
+def test_integer_slope_count_matches_stepwise():
+    rng = random.Random(200)
+    ms = list(range(1, 10**4 + 1)) + [rng.getrandbits(200) | (1 << 199) for _ in range(5)]
+    for m in ms:
+        expected = unshifted_last_count(expand_stepwise(Fraction(-m)))
+        assert solid_torus_count(Slope(-m)) == solid_torus_count(Fraction(-m)) == expected == m
+    with pytest.raises(ValueError):
+        solid_torus_count(Slope(0))
+    with pytest.raises(ValueError):
+        solid_torus_count(INF)
+
+
 def test_expansion_cap():
     # r = (q-1)/q expands to q-1 entries -2
     q = MAX_EXPANSION + 1

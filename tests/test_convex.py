@@ -5,7 +5,11 @@ from math import gcd
 import pytest
 
 from tightsf.contfrac import convergents
+import tightsf.convex as convex
 from tightsf.convex import (
+    MAX_TWIST_ROWS,
+    MaxTwistRow,
+    fiber3_matrix,
     integer_form,
     max_twist_table,
     measured_slope,
@@ -17,7 +21,7 @@ from tightsf.convex import (
     v3_slope_stepwise,
 )
 from tightsf.seifert import normalize, parse_manifold
-from tightsf.slopes import INF, Slope
+from tightsf.slopes import INF, Slope, UniMat
 
 
 def sphere_family(n):
@@ -48,6 +52,23 @@ def test_rounded_slope_arithmetic():
     assert rounded_slope(Slope(0), Slope(0), -1) == Slope(1)
     with pytest.raises(ValueError):
         rounded_slope(Slope(1, 3), Slope(1, 2), 4)  # 3 does not divide 4
+
+
+def rounded_slope_fraction(s_a, s_b, delta):
+    """The rounding as a Fraction sum, sA + sB - 1/delta: oracle for rounded_slope."""
+    return Slope.from_fraction(s_a.as_fraction() + s_b.as_fraction() - Fraction(1, delta))
+
+
+def test_rounded_slope_matches_fraction_sum():
+    rng = random.Random(23)
+    for _ in range(2000):
+        delta = rng.choice((-1, 1)) * rng.randint(1, 10**rng.randint(1, 30))
+        divisors = [d for d in (1, 2, 3, 5, 6, 7, abs(delta)) if delta % d == 0]
+        da, db = rng.choice(divisors), rng.choice(divisors)
+        bound = 10**rng.randint(1, 30)
+        s_a = Slope(rng.randint(-bound, bound), da)
+        s_b = Slope(rng.randint(-bound, bound), db)
+        assert rounded_slope(s_a, s_b, delta) == rounded_slope_fraction(s_a, s_b, delta)
 
 
 def test_slope_coeffs_example():
@@ -272,6 +293,37 @@ def test_max_twist_table():
     ]
     assert t2.total == 3
     assert max_twist_table(5).total == 15
+
+
+def test_max_twist_table_matches_stepwise_rows():
+    # the per-row route: v3_slope_stepwise for the boundary, and the rounding
+    # as a Fraction sum carried to dV_3 by its own inverse attaching matrix
+    for n in list(range(1, 301)) + [1000, 5000]:
+        sd = normalize((Fraction(1, 2), Fraction(2, 3), Fraction(5 * n + 1, 6 * n + 1)), -2)
+        transfer = fiber3_matrix(sd).inverse()
+        table = max_twist_table(n)
+        assert table.n == n and len(table.rows) == n
+        for k, row in enumerate(table.rows):
+            n1, n2 = -3 * k - 1, -2 * k - 1
+            rounded = rounded_slope_fraction(measured_slope(1, sd, n1), measured_slope(2, sd, n2), 2 * n1 + 1)
+            boundary = v3_slope_stepwise(sd, n1, n2)
+            assert boundary == transfer.apply(-rounded) == Slope(-n + k)
+            assert row == MaxTwistRow(k, rounded, boundary, n - k)
+            assert type(row.count) is int
+
+
+def test_max_twist_table_checks_each_boundary(monkeypatch):
+    # a wrong V_3 transfer is caught by the row check, which -O keeps
+    monkeypatch.setattr(convex, "fiber3_matrix", lambda sd: UniMat.identity())
+    with pytest.raises(ArithmeticError, match="-n\\+k"):
+        max_twist_table(3)
+
+
+def test_max_twist_rows_cap():
+    with pytest.raises(ValueError, match="limit"):
+        max_twist_table(MAX_TWIST_ROWS + 1)
+    with pytest.raises(ValueError):
+        max_twist_table(0)
 
 
 def test_twist_step_allowed():

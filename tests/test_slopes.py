@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from tightsf.slopes import INF, Slope, UniMat, apply_mat, slope_vec
+from tightsf.slopes import INF, Slope, UniMat
 
 
 def test_reduction_and_normal_form():
@@ -22,9 +22,9 @@ def test_reduction_idempotent(p, q, k):
 
 
 def test_slope_vec():
-    assert slope_vec(Slope(1, 2)) == (2, 1)
-    assert slope_vec(INF) == (0, 1)
-    assert slope_vec(Slope(-7, 5)) == (5, -7)
+    assert Slope(1, 2).vec() == (2, 1)
+    assert INF.vec() == (0, 1)
+    assert Slope(-7, 5).vec() == (5, -7)
 
 
 def test_parse_and_str():
@@ -35,13 +35,13 @@ def test_parse_and_str():
 
 def test_apply_mat_examples():
     a1 = UniMat(2, 1, -1, 0)
-    assert apply_mat(a1, Slope(-1)) == Slope(-1)
-    assert apply_mat(UniMat.identity(), Slope(-7, 5)) == Slope(-7, 5)
+    assert a1.apply(Slope(-1)) == Slope(-1)
+    assert UniMat.identity().apply(Slope(-7, 5)) == Slope(-7, 5)
     # inverse attaching matrix of the n = 3 sphere family member applied to
     # the vector (6k+1, k) at k = 1 gives -n+k
     n, k = 3, 1
     a3inv = UniMat(1, -6, -n, 6 * n + 1)
-    assert apply_mat(a3inv, Slope(k, 6 * k + 1)) == Slope(-n + k)
+    assert a3inv.apply(Slope(k, 6 * k + 1)) == Slope(-n + k)
 
 
 def test_projective_sign_insensitivity():
