@@ -105,13 +105,7 @@ def classify(sd: SeifertData) -> ClassificationResult:
         count = n * (n + 1) // 2
         if table.total != count:
             raise ArithmeticError(f"max_twist_table rows sum to {table.total}, not n(n+1)/2 = {count}")
-        data: dict[str, Any] = {
-            "n": n,
-            "per_k": tuple(
-                {"k": row.k, "rounded": row.rounded, "boundary": row.boundary, "count": row.count}
-                for row in table.rows
-            ),
-        }
+        data: dict[str, Any] = {"n": n, "per_k": table.rows}
         if n == 1:
             data["also_k_over_k_plus_1"] = 6
             fill = Fillability(ALL_STEIN, stein_lower=1, non_stein_lower=0, all_strong=True)

@@ -21,6 +21,10 @@ from .slopes import INF, Slope, UniMat
 FRONT = "front"
 BACK = "back"
 
+# bypass_oracle scans about dividing.den + ruling.den neighbours per doubling
+# of its bound, so a larger starting bound is refused before any is scanned.
+MAX_ORACLE_DEN = 10**6
+
 
 def farey_edge(a: Slope, b: Slope) -> bool:
     """True when the line vectors of a and b span Z^2."""
@@ -116,7 +120,8 @@ def bypass_oracle(
     Enumerates all Farey neighbors of the dividing slope with denominator at
     most a bound, keeps those inside the attachment arc, ranks them by arc
     position, and doubles the bound until the winner survives one further
-    doubling.
+    doubling.  The starting bound, den(dividing) + den(ruling) or denom_bound,
+    may be at most MAX_ORACLE_DEN.
     """
     if side not in (FRONT, BACK):
         raise ValueError(f"unknown side {side!r}")
@@ -174,6 +179,8 @@ def bypass_oracle(
         if denom_bound < dividing.den + ruling.den:
             raise ValueError("denom_bound below den(dividing) + den(ruling)")
         bound = denom_bound
+    if bound > MAX_ORACLE_DEN:
+        raise ValueError(f"oracle bound {bound} is more than the limit {MAX_ORACLE_DEN}")
     prev = best_upto(bound)
     for _ in range(40):
         bound *= 2
@@ -181,4 +188,4 @@ def bypass_oracle(
         if cur is not None and cur == prev:
             return Slope(cur[1], cur[0])
         prev = cur
-    raise AssertionError("bypass oracle failed to stabilize")
+    raise ArithmeticError("bypass oracle failed to stabilize")

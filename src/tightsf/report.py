@@ -1,7 +1,12 @@
-"""Canonical JSON serialization: every rational is a {"num", "den"} pair.
+"""Canonical JSON reports, written in one pass.
 
-Field order is fixed at construction time and json round-trips byte for byte;
-no value in a report is ever a float.
+The writer renders library values itself: a `Slope` or `Fraction` is a
+{"num", "den"} pair (the infinite slope is {"num": 1, "den": 0}), and a record,
+a dataclass such as `SlopeCoeffs`, `LimitInfo`, `MaxTwistRow` or `Fillability`,
+is an object of its fields in declaration order, leaving out fields that are
+None.  Callers pass these values into a report unchanged.  Field order is
+fixed at construction time and json round-trips byte for byte; no value in a
+report is ever a float.
 """
 from __future__ import annotations
 
@@ -10,49 +15,16 @@ from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .classify import ClassificationResult
-from .convex import LimitInfo, SlopeCoeffs
 from .seifert import SeifertData
 from .slopes import Slope
 
 SCHEMA = "tightsf/1"
 
 
-def rat(x) -> dict[str, int]:
-    if isinstance(x, Slope):
-        return {"num": x.num, "den": x.den}
-    f = Fraction(x)
-    return {"num": f.numerator, "den": f.denominator}
-
-
-def encode(value: Any) -> Any:
-    t = type(value)
-    if t is int or t is str or t is bool or value is None:
-        return value
-    if (t is tuple or t is list) and set(map(type, value)) == {int}:
-        return value
-    if isinstance(value, (Slope, Fraction)):
-        return rat(value)
-    if isinstance(value, (int, str)):
-        return value
-    if isinstance(value, SlopeCoeffs):
-        return {"A": rat(value.A), "C": rat(value.C), "F": rat(value.F), "D": rat(value.D)}
-    if isinstance(value, LimitInfo):
-        return {
-            "limit": rat(value.limit),
-            "increasing": value.increasing,
-            "threshold_ok": value.threshold_ok,
-        }
-    if isinstance(value, dict):
-        return {str(k): encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [encode(v) for v in value]
-    raise TypeError(f"cannot encode {type(value).__name__}")
-
-
 def manifold_json(sd: SeifertData) -> dict[str, Any]:
     return {
         "e0": sd.e0,
-        "r": [rat(x) for x in sd.r],
+        "r": sd.r,
         "p": [c.p for c in sd.conv],
         "q": [c.q for c in sd.conv],
         "u": [c.u for c in sd.conv],
@@ -65,30 +37,34 @@ def classification_json(res: ClassificationResult) -> dict[str, Any]:
         "input": str(res.manifold),
         "normalized": manifold_json(res.manifold),
         "e0": res.manifold.e0,
-        "sum": rat(res.manifold.invariant_sum),
+        "sum": res.manifold.invariant_sum,
         "status": res.status,
     }
     if res.count is not None:
         out["count"] = res.count
-    fill = {"kind": res.fillability.kind}
-    if res.fillability.stein_lower is not None:
-        fill["stein_lower"] = res.fillability.stein_lower
-    if res.fillability.non_stein_lower is not None:
-        fill["non_stein_lower"] = res.fillability.non_stein_lower
-    if res.fillability.all_strong is not None:
-        fill["all_strong"] = res.fillability.all_strong
-    if res.fillability.note:
-        fill["note"] = res.fillability.note
-    out["fillability"] = fill
-    out["certificate"] = {"case": res.certificate.case, **encode(res.certificate.data)}
+    out["fillability"] = res.fillability
+    out["certificate"] = {"case": res.certificate.case, **res.certificate.data}
     return out
 
 
-def _write(value: Any, pad: str, out: list[str]) -> None:
-    """Append the text json.dumps(value, indent=2) gives, at indentation pad, to out.
+def _write_object(items, pad: str, out: list[str]) -> None:
+    inner = pad + "  "
+    sep = "{\n" + inner
+    for k, v in items:
+        if not isinstance(k, str):
+            raise TypeError(f"report keys must be str, not {type(k).__name__}")
+        out.append(sep)
+        out.append(encode_basestring_ascii(k))
+        out.append(": ")
+        _write(v, inner, out)
+        sep = ",\n" + inner
+    out.append("{}" if sep[0] == "{" else "\n" + pad + "}")
 
-    Keys must be strings and no value may be a float; a list of plain ints
-    is written in one join.
+
+def _write(value: Any, pad: str, out: list[str]) -> None:
+    """Append the text json.dumps(value, indent=2) gives, at indentation pad, to
+    out, with each slope, fraction and record in its JSON form.  Keys must be
+    strings and no value may be a float; a list of plain ints is one join.
     """
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
@@ -100,21 +76,12 @@ def _write(value: Any, pad: str, out: list[str]) -> None:
         out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
+    elif isinstance(value, (Slope, Fraction)):
+        num, den = (value.num, value.den) if isinstance(value, Slope) else value.as_integer_ratio()
         inner = pad + "  "
-        sep = "{\n" + inner
-        for k, v in value.items():
-            if not isinstance(k, str):
-                raise TypeError(f"report keys must be str, not {type(k).__name__}")
-            out.append(sep)
-            out.append(encode_basestring_ascii(k))
-            out.append(": ")
-            _write(v, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + pad + "}")
+        out.append(f'{{\n{inner}"num": {num},\n{inner}"den": {den}\n{pad}}}')
+    elif isinstance(value, dict):
+        _write_object(value.items(), pad, out)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -130,7 +97,10 @@ def _write(value: Any, pad: str, out: list[str]) -> None:
             sep = ",\n" + inner
         out.append("\n" + pad + "]")
     else:
-        raise TypeError(f"cannot write {type(value).__name__} into a report")
+        fields = getattr(type(value), "__dataclass_fields__", None)
+        if fields is None:
+            raise TypeError(f"cannot write {type(value).__name__} into a report")
+        _write_object(((k, v) for k in fields if (v := getattr(value, k)) is not None), pad, out)
 
 
 def report(command: str, result: dict[str, Any]) -> str:

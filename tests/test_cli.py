@@ -10,6 +10,7 @@ from tightsf.cli import main
 from tightsf.convex import MAX_TWIST_ROWS, MaxTwistTable, max_twist_table
 from tightsf.floer import MAX_N
 from tightsf.seifert import parse_manifold
+from tightsf.slopes import Slope
 
 
 def run(capsys, *argv):
@@ -158,6 +159,31 @@ def test_theta_malformed_diagram_is_one_line_error(tmp_path, capsys):
         code, out, err = run(capsys, "theta", "--diagram", str(diagram), "--json")
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_theta_deeply_nested_diagram_is_one_line_error(tmp_path, capsys):
+    diagram = tmp_path / "deep.json"
+    diagram.write_text("[" * 100_000)
+    code, out, err = run(capsys, "theta", "--diagram", str(diagram))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "nested" in err
+
+
+def test_bypass_oracle_cap_and_disagreement(capsys, monkeypatch):
+    # den(dividing) + den(ruling) = 10^6 + 3, over the oracle cap; the fast path has no cap
+    argv = ("bypass", "--dividing", "-1000001/1000000", "--ruling", "7/3")
+    start = perf_counter()
+    code, out, err = run(capsys, *argv, "--oracle")
+    assert perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "limit" in err
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == "-1000000/999999\n"
+    # an oracle that disagrees stops the command, with -O as without
+    monkeypatch.setattr(importlib.import_module("tightsf.cli"), "bypass_oracle", lambda d, r, side: Slope(0))
+    code, out, err = run(capsys, "bypass", "--dividing", "-5/2", "--ruling", "inf", "--oracle", "--json")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "oracle" in err
 
 
 def test_floer_rejects_bad_n_and_index(capsys):

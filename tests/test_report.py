@@ -1,20 +1,71 @@
 import json
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tightsf import report
-from tightsf.classify import classify
+from tightsf.classify import Fillability, classify
+from tightsf.convex import LimitInfo, MaxTwistRow, SlopeCoeffs
 from tightsf.seifert import parse_manifold
+from tightsf.slopes import INF, Slope
+
+
+@dataclass(frozen=True)
+class Tagged:
+    value: Any
+    tag: str | None = None
+
+
+def oracle(value):
+    """json.dumps default: the JSON form of one library value, as the seed's
+    report.rat and report.encode, classify and classification_json built it."""
+    if isinstance(value, Slope):
+        return {"num": value.num, "den": value.den}
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
+    if isinstance(value, SlopeCoeffs):
+        return {"A": value.A, "C": value.C, "F": value.F, "D": value.D}
+    if isinstance(value, LimitInfo):
+        return {"limit": value.limit, "increasing": value.increasing, "threshold_ok": value.threshold_ok}
+    if isinstance(value, MaxTwistRow):
+        return {"k": value.k, "rounded": value.rounded, "boundary": value.boundary, "count": value.count}
+    if isinstance(value, Fillability):
+        fill = {"kind": value.kind}
+        if value.stein_lower is not None:
+            fill["stein_lower"] = value.stein_lower
+        if value.non_stein_lower is not None:
+            fill["non_stein_lower"] = value.non_stein_lower
+        if value.all_strong is not None:
+            fill["all_strong"] = value.all_strong
+        if value.note:
+            fill["note"] = value.note
+        return fill
+    if isinstance(value, Tagged):
+        return {k: v for k, v in (("value", value.value), ("tag", value.tag)) if v is not None}
+    raise TypeError(f"cannot encode {type(value).__name__}")
+
+
+def written(value) -> str:
+    out = []
+    report._write(value, "", out)
+    return "".join(out)
+
 
 # Values a report may hold: str (non-ASCII included), int (bigints
-# included), bool and None, nested in dicts, lists and tuples, empty ones too.
+# included), bool, None, Fraction and Slope (the infinite one too), nested in
+# dicts, lists, tuples and records with an optional field, empty ones too.
 leaves = st.one_of(
     st.text(max_size=8),
     st.integers(min_value=-(10**400), max_value=10**400),
     st.booleans(),
     st.none(),
+    st.fractions(),
+    st.builds(Slope, st.integers(), st.integers(min_value=1)),
+    st.just(INF),
 )
 values = st.recursive(
     leaves,
@@ -23,6 +74,7 @@ values = st.recursive(
         st.lists(inner, max_size=5).map(tuple),
         st.lists(st.integers(), max_size=5),
         st.dictionaries(st.text(max_size=8), inner, max_size=5),
+        st.builds(Tagged, inner, st.none() | st.text(max_size=8)),
     ),
     max_leaves=20,
 )
@@ -31,16 +83,14 @@ values = st.recursive(
 @settings(max_examples=120, deadline=None)
 @given(values)
 def test_writer_matches_json_dumps(value):
-    out = []
-    report._write(value, "", out)
-    assert "".join(out) == json.dumps(value, indent=2)
+    assert written(value) == json.dumps(value, indent=2, default=oracle)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.dictionaries(st.text(max_size=8), values, max_size=3), st.text(max_size=8))
 def test_report_matches_json_dumps(result, command):
     doc = {"schema": report.SCHEMA, "exact": True, "command": command, "result": result}
-    assert report.report(command, result) == json.dumps(doc, indent=2)
+    assert report.report(command, result) == json.dumps(doc, indent=2, default=oracle)
 
 
 def test_classification_report_matches_json_dumps():
@@ -48,12 +98,16 @@ def test_classification_report_matches_json_dumps():
                  "-2;1/3,1/3,99/100", "-2;1/2,2/3,7/8"):
         doc = report.classification_json(classify(parse_manifold(text)))
         assert report.report("classify", doc) == json.dumps(
-            {"schema": report.SCHEMA, "exact": True, "command": "classify", "result": doc}, indent=2
+            {"schema": report.SCHEMA, "exact": True, "command": "classify", "result": doc},
+            indent=2, default=oracle,
         )
 
 
-def test_encode_passes_int_tuples_through():
-    entries = (-2, -2, -3)
-    assert report.encode(entries) is entries
-    assert report.encode((True, 1)) == [True, 1]
-    assert report.encode({"r": Fraction(1, 2), "e": ()}) == {"r": {"num": 1, "den": 2}, "e": []}
+def test_writer_int_tuples_and_fractions():
+    for value in ((-2, -2, -3), (True, 1), {"r": Fraction(1, 2), "e": ()}):
+        assert written(value) == json.dumps(value, indent=2, default=oracle)
+    assert json.loads(written((True, 1))) == [True, 1]
+    assert json.loads(written({"r": Fraction(1, 2), "e": ()})) == {"r": {"num": 1, "den": 2}, "e": []}
+    for value in (1.5, object(), Tagged, {1: 2}):
+        with pytest.raises(TypeError):
+            written(value)
