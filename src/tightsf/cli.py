@@ -7,19 +7,19 @@ import re
 import sys
 from fractions import Fraction
 
-# let arguments like "-7/5" and "-2;1/2,2/3,11/13" parse as values, not flags
-_VALUE_PATTERN = re.compile(r"^-\d[\d;/,.]*$")
+# let arguments like "-7/5" and "-2;1/2,2/3,-1/3" parse as values: no flag starts with -<digit>
+_VALUE_PATTERN = re.compile(r"^-\d")
 
 from . import report
 from .classify import EXACT, INFINITE, UNKNOWN, classify
 from .contfrac import convergents, expand, reverse_shift, tight_count
 from .convex import measured_slope, slope_coeffs, v3_slope, v3_slope_limit
 from .farey import BACK, FRONT, bypass_attach, bypass_oracle
-from .floer import ContactIndex, expansion, index_set, laurent_image, pairwise_distinct, stein_obstructed
+from .floer import ContactIndex, HalfLaurent, expansion, grid, index_set, pairwise_distinct, stein_obstructed
 from .seifert import detect_family, h1_order, linking_matrix, parse_manifold
 from .selftest import run_all
 from .slopes import Slope
-from .theta import SurgeryDiagram, c1_squared, signature
+from .theta import SurgeryDiagram, congruence
 
 
 def _cmd_cf(args) -> int:
@@ -130,31 +130,29 @@ def _cmd_floer(args) -> int:
         if len(parts) != 2:
             raise ValueError(f"--index expected 'i,j', got {args.index!r}")
         indices = [ContactIndex(n, int(parts[0]), int(parts[1]))]
+    positions = list(grid(n))
     rows = []
     for idx in indices:
-        vec = expansion(idx)
+        coeffs = expansion(idx).coeffs
         rows.append({
             "i": idx.i, "j": idx.j,
-            "coeffs": list(vec.coeffs),
-            "laurent": str(laurent_image(idx)),
+            "coeffs": list(coeffs),
+            # the image's coefficient at t^(j'/2) is the class's coordinate at j'
+            "laurent": str(HalfLaurent(dict(zip(positions, coeffs)))),
             "stein_obstructed": stein_obstructed(idx),
         })
+    distinct = pairwise_distinct(n)
+    obstructed = sum(r["stein_obstructed"] for r in rows)
     if args.json:
-        body = {
-            "n": n,
-            "grid": list(range(-n + 1, n, 2)),
-            "classes": rows,
-            "pairwise_distinct": pairwise_distinct(n),
-            "obstructed_count": sum(r["stein_obstructed"] for r in rows),
-        }
-        print(report.report("floer", body))
+        print(report.report("floer", {"n": n, "grid": positions, "classes": rows,
+                                      "pairwise_distinct": distinct, "obstructed_count": obstructed}))
     else:
-        print(f"n = {n}, basis positions {list(range(-n + 1, n, 2))}")
+        print(f"n = {n}, basis positions {positions}")
         for r in rows:
             flag = "  [not Stein fillable]" if r["stein_obstructed"] else ""
             print(f"(i={r['i']}, j={r['j']}): {r['coeffs']}  {r['laurent']}{flag}")
-        print(f"pairwise distinct: {pairwise_distinct(n)}")
-        print(f"obstructed: {sum(r['stein_obstructed'] for r in rows)}")
+        print(f"pairwise distinct: {distinct}")
+        print(f"obstructed: {obstructed}")
     return 0
 
 
@@ -167,8 +165,7 @@ def _cmd_theta(args) -> int:
     if not isinstance(data, dict):
         raise ValueError("diagram must be a JSON object with keys L and rot")
     diagram = SurgeryDiagram.from_lists(data["L"], data["rot"])
-    c1sq = c1_squared(diagram)
-    sigma = signature(diagram.linking)
+    sigma, c1sq = congruence(diagram)
     chi = 1 + len(diagram.linking)
     value = c1sq - 3 * sigma - 2 * chi  # theta(diagram), from the parts above
     if args.json:

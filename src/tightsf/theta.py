@@ -7,31 +7,24 @@ Chern class, and c1^2 = rot^T L^{-1} rot whenever rot lies in the rational
 column span of L (the value does not depend on the chosen solution).
 
 Both sigma and c1^2 come from one exact congruence diagonalization
-C^T L C = D over the rationals, never from numerical eigenvalues.  The
-elimination is sparse: each row keeps only its nonzero entries and a pivot
-updates only its neighbours.  Pivots are taken from the last index down, so
-on a plumbing tree numbered from its centre outwards (as
-`seifert.linking_matrix` numbers it) every pivot is a leaf and nothing fills
-in: the work is linear in the number of vertices.  The same column
-operations carry y = C^T rot, and with d = diag(D)
+C^T L C = D over the rationals, never from numerical eigenvalues, and one
+pass of it yields both.  The elimination is sparse: each row keeps only its
+nonzero entries and a pivot updates only its neighbours.  Pivots are taken
+from the last index down, so on a plumbing tree numbered from its centre
+outwards (as `seifert.linking_matrix` numbers it) every pivot is a leaf and
+nothing fills in: the work is linear in the number of vertices.  The same
+column operations carry y = C^T rot, and each pivot d_k != 0 adds
 
-    sigma = #{d_k > 0} - #{d_k < 0},    c1^2 = sum of y_k^2 / d_k over d_k != 0,
+    sign(d_k) to sigma    and    y_k^2 / d_k to c1^2.
 
-where rot lies in the span of L exactly when y_k = 0 wherever d_k = 0.
+What is left at the end is a block of zeros, and rot lies in the span of L
+exactly when y_k = 0 on that block.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-
-
-def _check_square_symmetric(matrix) -> None:
-    m = len(matrix)
-    if any(len(row) != m for row in matrix):
-        raise ValueError("linking matrix must be square")
-    if list(map(tuple, matrix)) != list(zip(*matrix)):
-        raise ValueError("linking matrix must be symmetric")
 
 
 def _int_list(xs) -> bool:
@@ -44,8 +37,12 @@ class SurgeryDiagram:
     rot: tuple[int, ...]
 
     def __post_init__(self):
-        _check_square_symmetric(self.linking)
-        if len(self.rot) != len(self.linking):
+        m = len(self.linking)
+        if any(len(row) != m for row in self.linking):
+            raise ValueError("linking matrix must be square")
+        if list(map(tuple, self.linking)) != list(zip(*self.linking)):
+            raise ValueError("linking matrix must be symmetric")
+        if len(self.rot) != m:
             raise ValueError("rotation vector length must match the matrix")
 
     @classmethod
@@ -58,13 +55,12 @@ class SurgeryDiagram:
         return cls(tuple(map(tuple, linking)), tuple(rot))
 
 
-def _congruence(linking, rot) -> list[tuple[Fraction, Fraction]]:
-    """Pairs (d_k, y_k): C^T L C = diag(d) and y = C^T rot for an invertible C."""
-    _check_square_symmetric(linking)
-    rows = [{j: Fraction(row[j]) for j in compress(range(len(row)), row)} for row in linking]
-    y = [Fraction(x) for x in rot]
+def congruence(diagram: SurgeryDiagram) -> tuple[int, Fraction]:
+    """(sigma, c1^2) from one congruence elimination C^T L C = D, y = C^T rot."""
+    rows = [{j: Fraction(row[j]) for j in compress(range(len(row)), row)} for row in diagram.linking]
+    y = [Fraction(x) for x in diagram.rot]
     pending = list(range(len(rows)))  # rows hold entries in pending columns only
-    pairs = []
+    sigma, c1sq = 0, Fraction(0)
     while pending:
         if pending[-1] not in rows[pending[-1]]:
             p = next((p for p in reversed(range(len(pending))) if pending[p] in rows[pending[p]]), None)
@@ -73,8 +69,9 @@ def _congruence(linking, rot) -> list[tuple[Fraction, Fraction]]:
                 pending[p], pending[-1] = pending[-1], pending[p]
             else:
                 i = next((i for i in pending if rows[i]), None)
-                if i is None:
-                    pairs.extend((Fraction(0), y[i]) for i in pending)  # a zero block is left
+                if i is None:  # a zero block is left
+                    if any(y[i] for i in pending):
+                        raise ValueError("c1 not liftable")
                     break
                 # every diagonal entry is zero: adding row and column j to i
                 # makes the diagonal entry 2 L[i][j] != 0
@@ -93,7 +90,9 @@ def _congruence(linking, rot) -> list[tuple[Fraction, Fraction]]:
         k = pending.pop()
         row = rows[k]
         d = row.pop(k)
-        pairs.append((d, y[k]))
+        sigma += 1 if d > 0 else -1
+        if y[k]:
+            c1sq += y[k] * y[k] / d
         for i, v in row.items():
             f = v / d
             ri = rows[i]
@@ -106,23 +105,20 @@ def _congruence(linking, rot) -> list[tuple[Fraction, Fraction]]:
                     ri.pop(j, None)
             if y[k]:
                 y[i] -= f * y[k]
-    return pairs
+    return sigma, c1sq
 
 
 def signature(linking) -> int:
     """Signature of a symmetric matrix: the sign count of its congruence pivots."""
-    return sum(1 if d > 0 else -1 for d, _ in _congruence(linking, (0,) * len(linking)) if d)
+    return congruence(SurgeryDiagram(tuple(map(tuple, linking)), (0,) * len(linking)))[0]
 
 
 def c1_squared(diagram: SurgeryDiagram) -> Fraction:
     """rot^T L^{-1} rot, well-defined whenever rot lies in the span of L."""
-    pairs = _congruence(diagram.linking, diagram.rot)
-    if any(yk for d, yk in pairs if not d):
-        raise ValueError("c1 not liftable")
-    return sum((yk * yk / d for d, yk in pairs if d), Fraction(0))
+    return congruence(diagram)[1]
 
 
 def theta(diagram: SurgeryDiagram) -> Fraction:
     """c1^2 - 3*sigma - 2*chi with chi = 1 + (number of link components)."""
-    m = len(diagram.linking)
-    return c1_squared(diagram) - 3 * signature(diagram.linking) - 2 * (1 + m)
+    sigma, c1sq = congruence(diagram)
+    return c1sq - 3 * sigma - 2 * (1 + len(diagram.linking))

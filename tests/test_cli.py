@@ -6,10 +6,13 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+import pytest
+
 from tightsf.cli import main
-from tightsf.convex import MAX_TWIST_ROWS, MaxTwistTable, max_twist_table
-from tightsf.floer import MAX_N
+from tightsf.convex import MAX_TWIST_ROWS, MaxTwistTable, max_twist_table, v3_slope, v3_slope_stepwise
+from tightsf.floer import MAX_N, ContactIndex, HalfLaurent, laurent_image
 from tightsf.seifert import parse_manifold
+from tightsf.selftest import check_closed_form
 from tightsf.slopes import Slope
 
 
@@ -53,6 +56,14 @@ def test_classify_exit_codes(capsys):
     assert code == 2 and "unknown" in out
     code, _, err = run(capsys, "classify", "-2;1/2,2/3")
     assert code == 1
+
+
+def test_negative_first_value_is_not_a_flag(capsys):
+    # a leading -<digit> marks a value, whatever follows it
+    for manifold, same in (("-2;1/2,2/3,-1/3", "-3;1/2,2/3,2/3"), ("-2;+1/2,2/3,2/3", "-2;1/2,2/3,2/3")):
+        code, out, err = run(capsys, "classify", manifold)
+        assert code != 1 and err == ""
+        assert out == run(capsys, "classify", same)[1]
 
 
 def test_classify_json_round_trip(capsys):
@@ -106,6 +117,26 @@ def test_floer_cli(capsys):
     assert code == 0 and "not Stein fillable" in out
 
 
+def test_floer_reads_laurent_text_off_the_coefficients(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Laurent arithmetic on the floer path")
+
+    monkeypatch.setattr(HalfLaurent, "__mul__", refuse)
+    monkeypatch.setattr(importlib.import_module("tightsf.floer"), "laurent_image", refuse)
+    code, out, err = run(capsys, "floer", "--n", "12", "--json")
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["result"]["classes"]) == 78
+
+
+def test_floer_laurent_matches_the_oracle(capsys):
+    # the golden corpus stops at n = 10
+    for n in range(1, 31):
+        code, out, _ = run(capsys, "floer", "--n", str(n), "--json")
+        assert code == 0
+        for row in json.loads(out)["result"]["classes"]:
+            assert row["laurent"] == str(laurent_image(ContactIndex(n, row["i"], row["j"])))
+
+
 def test_theta_cli(tmp_path, capsys):
     diagram = tmp_path / "diagram.json"
     diagram.write_text(json.dumps({"L": [[-2]], "rot": [0]}))
@@ -122,6 +153,15 @@ def test_selftest_cli(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert out.count("PASS") == 4 and "FAIL" not in out
+
+
+def test_selftest_closed_form_accepts_the_pole():
+    # seed 18 draws M(-2; 1/2, 5/7, 5/6) at n1 = -13, n2 = -4: a pole of the closed form
+    sd = parse_manifold("-2;1/2,5/7,5/6")
+    with pytest.raises(ValueError, match="slope undefined"):
+        v3_slope(sd, -13)
+    assert v3_slope_stepwise(sd, -13, -4).is_inf
+    assert check_closed_form(seed=18) == "200 random tuples, closed form = stepwise rounding"
 
 
 def test_zero_denominator_is_one_line_error(capsys):

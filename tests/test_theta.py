@@ -1,8 +1,12 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import tightsf.theta as theta_module
+from tightsf import cli
 from tightsf.seifert import linking_matrix, parse_manifold
 from tightsf.theta import SurgeryDiagram, c1_squared, signature, theta
 
@@ -334,3 +338,47 @@ def test_from_lists_rejects_malformed_input():
                          ([5], [1]), (None, [])):
         with pytest.raises(ValueError):
             SurgeryDiagram.from_lists(linking, rot)
+
+
+# ------------------------------------------------------------- computed once
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts eliminations and square/symmetric checks from here on."""
+    calls = Counter()
+    eliminate, check = theta_module.congruence, SurgeryDiagram.__post_init__
+
+    def counted_congruence(diagram):
+        calls["elimination"] += 1
+        return eliminate(diagram)
+
+    def counted_check(self):
+        calls["check"] += 1
+        check(self)
+
+    for module in (theta_module, cli):
+        monkeypatch.setattr(module, "congruence", counted_congruence)
+    monkeypatch.setattr(SurgeryDiagram, "__post_init__", counted_check)
+    return calls
+
+
+def test_each_call_eliminates_once_and_checks_once(counted):
+    m = linking_matrix(parse_manifold("-2;1/2,2/3,40/41"))
+    diagram = SurgeryDiagram.from_lists(m, [m[i][i] + 2 for i in range(len(m))])
+    assert (counted["elimination"], counted["check"]) == (0, 1)
+    for fn, arg, checks in ((theta, diagram, 0), (c1_squared, diagram, 0), (signature, m, 1)):
+        counted.clear()
+        fn(arg)
+        assert (counted["elimination"], counted["check"]) == (1, checks)
+
+
+def test_theta_cli_eliminates_once_and_checks_once(counted, tmp_path, capsys):
+    path = tmp_path / "e8.json"
+    path.write_text(json.dumps({"L": E8, "rot": [2] * 8}))
+    assert cli.main(["theta", "--diagram", str(path), "--json"]) == 0
+    assert (counted["elimination"], counted["check"]) == (1, 1)
+    result = json.loads(capsys.readouterr().out)["result"]
+    c1sq = dense_c1_squared(E8, [2] * 8)
+    assert result["c1sq"] == {"num": c1sq.numerator, "den": c1sq.denominator}
+    assert (result["sigma"], result["chi"]) == (-8, 9)
