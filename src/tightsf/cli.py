@@ -164,6 +164,9 @@ def _cmd_theta(args) -> int:
             raise ValueError("diagram JSON is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("diagram must be a JSON object with keys L and rot")
+    for key in ("L", "rot"):
+        if key not in data:
+            raise ValueError(f"diagram has no key {key!r}")
     diagram = SurgeryDiagram.from_lists(data["L"], data["rot"])
     sigma, c1sq = congruence(diagram)
     chi = 1 + len(diagram.linking)

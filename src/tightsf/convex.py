@@ -201,10 +201,15 @@ def max_twist_table(n: int) -> MaxTwistTable:
     rounding gives -k/(6k+1) and the V_3 boundary slope -n+k, a solid torus
     carrying n-k tight structures.  The rows sum to n(n+1)/2.
 
-    Each row is derived once, in integer arithmetic: the two measured slopes
-    are rounded, and the V_3 transfer of v3_slope_stepwise, built once per
-    table, carries the negated rounded slope to the boundary.  Every boundary
-    is checked against -n+k.  Raises ValueError above MAX_TWIST_ROWS rows.
+    Each row is derived once, in plain integers, along the route of
+    v3_slope_stepwise: the dividing counts q_1 n_1 + v_1 and q_2 n_2 + v_2
+    are checked to balance at delta, the two measured numerators are summed
+    over delta less 1 (the rounding), and the inverse V_3 transfer, unpacked
+    once per table into four integers, carries the negated rounded vector to
+    dV_3, where its image is checked to be proportional to (1, -n+k).  The
+    only slopes built are the two each row stores.  Both checks raise
+    ArithmeticError, so they hold under python -O.  Raises ValueError above
+    MAX_TWIST_ROWS rows.
     """
     if n < 1:
         raise ValueError("family parameter must be positive")
@@ -213,15 +218,23 @@ def max_twist_table(n: int) -> MaxTwistTable:
     sd = normalize(
         (Fraction(1, 2), Fraction(2, 3), Fraction(5 * n + 1, 6 * n + 1)), -2
     )
-    transfer = fiber3_matrix(sd).inverse()
+    (p1, q1, u1, v1), (p2, q2, u2, v2) = sd.conv[0], sd.conv[1]
+    inv = fiber3_matrix(sd).inverse()
+    a, b, c, d = inv.a, inv.b, inv.c, inv.d
     rows = []
     for k in range(n):
-        n1 = -3 * k - 1
-        rounded = rounded_slope(measured_slope(1, sd, n1), measured_slope(2, sd, -2 * k - 1), 2 * n1 + 1)
-        boundary = transfer.apply(-rounded)
-        if boundary.den != 1 or boundary.num != k - n:
-            raise ArithmeticError(f"row k = {k}: V_3 boundary slope {boundary} is not -n+k = {k - n}")
-        rows.append(MaxTwistRow(k, rounded, boundary, solid_torus_count(boundary)))
+        n1, n2 = -3 * k - 1, -2 * k - 1
+        delta = q1 * n1 + v1
+        if delta != q2 * n2 + v2:
+            raise ArithmeticError(f"row k = {k}: dividing counts {delta} and {q2 * n2 + v2} do not balance")
+        # the rounded slope is num/delta; its negation is the line (delta, -num)
+        num = (-p1 * n1 - u1) + ((q2 - p2) * n2 + (v2 - u2)) - 1
+        x = a * delta - b * num
+        y = c * delta - d * num
+        if x == 0 or y != (k - n) * x:
+            raise ArithmeticError(f"row k = {k}: V_3 boundary slope {Slope(y, x)} is not -n+k = {k - n}")
+        boundary = Slope(k - n)
+        rows.append(MaxTwistRow(k, Slope(num, delta), boundary, solid_torus_count(boundary)))
     return MaxTwistTable(n, tuple(rows))
 
 

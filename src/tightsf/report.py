@@ -7,6 +7,13 @@ is an object of its fields in declaration order, leaving out fields that are
 None.  Callers pass these values into a report unchanged.  Field order is
 fixed at construction time and json round-trips byte for byte; no value in a
 report is ever a float.
+
+The writer dispatches on the exact type of each value: str, int, bool, None,
+`Slope`, `Fraction`, dict, list and tuple, and a record is any other type with
+`__dataclass_fields__`.  Subclasses of the plain types are not accepted, so no
+value pays for an isinstance test (against `Fraction` that is an ABC check).
+A record type's field names are read once and kept in a module dict keyed by
+the type.  Any other value raises TypeError.
 """
 from __future__ import annotations
 
@@ -61,28 +68,31 @@ def _write_object(items, pad: str, out: list[str]) -> None:
     out.append("{}" if sep[0] == "{" else "\n" + pad + "}")
 
 
+# The field names of each record type written so far, in declaration order.
+_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
 def _write(value: Any, pad: str, out: list[str]) -> None:
     """Append the text json.dumps(value, indent=2) gives, at indentation pad, to
     out, with each slope, fraction and record in its JSON form.  Keys must be
     strings and no value may be a float; a list of plain ints is one join.
     """
-    if isinstance(value, str):
+    t = type(value)
+    if t is str:
         out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
+    elif t is int:
         out.append(int.__repr__(value))
-    elif isinstance(value, (Slope, Fraction)):
-        num, den = (value.num, value.den) if isinstance(value, Slope) else value.as_integer_ratio()
+    elif t is Slope or t is Fraction:
+        num, den = (value.num, value.den) if t is Slope else value.as_integer_ratio()
         inner = pad + "  "
         out.append(f'{{\n{inner}"num": {num},\n{inner}"den": {den}\n{pad}}}')
-    elif isinstance(value, dict):
+    elif t is bool:
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
+    elif t is dict:
         _write_object(value.items(), pad, out)
-    elif isinstance(value, (list, tuple)):
+    elif t is list or t is tuple:
         if not value:
             out.append("[]")
             return
@@ -97,9 +107,11 @@ def _write(value: Any, pad: str, out: list[str]) -> None:
             sep = ",\n" + inner
         out.append("\n" + pad + "]")
     else:
-        fields = getattr(type(value), "__dataclass_fields__", None)
+        fields = _FIELDS.get(t)
         if fields is None:
-            raise TypeError(f"cannot write {type(value).__name__} into a report")
+            if not hasattr(t, "__dataclass_fields__"):
+                raise TypeError(f"cannot write {t.__name__} into a report")
+            fields = _FIELDS[t] = tuple(t.__dataclass_fields__)
         _write_object(((k, v) for k in fields if (v := getattr(value, k)) is not None), pad, out)
 
 

@@ -28,7 +28,7 @@ from itertools import compress
 
 
 def _int_list(xs) -> bool:
-    return isinstance(xs, (list, tuple)) and all(type(x) is int for x in xs)
+    return isinstance(xs, (list, tuple)) and set(map(type, xs)) <= {int}
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
@@ -317,6 +318,41 @@ def test_max_twist_table_checks_each_boundary(monkeypatch):
     monkeypatch.setattr(convex, "fiber3_matrix", lambda sd: UniMat.identity())
     with pytest.raises(ArithmeticError, match="-n\\+k"):
         max_twist_table(3)
+
+
+def test_max_twist_table_checks_the_balance(monkeypatch):
+    # dividing counts that fail to balance are caught by the row check, which -O keeps
+    def unbalanced(r, e0):
+        sd = normalize(r, e0)
+        conv = (sd.conv[0], sd.conv[1]._replace(v=sd.conv[1].v + 1), sd.conv[2])
+        return dataclasses.replace(sd, conv=conv)
+
+    monkeypatch.setattr(convex, "normalize", unbalanced)
+    with pytest.raises(ArithmeticError, match="balance"):
+        max_twist_table(3)
+
+
+def test_max_twist_table_builds_only_the_stored_slopes(monkeypatch):
+    # each row derives its slopes in plain integers: the only Slope objects
+    # built are the rounded and boundary slopes it stores, and the stepwise
+    # helpers stay off the row path
+    calls = dict.fromkeys(("Slope", "apply", "measured_slope", "rounded_slope"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Slope, "__init__", counted("Slope", Slope.__init__))
+    monkeypatch.setattr(UniMat, "apply", counted("apply", UniMat.apply))
+    for name in ("measured_slope", "rounded_slope"):
+        monkeypatch.setattr(convex, name, counted(name, getattr(convex, name)))
+    for n in (1, 7, 300):
+        calls.update(dict.fromkeys(calls, 0))
+        assert max_twist_table(n).total == n * (n + 1) // 2
+        assert calls["Slope"] <= 2 * n + 4
+        assert calls["apply"] == calls["measured_slope"] == calls["rounded_slope"] == 0
 
 
 def test_max_twist_rows_cap():

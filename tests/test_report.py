@@ -20,6 +20,12 @@ class Tagged:
     tag: str | None = None
 
 
+@dataclass(frozen=True)
+class Retagged:
+    tag: str | None
+    value: Any
+
+
 def oracle(value):
     """json.dumps default: the JSON form of one library value, as the seed's
     report.rat and report.encode, classify and classification_json built it."""
@@ -46,6 +52,8 @@ def oracle(value):
         return fill
     if isinstance(value, Tagged):
         return {k: v for k, v in (("value", value.value), ("tag", value.tag)) if v is not None}
+    if isinstance(value, Retagged):
+        return {k: v for k, v in (("tag", value.tag), ("value", value.value)) if v is not None}
     raise TypeError(f"cannot encode {type(value).__name__}")
 
 
@@ -108,6 +116,12 @@ def test_writer_int_tuples_and_fractions():
         assert written(value) == json.dumps(value, indent=2, default=oracle)
     assert json.loads(written((True, 1))) == [True, 1]
     assert json.loads(written({"r": Fraction(1, 2), "e": ()})) == {"r": {"num": 1, "den": 2}, "e": []}
-    for value in (1.5, object(), Tagged, {1: 2}):
+    # two record types with the same field names in different orders, in one
+    # list: each keeps its own declaration order
+    pair = [Tagged(1, "a"), Retagged("b", 2), Tagged(Fraction(1, 3)), Retagged(None, INF)]
+    assert written(pair) == json.dumps(pair, indent=2, default=oracle)
+    assert [list(record) for record in json.loads(written(pair))] == [
+        ["value", "tag"], ["tag", "value"], ["value"], ["value"]]
+    for value in (1.5, object(), Tagged, {1: 2}, Tagged(1.5), [Retagged("t", [2.5])]):
         with pytest.raises(TypeError):
             written(value)
