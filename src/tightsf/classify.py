@@ -20,6 +20,7 @@ coefficients, limits, per-k tables) that the dispatch rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import Any
 
 from . import seifert as sf
@@ -115,18 +116,14 @@ def classify(sd: SeifertData) -> ClassificationResult:
     if family.kind == sf.K_OVER_K1:
         data = _fiber_certificate(sd)
         data["k"] = family.k
-        count = 1
-        for t in data["t_values"]:
-            count *= t
+        count = prod(data["t_values"])
         if count != 1:
             raise ArithmeticError(f"product of T values is {count}, not 1 on (1/2, 2/3, k/(k+1))")
         fill = Fillability(ALL_STEIN, stein_lower=count, non_stein_lower=0, all_strong=True)
         return ClassificationResult(sd, EXACT, count, fill, Certificate(family.kind, data))
     if family.kind in (sf.SUM_GE_9_4, sf.SUM_LT_2):
         data = _fiber_certificate(sd)
-        count = 1
-        for t in data["t_values"]:
-            count *= t
+        count = prod(data["t_values"])
         coeffs = slope_coeffs(sd)
         data["coeffs"] = coeffs
         data["limit"] = v3_slope_limit(sd, coeffs)

@@ -13,7 +13,7 @@ _VALUE_PATTERN = re.compile(r"^-\d")
 from . import report
 from .classify import EXACT, INFINITE, UNKNOWN, classify
 from .contfrac import convergents, expand, reverse_shift, tight_count
-from .convex import measured_slope, slope_coeffs, v3_slope, v3_slope_limit
+from .convex import limit_regime, measured_slope, slope_coeffs, v3_slope, v3_slope_limit
 from .farey import BACK, FRONT, bypass_attach, bypass_oracle
 from .floer import ContactIndex, HalfLaurent, expansion, grid, index_set, pairwise_distinct, stein_obstructed
 from .seifert import detect_family, h1_order, linking_matrix, parse_manifold
@@ -95,7 +95,7 @@ def _cmd_slopes(args) -> int:
     measured = [measured_slope(i, sd, n1) for i in (1, 2, 3)]
     closed = v3_slope(sd, n1, coeffs)
     limit = None
-    if coeffs.A >= Fraction(1, 4) or coeffs.A < 0:
+    if limit_regime(coeffs):
         limit = v3_slope_limit(sd, coeffs)
     if args.json:
         body = {

@@ -109,6 +109,11 @@ def v3_slope(sd: SeifertData, n1: int, coeffs: SlopeCoeffs | None = None) -> Slo
     return Slope(frac.numerator, frac.denominator)
 
 
+def limit_regime(coeffs: SlopeCoeffs) -> bool:
+    """A >= 1/4 or A < 0: the two finite-count regimes, where v3_slope_limit applies."""
+    return coeffs.A >= Fraction(1, 4) or coeffs.A < 0
+
+
 @dataclass(frozen=True)
 class LimitInfo:
     limit: Slope
@@ -121,7 +126,7 @@ def v3_slope_limit(
 ) -> LimitInfo:
     """Limit A q_3 / (C v_3) of the closed form as n_1 -> -inf.
 
-    Only meaningful when A >= 1/4 or A < 0 (the two finite-count regimes with
+    Only meaningful under limit_regime (the two finite-count regimes with
     C of a definite sign).  "increasing" means the value strictly rises toward
     the limit as the twisting n_1 descends through -1, -2, ..., -window;
     threshold_ok records whether the limit stays on the attainable side of
@@ -141,7 +146,7 @@ def v3_slope_limit(
     """
     if coeffs is None:
         coeffs = slope_coeffs(sd)
-    if not (coeffs.A >= Fraction(1, 4) or coeffs.A < 0):
+    if not limit_regime(coeffs):
         raise ValueError("gap region")
     if coeffs.C == 0:
         raise ArithmeticError("coefficient C vanishes outside the gap region")

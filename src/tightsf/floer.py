@@ -182,17 +182,13 @@ def stein_obstructed(idx: ContactIndex) -> bool:
     Applies to conjugation-symmetric classes with j = 0 and i > 0: pairing a
     hypothetical filling against the class kills the paired j' and -j' terms
     mod 2, and the central coefficient is even, contradicting the fact that
-    the pairing of a filling is a generator.  The i = 0 classes come with
-    explicit Stein fillings, so they are never obstructed.
+    the pairing of a filling is a generator.  Every such class qualifies:
+    (t^(1/2) - t^(-1/2))^i is conjugation-symmetric up to the sign (-1)^i;
+    for odd n, i is even and the central coefficient +-binom(i, i/2) is even
+    for i >= 2; for even n, position 0 is off the grid.  The i = 0 classes
+    come with explicit Stein fillings, so they are never obstructed.
     """
-    if idx.j != 0 or idx.i == 0:
-        return False
-    v = expansion(idx)
-    conj = conjugate(v)
-    if conj != v and conj != -v:
-        return False
-    central = v.coeff(0) if idx.n % 2 else 0  # even n: position 0 is off the grid
-    return central % 2 == 0
+    return idx.j == 0 and idx.i > 0
 
 
 def pairwise_distinct(n: int) -> bool:

@@ -1,17 +1,19 @@
 """Built-in consistency suites runnable from the command line.
 
-These repeat the heart of the test suite in a form a user can run without
-pytest: the continued fraction identities, the bypass oracle agreement, and
-the closed-form slope agreement.
+Each suite is the one implementation of its check: `tightsf selftest` runs it
+at the default sizes, and the test suite calls it at larger ones.  The
+generators the tests share live here too.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
+from typing import Iterable, Iterator
 
 from .contfrac import convergents, expand, ncf_eval, reverse_shift, solid_torus_count, tight_count
-from .convex import max_twist_table, v3_slope, v3_slope_stepwise
+from .convex import MaxTwistRow, fiber3_matrix, max_twist_table, measured_slope, v3_slope, v3_slope_stepwise
 from .farey import BACK, FRONT, bypass_attach, bypass_oracle
 from .seifert import normalize
 from .slopes import INF, Slope
@@ -23,21 +25,47 @@ def _check(ok: bool, message: str) -> None:
         raise AssertionError(message)
 
 
-def _fractions(max_q: int):
+def fractions_upto(max_q: int) -> Iterator[tuple[int, int]]:
+    """Every reduced p/q with 0 < p < q <= max_q, as the pair (p, q)."""
     for q in range(2, max_q + 1):
         for p in range(1, q):
             if gcd(p, q) == 1:
                 yield p, q
 
 
+def sorted_triples(max_q: int) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
+    """Every r1 <= r2 <= r3 among the fractions of fractions_upto(max_q)."""
+    return combinations_with_replacement(sorted(Fraction(p, q) for p, q in fractions_upto(max_q)), 3)
+
+
+def random_invariant(rng: random.Random) -> Fraction:
+    q = rng.randint(2, 12)
+    p = rng.randint(1, q - 1)
+    return Fraction(p, q)
+
+
+def random_slope(rng: random.Random, max_den: int) -> Slope:
+    if rng.random() < 0.05:
+        return INF
+    q = rng.randint(1, max_den)
+    p = rng.randint(-(max_den + 25), max_den + 25)
+    return Slope(p, q)
+
+
+def rounded_slope_fraction(s_a: Slope, s_b: Slope, delta: int) -> Slope:
+    """The rounding as a Fraction sum, sA + sB - 1/delta: oracle for rounded_slope."""
+    return Slope.from_fraction(s_a.as_fraction() + s_b.as_fraction() - Fraction(1, delta))
+
+
 def check_contfrac_identities(max_q: int = 100) -> str:
     n = 0
-    for p, q in _fractions(max_q):
+    for p, q in fractions_upto(max_q):
         x = Fraction(-q, p)
         entries = expand(x)
         _check(ncf_eval(entries) == Slope(-q, p), f"expansion of {x} does not evaluate back")
         cp, cq, u, v = convergents(x)
         _check((cp, cq) == (p, q) and p * v - q * u == 1, f"convergents of {x} break p*v - q*u = 1")
+        _check(q >= v > 0 and p >= u >= 0, f"convergents of {x} break q >= v > 0 and p >= u >= 0")
         shifted = ncf_eval(reverse_shift(entries))
         _check(shifted == Slope(p - q, v - u), f"reverse shift of {x} is not (p - q)/(v - u)")
         _check(solid_torus_count(shifted) == tight_count(Fraction(p, q)),
@@ -63,8 +91,8 @@ def check_bypass_oracle(max_den: int = 12, samples: int = 300, seed: int = 7) ->
                 checked += 1
     rng = random.Random(seed)
     for _ in range(samples):
-        s = _random_slope(rng, 50)
-        r = _random_slope(rng, 50)
+        s = random_slope(rng, 50)
+        r = random_slope(rng, 50)
         if s == r:
             continue
         side = rng.choice((FRONT, BACK))
@@ -74,22 +102,14 @@ def check_bypass_oracle(max_den: int = 12, samples: int = 300, seed: int = 7) ->
     return f"{checked} attachments agree with the oracle"
 
 
-def _random_slope(rng: random.Random, max_den: int) -> Slope:
-    if rng.random() < 0.05:
-        return INF
-    q = rng.randint(1, max_den)
-    p = rng.randint(-(max_den + 25), max_den + 25)
-    return Slope(p, q)
-
-
-def check_closed_form(samples: int = 200, seed: int = 11) -> str:
+def check_closed_form(samples: int = 200, seed: int = 11, min_n1: int = -40) -> str:
     rng = random.Random(seed)
     done = 0
     while done < samples:
-        rs = sorted(_random_invariant(rng) for _ in range(3))
+        rs = sorted(random_invariant(rng) for _ in range(3))
         sd = normalize(rs, -2)
         (p1, q1, u1, v1), (p2, q2, u2, v2) = sd.conv[0], sd.conv[1]
-        n1 = -rng.randint(1, 40)
+        n1 = -rng.randint(1, -min_n1)
         delta = q1 * n1 + v1
         if (delta - v2) % q2:
             continue
@@ -106,23 +126,29 @@ def check_closed_form(samples: int = 200, seed: int = 11) -> str:
     return f"{done} random tuples, closed form = stepwise rounding"
 
 
-def _random_invariant(rng: random.Random) -> Fraction:
-    q = rng.randint(2, 12)
-    p = rng.randint(1, q - 1)
-    return Fraction(p, q)
-
-
-def check_max_twist_chain(max_n: int = 20) -> str:
-    rows = 0
-    for n in range(1, max_n + 1):
+def check_max_twist_chain(ns: Iterable[int] = range(1, 21)) -> str:
+    """Each row against its own route: measured slopes summed as Fractions,
+    carried to dV_3 by v3_slope_stepwise and by the inverse attaching matrix."""
+    rows = top = 0
+    for n in ns:
         table = max_twist_table(n)
         _check(table.total == n * (n + 1) // 2, f"n = {n}: rows sum to {table.total}, not n(n+1)/2")
-        for row in table.rows:
-            _check(row.rounded == Slope(-row.k, 6 * row.k + 1), f"n = {n}, k = {row.k}: rounded is not -k/(6k+1)")
-            _check(row.boundary == Slope(-n + row.k), f"n = {n}, k = {row.k}: boundary is not -n+k")
-            _check(row.count == n - row.k, f"n = {n}, k = {row.k}: count is not n-k")
+        _check(table.n == n and len(table.rows) == n, f"n = {n}: the table has {len(table.rows)} rows, not n")
+        sd = normalize((Fraction(1, 2), Fraction(2, 3), Fraction(5 * n + 1, 6 * n + 1)), -2)
+        q1, v1 = sd.conv[0].q, sd.conv[0].v
+        transfer = fiber3_matrix(sd).inverse()
+        for k, row in enumerate(table.rows):
+            n1, n2 = -3 * k - 1, -2 * k - 1
+            rounded = rounded_slope_fraction(measured_slope(1, sd, n1), measured_slope(2, sd, n2), q1 * n1 + v1)
+            _check(rounded == Slope(-k, 6 * k + 1), f"n = {n}, k = {k}: rounded is not -k/(6k+1)")
+            boundary = v3_slope_stepwise(sd, n1, n2)
+            _check(boundary == transfer.apply(-rounded) == Slope(-n + k), f"n = {n}, k = {k}: boundary is not -n+k")
+            _check(solid_torus_count(boundary) == n - k, f"n = {n}, k = {k}: count is not n-k")
+            _check(row == MaxTwistRow(k, rounded, boundary, n - k) and type(row.count) is int,
+                   f"n = {n}, k = {k}: row {row} differs from the stepwise route")
             rows += 1
-    return f"{rows} rows across n <= {max_n}"
+        top = max(top, n)
+    return f"{rows} rows across n <= {top}"
 
 
 SUITES = (
@@ -134,12 +160,12 @@ SUITES = (
 
 
 def run_all() -> list[tuple[str, bool, str]]:
-    """Run every suite; a failed check or a broken library identity is a FAIL."""
+    """Run every suite; a failed check or a library error on its valid inputs is a FAIL."""
     results = []
     for name, fn in SUITES:
         try:
             detail = fn()
             results.append((name, True, detail))
-        except (AssertionError, ArithmeticError) as exc:
+        except (AssertionError, ArithmeticError, ValueError) as exc:
             results.append((name, False, str(exc) or "assertion failed"))
     return results

@@ -3,7 +3,6 @@ from fractions import Fraction
 from math import gcd
 
 from tightsf.classify import ALL_STEIN, EXACT, INFINITE, MIXED, TORSION, UNKNOWN, classify
-from tightsf.contfrac import tight_count
 from tightsf.convex import max_twist_table
 from tightsf.floer import index_set
 from tightsf.seifert import normalize, parse_manifold
@@ -84,14 +83,3 @@ def test_no_exact_zero():
             if res.status == EXACT:
                 assert res.count >= 1
 
-
-def test_exact_counts_match_product():
-    # wherever the product regimes apply, the count is the fiber product
-    for q in range(2, 9):
-        for p in range(1, q):
-            if gcd(p, q) != 1:
-                continue
-            r = Fraction(p, q)
-            res = classify(normalize([r, r, r], -2))
-            if res.certificate.case in ("sum_lt_2", "sum_ge_9_4"):
-                assert res.count == tight_count(r) ** 3

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -15,14 +14,8 @@ from tightsf.contfrac import (
     solid_torus_count,
     tight_count,
 )
+from tightsf.selftest import fractions_upto
 from tightsf.slopes import INF, Slope
-
-
-def fractions_upto(max_q):
-    for q in range(2, max_q + 1):
-        for p in range(1, q):
-            if gcd(p, q) == 1:
-                yield p, q
 
 
 def test_expand_examples():
@@ -82,29 +75,6 @@ def test_solid_torus_count_examples():
     assert solid_torus_count(boundary) == tight_count(r) == 2
     with pytest.raises(ValueError):
         solid_torus_count(Fraction(-1, 2))
-
-
-def test_round_trip_exhaustive():
-    for p, q in fractions_upto(200):
-        x = Fraction(-q, p)
-        assert ncf_eval(expand(x)) == Slope(-q, p)
-
-
-def test_relprime_identities_exhaustive():
-    for p, q in fractions_upto(100):
-        x = Fraction(-q, p)
-        cp, cq, u, v = convergents(x)
-        assert (cp, cq) == (p, q)
-        assert cp * v - cq * u == 1
-        assert q >= v > 0 and p >= u >= 0
-        assert ncf_eval(reverse_shift(expand(x))) == Slope(p - q, v - u)
-
-
-def test_solid_torus_shortcut_exhaustive():
-    # the reverse-shifted boundary slope carries the same count as the fiber
-    for p, q in fractions_upto(100):
-        boundary = ncf_eval(reverse_shift(expand(Fraction(-q, p))))
-        assert solid_torus_count(boundary) == tight_count(Fraction(p, q))
 
 
 def test_family_expansion_pattern():

@@ -1,7 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 import pytest
 
@@ -9,9 +9,8 @@ from tightsf.contfrac import convergents
 import tightsf.convex as convex
 from tightsf.convex import (
     MAX_TWIST_ROWS,
-    MaxTwistRow,
-    fiber3_matrix,
     integer_form,
+    limit_regime,
     max_twist_table,
     measured_slope,
     rounded_slope,
@@ -22,6 +21,7 @@ from tightsf.convex import (
     v3_slope_stepwise,
 )
 from tightsf.seifert import normalize, parse_manifold
+from tightsf.selftest import random_invariant, rounded_slope_fraction, sorted_triples
 from tightsf.slopes import INF, Slope, UniMat
 
 
@@ -55,11 +55,6 @@ def test_rounded_slope_arithmetic():
         rounded_slope(Slope(1, 3), Slope(1, 2), 4)  # 3 does not divide 4
 
 
-def rounded_slope_fraction(s_a, s_b, delta):
-    """The rounding as a Fraction sum, sA + sB - 1/delta: oracle for rounded_slope."""
-    return Slope.from_fraction(s_a.as_fraction() + s_b.as_fraction() - Fraction(1, delta))
-
-
 def test_rounded_slope_matches_fraction_sum():
     rng = random.Random(23)
     for _ in range(2000):
@@ -85,18 +80,12 @@ def test_coeff_sum_identity():
     # A + C collapses to 1/(q3 v3) via the convergent determinant
     rng = random.Random(1)
     for _ in range(200):
-        rs = sorted(_random_invariant(rng) for _ in range(3))
+        rs = sorted(random_invariant(rng) for _ in range(3))
         sd = normalize(rs, -2)
         c = slope_coeffs(sd)
         q3, v3 = sd.conv[2].q, sd.conv[2].v
         assert c.A + c.C == Fraction(1, q3 * v3)
         assert c.A == sd.invariant_sum - 2
-
-
-def _random_invariant(rng):
-    q = rng.randint(2, 12)
-    p = rng.randint(1, q - 1)
-    return Fraction(p, q)
 
 
 def test_v3_slope_k_family():
@@ -123,7 +112,7 @@ def test_v3_slope_guide_formula():
     rng = random.Random(9)
     seen = 0
     while seen < 20:
-        q = rng.randint(6, 60)
+        q = rng.randint(6, 80)
         p_lo, p_hi = -(-4 * q // 5), (5 * q - 1) // 6  # ceil(4q/5), floor((5q-1)/6)
         if p_lo > p_hi:
             continue
@@ -137,28 +126,6 @@ def test_v3_slope_guide_formula():
                              (5 * v - 6 * u) * n1 + 2 * v - 3 * u)
             assert v3_slope(sd, n1) == expected
         seen += 1
-
-
-def test_stepwise_matches_closed_form():
-    rng = random.Random(4)
-    done = 0
-    while done < 100:
-        rs = sorted(_random_invariant(rng) for _ in range(3))
-        sd = normalize(rs, -2)
-        (p1, q1, u1, v1), (p2, q2, u2, v2) = sd.conv[0], sd.conv[1]
-        n1 = -rng.randint(1, 40)
-        delta = q1 * n1 + v1
-        if (delta - v2) % q2:
-            continue
-        n2 = (delta - v2) // q2
-        if n2 >= 0:
-            continue
-        try:
-            closed = v3_slope(sd, n1)
-        except ValueError:
-            continue  # pole of the closed form at this twisting
-        assert closed == v3_slope_stepwise(sd, n1, n2)
-        done += 1
 
 
 def test_stepwise_balance_precondition():
@@ -181,32 +148,20 @@ def test_threshold_equivalence_exhaustive():
     # limit <= (p3-q3)/(v3-u3)  iff  r1+r2 <= 1 or (A > 0 and C < 0),
     # over all sorted triples with denominators <= 10 in the two regimes;
     # alongside it, the tail of the closed form is monotone toward the limit
-    fracs = []
-    for q in range(2, 11):
-        for p in range(1, q):
-            if gcd(p, q) == 1:
-                fracs.append(Fraction(p, q))
-    fracs.sort()
-    for i, r1 in enumerate(fracs):
-        for j in range(i, len(fracs)):
-            for k in range(j, len(fracs)):
-                sd = normalize([r1, fracs[j], fracs[k]], -2)
-                c = slope_coeffs(sd)
-                if not (c.A >= Fraction(1, 4) or c.A < 0):
-                    continue
-                info = v3_slope_limit(sd, c, window=40)
-                rhs = sd.r[0] + sd.r[1] <= 1 or (c.A > 0 and c.C < 0)
-                assert info.threshold_ok == rhs
-                _check_tail_monotone(sd, c, info)
+    for triple in sorted_triples(10):
+        sd = normalize(triple, -2)
+        c = slope_coeffs(sd)
+        if not limit_regime(c):
+            continue
+        info = v3_slope_limit(sd, c, window=40)
+        rhs = sd.r[0] + sd.r[1] <= 1 or (c.A > 0 and c.C < 0)
+        assert info.threshold_ok == rhs
+        _check_tail_monotone(sd, c, info)
 
 
 def _check_tail_monotone(sd, coeffs, info):
     # on the Moebius branch reaching -infinity, values strictly increase
     # toward the limit from below (constant branch when the map degenerates)
-    from math import floor
-
-    from tightsf.convex import integer_form
-
     a, f, c, d = integer_form(sd, coeffs)
     limit = Fraction(a, c)
     if a * d - f * c == 0:
@@ -237,26 +192,18 @@ def increasing_stepwise(sd, coeffs, window=100):
     return True
 
 
-def _limit_regime(sd):
-    c = slope_coeffs(sd)
-    return c if c.A >= Fraction(1, 4) or c.A < 0 else None
-
-
 def test_increasing_matches_stepwise_sweep():
     # every sorted triple with q_i <= 12 in the two limit regimes
-    fracs = sorted({Fraction(p, q) for q in range(2, 13) for p in range(1, q)})
     checked = rising = 0
-    for i, r1 in enumerate(fracs):
-        for j in range(i, len(fracs)):
-            for k in range(j, len(fracs)):
-                sd = normalize((r1, fracs[j], fracs[k]), -2)
-                c = _limit_regime(sd)
-                if c is None:
-                    continue
-                info = v3_slope_limit(sd, c)
-                assert info.increasing == increasing_stepwise(sd, c)
-                checked += 1
-                rising += info.increasing
+    for triple in sorted_triples(12):
+        sd = normalize(triple, -2)
+        c = slope_coeffs(sd)
+        if not limit_regime(c):
+            continue
+        info = v3_slope_limit(sd, c)
+        assert info.increasing == increasing_stepwise(sd, c)
+        checked += 1
+        rising += info.increasing
     assert checked == 14686 and 0 < rising < checked
 
 
@@ -270,15 +217,15 @@ def test_increasing_matches_stepwise_windows_and_big_legs():
                 q = rng.getrandbits(bits) | (1 << (bits - 1))
                 legs.append(Fraction(rng.randrange(1, q), q))
             sd = normalize(legs, -2)
-            if _limit_regime(sd) is not None:
+            if limit_regime(slope_coeffs(sd)):
                 cases.append(sd)
     # a constant form, poles at -22/19 and at -1, and two rising forms
     for text in ("-2;1/2,1/2,1/2", "-2;3/7,10/11,11/12", "-2;5/8,8/11,11/12",
                  "-2;1/12,1/12,1/12", "-2;7/9,7/9,7/9"):
         cases.append(parse_manifold(text))
     for sd in cases:
-        c = _limit_regime(sd)
-        assert c is not None
+        c = slope_coeffs(sd)
+        assert limit_regime(c)
         for window in (0, 1, 2, 3, 5, 40, 100):
             assert v3_slope_limit(sd, c, window).increasing == increasing_stepwise(sd, c, window)
 
@@ -294,23 +241,6 @@ def test_max_twist_table():
     ]
     assert t2.total == 3
     assert max_twist_table(5).total == 15
-
-
-def test_max_twist_table_matches_stepwise_rows():
-    # the per-row route: v3_slope_stepwise for the boundary, and the rounding
-    # as a Fraction sum carried to dV_3 by its own inverse attaching matrix
-    for n in list(range(1, 301)) + [1000, 5000]:
-        sd = normalize((Fraction(1, 2), Fraction(2, 3), Fraction(5 * n + 1, 6 * n + 1)), -2)
-        transfer = fiber3_matrix(sd).inverse()
-        table = max_twist_table(n)
-        assert table.n == n and len(table.rows) == n
-        for k, row in enumerate(table.rows):
-            n1, n2 = -3 * k - 1, -2 * k - 1
-            rounded = rounded_slope_fraction(measured_slope(1, sd, n1), measured_slope(2, sd, n2), 2 * n1 + 1)
-            boundary = v3_slope_stepwise(sd, n1, n2)
-            assert boundary == transfer.apply(-rounded) == Slope(-n + k)
-            assert row == MaxTwistRow(k, rounded, boundary, n - k)
-            assert type(row.count) is int
 
 
 def test_max_twist_table_checks_each_boundary(monkeypatch):
