@@ -6,44 +6,5 @@ determine the number of tight contact structures on Seifert fibered spaces
 over S^2 with three singular fibers and twisted Euler number -2, together
 with fillability information and certificates.
 """
-from .classify import ClassificationResult, classify
-from .contfrac import (
-    Convergents,
-    convergents,
-    expand,
-    ncf_eval,
-    reverse_shift,
-    solid_torus_count,
-    tight_count,
-)
-from .farey import Arc, arc_contains, bypass_attach, bypass_oracle, farey_edge
-from .seifert import SeifertData, detect_family, h1_order, linking_matrix, normalize, parse_manifold
-from .slopes import INF, Slope, UniMat
-
-__all__ = [
-    "INF",
-    "Arc",
-    "ClassificationResult",
-    "Convergents",
-    "SeifertData",
-    "Slope",
-    "UniMat",
-    "arc_contains",
-    "bypass_attach",
-    "bypass_oracle",
-    "classify",
-    "convergents",
-    "detect_family",
-    "expand",
-    "farey_edge",
-    "h1_order",
-    "linking_matrix",
-    "ncf_eval",
-    "normalize",
-    "parse_manifold",
-    "reverse_shift",
-    "solid_torus_count",
-    "tight_count",
-]
 
 __version__ = "0.1.0"

@@ -5,14 +5,13 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 # let arguments like "-7/5" and "-2;1/2,2/3,-1/3" parse as values: no flag starts with -<digit>
 _VALUE_PATTERN = re.compile(r"^-\d")
 
 from . import report
 from .classify import EXACT, INFINITE, UNKNOWN, classify
-from .contfrac import convergents, expand, reverse_shift, tight_count
+from .contfrac import convergents, expand, reverse_shift, shifted_product
 from .convex import limit_regime, measured_slope, slope_coeffs, v3_slope, v3_slope_limit
 from .farey import BACK, FRONT, bypass_attach, bypass_oracle
 from .floer import ContactIndex, HalfLaurent, expansion, grid, index_set, pairwise_distinct, stein_obstructed
@@ -28,7 +27,7 @@ def _cmd_cf(args) -> int:
     p, q, u, v = convergents(x)
     shifted = reverse_shift(entries)
     shifted_value = Slope(p - q, v - u)  # equals ncf_eval(shifted)
-    t = tight_count(Fraction(p, q))
+    t = shifted_product(entries)  # T(p/q), read off the expansion of -q/p
     if args.json:
         print(report.report("cf", {
             "slope": x,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as gcd_int
+from math import lcm
 
 from .contfrac import solid_torus_count
 from .seifert import SeifertData, normalize
@@ -94,19 +94,14 @@ def v3_slope_stepwise(sd: SeifertData, n1: int, n2: int) -> Slope:
     return fiber3_matrix(sd).inverse().apply(-rounded)
 
 
-def v3_slope(sd: SeifertData, n1: int, coeffs: SlopeCoeffs | None = None) -> Slope:
+def v3_slope(sd: SeifertData, n1: int, coeffs: SlopeCoeffs) -> Slope:
     """Closed form for the dV_3 slope after rounding, as a function of n_1."""
     if n1 >= 0:
         raise ValueError("twisting must be negative")
-    if coeffs is None:
-        coeffs = slope_coeffs(sd)
-    q3, v3 = sd.conv[2].q, sd.conv[2].v
-    den = (coeffs.C * n1 + coeffs.D) * v3
-    if den == 0:
+    a, f, c, d = integer_form(sd, coeffs)
+    if c * n1 + d == 0:
         raise ValueError("slope undefined at this twisting")
-    num = (coeffs.A * n1 + coeffs.F) * q3
-    frac = num / den
-    return Slope(frac.numerator, frac.denominator)
+    return Slope(a * n1 + f, c * n1 + d)
 
 
 def limit_regime(coeffs: SlopeCoeffs) -> bool:
@@ -121,31 +116,31 @@ class LimitInfo:
     threshold_ok: bool
 
 
-def v3_slope_limit(
-    sd: SeifertData, coeffs: SlopeCoeffs | None = None, window: int = 100
-) -> LimitInfo:
+# v3_slope_limit reports whether the closed form rises at every step of n_1
+# from -1 down to -RISING_DEPTH.
+RISING_DEPTH = 100
+
+
+def v3_slope_limit(sd: SeifertData, coeffs: SlopeCoeffs) -> LimitInfo:
     """Limit A q_3 / (C v_3) of the closed form as n_1 -> -inf.
 
     Only meaningful under limit_regime (the two finite-count regimes with
     C of a definite sign).  "increasing" means the value strictly rises toward
-    the limit as the twisting n_1 descends through -1, -2, ..., -window;
+    the limit as the twisting n_1 descends through -1, -2, ..., -RISING_DEPTH;
     threshold_ok records whether the limit stays on the attainable side of
     (p_3 - q_3)/(v_3 - u_3).
 
     The closed form is the Moebius function (a n + f)/(c n + d) of n_1, and
     one step from n + 1 down to n changes it by (f c - a d) divided by the
     product of the two denominators.  Away from the pole -d/c that product is
-    positive, so the values rise on the whole window exactly when a d - f c < 0
-    and the pole lies outside [-window, -1].  (With window = 2 and the pole in
-    (-2, -1), the one step would also rise if a d - f c > 0; no input in the
-    two regimes has that sign.)  The flag can therefore come back
-    False for honest reasons near the -1 end: the form is constant whenever
-    the first two invariants both make balanced standard neighborhoods (for
-    example r_1 = r_2 = 1/2), and a pole between -2 and -1 puts n_1 = -1 on
-    the far branch.  The tail toward -infinity is monotone in every case.
+    positive, so the values rise at every step exactly when a d - f c < 0
+    and the pole lies outside [-RISING_DEPTH, -1].  The flag can therefore
+    come back False for honest reasons near the -1 end: the form is constant
+    whenever the first two invariants both make balanced standard
+    neighborhoods (for example r_1 = r_2 = 1/2), and a pole between -2 and -1
+    puts n_1 = -1 on the far branch.  The tail toward -infinity is monotone
+    in every case.
     """
-    if coeffs is None:
-        coeffs = slope_coeffs(sd)
     if not limit_regime(coeffs):
         raise ValueError("gap region")
     if coeffs.C == 0:
@@ -153,25 +148,17 @@ def v3_slope_limit(
     p3, q3, u3, v3 = sd.conv[2]
     a, f, c, d = integer_form(sd, coeffs)
     limit = Fraction(a, c)
-    pole = Fraction(-d, c)
-    if window < 2:  # no step to compare: only the value at -1 must exist
-        increasing = pole != -1
-    else:
-        increasing = a * d - f * c < 0 and not -window <= pole <= -1
+    increasing = a * d - f * c < 0 and not -RISING_DEPTH <= Fraction(-d, c) <= -1
     threshold_ok = limit <= Fraction(p3 - q3, v3 - u3)
     return LimitInfo(Slope.from_fraction(limit), increasing, threshold_ok)
 
 
-def integer_form(sd: SeifertData, coeffs: SlopeCoeffs | None = None) -> tuple[int, int, int, int]:
+def integer_form(sd: SeifertData, coeffs: SlopeCoeffs) -> tuple[int, int, int, int]:
     """Integers (a, f, c, d) with the closed form equal to (a n + f)/(c n + d)."""
-    if coeffs is None:
-        coeffs = slope_coeffs(sd)
     q3, v3 = sd.conv[2].q, sd.conv[2].v
     parts = (coeffs.A * q3, coeffs.F * q3, coeffs.C * v3, coeffs.D * v3)
-    scale = 1
-    for x in parts:
-        scale = scale * x.denominator // gcd_int(scale, x.denominator)
-    a, f, c, d = (int(x * scale) for x in parts)
+    scale = lcm(*(x.denominator for x in parts))
+    a, f, c, d = (x.numerator * (scale // x.denominator) for x in parts)
     return a, f, c, d
 
 

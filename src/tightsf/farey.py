@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .slopes import INF, Slope, UniMat
+from .slopes import Slope
 
 FRONT = "front"
 BACK = "back"
@@ -70,58 +70,44 @@ def arc_contains(arc: Arc, x: Slope) -> bool:
     return _ccw(a.vec(), x.vec(), b.vec())
 
 
-def _bezout(x: int, y: int) -> tuple[int, int]:
-    # (alpha, beta) with alpha*x + beta*y == 1 for coprime x, y
-    old_r, r = x, y
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r == -1:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
-
-
 def bypass_attach(dividing: Slope, ruling: Slope, side: str = FRONT) -> Slope:
     """Dividing slope after a bypass attachment along a ruling curve.
 
-    Conjugates by an orientation-preserving unimodular matrix sending the
-    dividing slope to infinity, where the neighbors are the integers and
-    "closest to the ruling inside the arc" is a ceiling (front) or floor
-    (back), then conjugates back.
+    Conjugates by the orientation-preserving unimodular matrix
+    [[ys, -xs], [alpha, beta]], which sends the dividing slope ys/xs to
+    infinity, where the neighbors are the integers and "closest to the ruling
+    inside the arc" is a ceiling (front) or floor (back), then conjugates the
+    integer k back to (ys k - alpha)/(xs k + beta).  Any alpha, beta with
+    alpha xs + beta ys = 1 will do: another pair shifts k and the pair by the
+    same multiple of (ys, xs), which the conjugation undoes.
     """
     if side not in (FRONT, BACK):
         raise ValueError(f"unknown side {side!r}")
     if dividing == ruling:
         raise ValueError("dividing and ruling slopes must differ")
     xs, ys = dividing.vec()
-    alpha, beta = _bezout(xs, ys)
-    m = UniMat(ys, -xs, alpha, beta)  # det +1, sends dividing to inf
+    if xs:
+        beta = pow(ys, -1, xs)
+        alpha = (1 - beta * ys) // xs
+    else:  # the infinite slope (0, 1)
+        alpha, beta = 0, 1
     rx, ry = ruling.vec()
     ix = ys * rx - xs * ry
     iy = alpha * rx + beta * ry
     if ix == 0:  # only the dividing slope maps to inf
         raise ArithmeticError(f"ruling {ruling} maps to inf but differs from the dividing slope")
-    if side == FRONT:
-        k = -((-iy) // ix) if ix > 0 else -(iy // -ix)  # ceil(iy/ix)
-    else:
-        k = iy // ix if ix > 0 else (-iy) // (-ix)  # floor(iy/ix)
-    return m.inverse().apply(Slope(k, 1))
+    k = -(-iy // ix) if side == FRONT else iy // ix  # ceil or floor of iy/ix
+    return Slope(ys * k - alpha, xs * k + beta)
 
 
-def bypass_oracle(
-    dividing: Slope, ruling: Slope, side: str = FRONT, denom_bound: int | None = None
-) -> Slope:
+def bypass_oracle(dividing: Slope, ruling: Slope, side: str = FRONT) -> Slope:
     """Brute-force bypass computation, independent of bypass_attach.
 
     Enumerates all Farey neighbors of the dividing slope with denominator at
     most a bound, keeps those inside the attachment arc, ranks them by arc
     position, and doubles the bound until the winner survives one further
-    doubling.  The starting bound, den(dividing) + den(ruling) or denom_bound,
-    may be at most MAX_ORACLE_DEN.
+    doubling.  The starting bound, den(dividing) + den(ruling), may be at most
+    MAX_ORACLE_DEN.
     """
     if side not in (FRONT, BACK):
         raise ValueError(f"unknown side {side!r}")
@@ -153,7 +139,7 @@ def bypass_oracle(
             if in_arc(c) and better(c, best):
                 best = c
         if xs == 0:
-            # neighbors of inf are the integers; scan a window around the ruling
+            # neighbors of inf are the integers; scan those near the ruling
             center = rvec[1] // rvec[0] if rvec[0] else 0
             for a in range(center - bound, center + bound + 1):
                 c = (1, a)
@@ -175,10 +161,6 @@ def bypass_oracle(
         return best
 
     bound = max(1, dividing.den + ruling.den)
-    if denom_bound is not None:
-        if denom_bound < dividing.den + ruling.den:
-            raise ValueError("denom_bound below den(dividing) + den(ruling)")
-        bound = denom_bound
     if bound > MAX_ORACLE_DEN:
         raise ValueError(f"oracle bound {bound} is more than the limit {MAX_ORACLE_DEN}")
     prev = best_upto(bound)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import floor
 
 from .contfrac import Convergents, convergents, expand
-from .slopes import Slope, UniMat
+from .slopes import UniMat
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class SeifertData:
         return f"M({self.e0}; {', '.join(str(x) for x in self.r)})"
 
 
-def normalize(raw, e0_raw: int = 0) -> SeifertData:
+def normalize(raw, e0_raw: int) -> SeifertData:
     """Normalized data from unnormalized invariants plus an integer part."""
     raw = [Fraction(x) for x in raw]
     if len(raw) != 3:

@@ -13,7 +13,9 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .contfrac import convergents, expand, ncf_eval, reverse_shift, solid_torus_count, tight_count
-from .convex import MaxTwistRow, fiber3_matrix, max_twist_table, measured_slope, v3_slope, v3_slope_stepwise
+from .convex import (
+    MaxTwistRow, fiber3_matrix, max_twist_table, measured_slope, slope_coeffs, v3_slope, v3_slope_stepwise,
+)
 from .farey import BACK, FRONT, bypass_attach, bypass_oracle
 from .seifert import normalize
 from .slopes import INF, Slope
@@ -117,7 +119,7 @@ def check_closed_form(samples: int = 200, seed: int = 11, min_n1: int = -40) -> 
         if n2 >= 0:
             continue
         try:
-            closed = v3_slope(sd, n1)
+            closed = v3_slope(sd, n1, slope_coeffs(sd))
         except ValueError:  # a pole of the closed form, projectively infinite
             closed = INF
         _check(closed == v3_slope_stepwise(sd, n1, n2),

@@ -9,7 +9,7 @@ from time import perf_counter
 import pytest
 
 from tightsf.cli import main
-from tightsf.convex import MAX_TWIST_ROWS, MaxTwistTable, max_twist_table, v3_slope, v3_slope_stepwise
+from tightsf.convex import MAX_TWIST_ROWS, MaxTwistTable, max_twist_table, slope_coeffs, v3_slope, v3_slope_stepwise
 from tightsf.floer import MAX_N, ContactIndex, HalfLaurent, laurent_image
 from tightsf.seifert import parse_manifold
 from tightsf.selftest import check_closed_form
@@ -159,7 +159,7 @@ def test_selftest_closed_form_accepts_the_pole():
     # seed 18 draws M(-2; 1/2, 5/7, 5/6) at n1 = -13, n2 = -4: a pole of the closed form
     sd = parse_manifold("-2;1/2,5/7,5/6")
     with pytest.raises(ValueError, match="slope undefined"):
-        v3_slope(sd, -13)
+        v3_slope(sd, -13, slope_coeffs(sd))
     assert v3_slope_stepwise(sd, -13, -4).is_inf
     assert check_closed_form(seed=18) == "200 random tuples, closed form = stepwise rounding"
 

@@ -9,6 +9,7 @@ from tightsf.contfrac import convergents
 import tightsf.convex as convex
 from tightsf.convex import (
     MAX_TWIST_ROWS,
+    RISING_DEPTH,
     integer_form,
     limit_regime,
     max_twist_table,
@@ -94,17 +95,19 @@ def test_v3_slope_k_family():
     # form is out of domain and the op raises
     for k in range(6, 13):
         sd = parse_manifold(f"-2;1/2,2/3,{k}/{k + 1}")
+        coeffs = slope_coeffs(sd)
         for n1 in range(-50, 0):
             den = (k - 6) * n1 + k - 3
             if den == 0:
                 with pytest.raises(ValueError):
-                    v3_slope(sd, n1)
+                    v3_slope(sd, n1, coeffs)
                 if (2 * n1 - 1) % 3 == 0:  # a balanced annulus exists here
                     assert v3_slope_stepwise(sd, n1, (2 * n1 - 1) // 3).is_inf
                 continue
             expected = Slope(-((k - 5) * n1 + k - 2), den)
-            assert v3_slope(sd, n1) == expected
-    assert v3_slope(parse_manifold("-2;1/2,2/3,7/8"), -1) == Slope(-1)
+            assert v3_slope(sd, n1, coeffs) == expected
+    sd = parse_manifold("-2;1/2,2/3,7/8")
+    assert v3_slope(sd, -1, slope_coeffs(sd)) == Slope(-1)
 
 
 def test_v3_slope_guide_formula():
@@ -121,10 +124,11 @@ def test_v3_slope_guide_formula():
             continue
         sd = parse_manifold(f"-2;1/2,2/3,{p}/{q}")
         _, _, u, v = convergents(Fraction(-q, p))
+        coeffs = slope_coeffs(sd)
         for n1 in range(-50, 0):
             expected = Slope((6 * p - 5 * q) * n1 + 3 * p - 2 * q,
                              (5 * v - 6 * u) * n1 + 2 * v - 3 * u)
-            assert v3_slope(sd, n1) == expected
+            assert v3_slope(sd, n1, coeffs) == expected
         seen += 1
 
 
@@ -134,14 +138,19 @@ def test_stepwise_balance_precondition():
         v3_slope_stepwise(sd, -1, -2)
 
 
+def limit_of(text):
+    sd = parse_manifold(text)
+    return v3_slope_limit(sd, slope_coeffs(sd))
+
+
 def test_limit_examples():
-    info = v3_slope_limit(parse_manifold("-2;7/9,7/9,7/9"))
+    info = limit_of("-2;7/9,7/9,7/9")
     assert info.limit == Slope(-27, 11)
     assert info.increasing and info.threshold_ok
-    info2 = v3_slope_limit(parse_manifold("-2;1/3,1/3,1/2"))
+    info2 = limit_of("-2;1/3,1/3,1/2")
     assert info2.threshold_ok and info2.increasing
     with pytest.raises(ValueError):
-        v3_slope_limit(parse_manifold("-2;1/2,2/3,7/8"))  # A = 1/24, gap region
+        limit_of("-2;1/2,2/3,7/8")  # A = 1/24, gap region
 
 
 def test_threshold_equivalence_exhaustive():
@@ -153,7 +162,7 @@ def test_threshold_equivalence_exhaustive():
         c = slope_coeffs(sd)
         if not limit_regime(c):
             continue
-        info = v3_slope_limit(sd, c, window=40)
+        info = v3_slope_limit(sd, c)
         rhs = sd.r[0] + sd.r[1] <= 1 or (c.A > 0 and c.C < 0)
         assert info.threshold_ok == rhs
         _check_tail_monotone(sd, c, info)
@@ -177,14 +186,14 @@ def _check_tail_monotone(sd, coeffs, info):
     assert all(v < limit for v in values)
 
 
-def increasing_stepwise(sd, coeffs, window=100):
+def increasing_stepwise(sd, coeffs):
     # the step-by-step check that the closed form in v3_slope_limit replaced:
-    # the value strictly rises at each step n + 1 -> n down to -window
+    # the value strictly rises at each step n + 1 -> n down to -RISING_DEPTH
     a, f, c, d = integer_form(sd, coeffs)
     prev_num, prev_den = -a + f, -c + d
     if prev_den == 0:
         return False
-    for n in range(-2, -window - 1, -1):
+    for n in range(-2, -RISING_DEPTH - 1, -1):
         num, den = a * n + f, c * n + d
         if den == 0 or (num * prev_den - prev_num * den) * (prev_den * den) <= 0:
             return False
@@ -226,8 +235,7 @@ def test_increasing_matches_stepwise_windows_and_big_legs():
     for sd in cases:
         c = slope_coeffs(sd)
         assert limit_regime(c)
-        for window in (0, 1, 2, 3, 5, 40, 100):
-            assert v3_slope_limit(sd, c, window).increasing == increasing_stepwise(sd, c, window)
+        assert v3_slope_limit(sd, c).increasing == increasing_stepwise(sd, c)
 
 
 def test_max_twist_table():

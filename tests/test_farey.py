@@ -80,20 +80,13 @@ def test_oracle_equivalence_random(s, r, side):
     assert bypass_attach(s, r, side) == bypass_oracle(s, r, side)
 
 
-def test_oracle_bound_precondition():
-    with pytest.raises(ValueError):
-        bypass_oracle(Slope(-5, 2), Slope(1, 3), FRONT, denom_bound=2)
-
-
 def test_oracle_bound_cap():
     # a starting bound of MAX_ORACLE_DEN + 1 is refused before any neighbour is scanned
     d = MAX_ORACLE_DEN - 2
-    for dividing, ruling, bound in ((Slope(-d - 1, d), Slope(7, 3), None),
-                                    (INF, Slope(1, MAX_ORACLE_DEN + 1), None),
-                                    (Slope(-5, 2), Slope(1, 3), MAX_ORACLE_DEN + 1)):
+    for dividing, ruling in ((Slope(-d - 1, d), Slope(7, 3)), (INF, Slope(1, MAX_ORACLE_DEN + 1))):
         start = perf_counter()
         with pytest.raises(ValueError, match="limit"):
-            bypass_oracle(dividing, ruling, BACK, denom_bound=bound)
+            bypass_oracle(dividing, ruling, BACK)
         assert perf_counter() - start < 0.1
 
 

@@ -64,11 +64,20 @@ def test_expansion_recursion():
             assert bigger.coeffs == tuple(shifted)
 
 
+def pairwise_distinct_oracle(n):
+    # the distinctness computed: build every class and compare the vectors
+    vectors = [expansion(idx).coeffs for idx in index_set(n)]
+    return len(set(vectors)) == len(vectors)
+
+
 def test_expansion_vectors_nonzero_and_distinct():
     for n in range(1, 16):
-        vectors = [expansion(idx) for idx in index_set(n)]
-        assert all(any(v.coeffs) for v in vectors)
-        assert pairwise_distinct(n)
+        assert all(any(expansion(idx).coeffs) for idx in index_set(n))
+    for n in range(1, MAX_N + 1):
+        assert pairwise_distinct(n) == pairwise_distinct_oracle(n)
+    for n, message in ((0, "n must be positive"), (-3, "n must be positive"), (MAX_N + 1, "limit")):
+        with pytest.raises(ValueError, match=message):
+            pairwise_distinct(n)
 
 
 def test_conjugate():
