@@ -24,7 +24,7 @@ from math import prod
 from typing import Any
 
 from . import seifert as sf
-from .contfrac import expand, shifted_product, solid_torus_count
+from .contfrac import expand, shifted_product
 from .convex import max_twist_table, slope_coeffs, v3_slope_limit
 from .seifert import SeifertData
 from .slopes import Slope
@@ -67,31 +67,37 @@ class ClassificationResult:
         return self.certificate.data.get("reason")
 
 
+# The regimes where no count is known, each with the reason a report gives.
+_UNKNOWN_REASONS = {
+    sf.WRONG_E0: "only the twisted Euler number -2 is handled",
+    sf.DEGENERATE_SUM_2: "higher genus periodic surface bundle; no counting technique applies",
+    sf.GAP_OTHER: "invariant sum in the open gap (2, 9/4) outside the known families",
+}
+# The regimes whose count is the product of the T values of the three legs.
+_PRODUCT_KINDS = (sf.K_OVER_K1, sf.SUM_GE_9_4, sf.SUM_LT_2)
+
+
 def _fiber_certificate(sd: SeifertData) -> dict[str, Any]:
     """Per-fiber counts plus the solid-torus shortcut data.
 
-    Each leg is expanded once.  The boundary slope ncf_eval(reverse_shift(entries))
-    equals (p - q)/(v - u) from the convergents stored in sd.
+    Each leg is expanded once and its T taken once.  The boundary slope
+    ncf_eval(reverse_shift(entries)) equals (p - q)/(v - u) from the convergents
+    stored in sd, and its solid-torus count is T: reverse_shift keeps the
+    shifted factors a_k + 1, and the head a_0 + 1 becomes the unshifted last
+    factor (checked by selftest.check_contfrac_identities).
     """
     t_values = []
     shortcut = []
     for r, (p, q, u, v) in zip(sd.r, sd.conv):
         entries = expand(-1 / r)
-        slope = Slope(p - q, v - u)
-        t_values.append(shifted_product(entries))
-        shortcut.append(
-            {"r": r, "entries": entries, "boundary": slope, "count": solid_torus_count(slope)}
-        )
+        t = shifted_product(entries)
+        t_values.append(t)
+        shortcut.append({"r": r, "entries": entries, "boundary": Slope(p - q, v - u), "count": t})
     return {"t_values": tuple(t_values), "shortcut": tuple(shortcut)}
 
 
 def classify(sd: SeifertData) -> ClassificationResult:
     family = sf.detect_family(sd)
-    if family.kind == sf.WRONG_E0:
-        return ClassificationResult(
-            sd, UNKNOWN, None, Fillability(NOT_APPLICABLE),
-            Certificate(family.kind, {"reason": "only the twisted Euler number -2 is handled"}),
-        )
     if family.kind == sf.TORUS_BUNDLE:
         note = ("infinitely many tight structures distinguished by torsion; the torsion-zero "
                 "one is Stein fillable, all others are not strongly fillable")
@@ -107,44 +113,29 @@ def classify(sd: SeifertData) -> ClassificationResult:
         if table.total != count:
             raise ArithmeticError(f"max_twist_table rows sum to {table.total}, not n(n+1)/2 = {count}")
         data: dict[str, Any] = {"n": n, "per_k": table.rows}
-        if n == 1:
+        if n == 1:  # also (1/2, 2/3, k/(k+1)) at k = 6, where the one structure is Stein
             data["also_k_over_k_plus_1"] = 6
-            fill = Fillability(ALL_STEIN, stein_lower=1, non_stein_lower=0, all_strong=True)
+        kind = ALL_STEIN if n == 1 else MIXED
+        fill = Fillability(kind, stein_lower=n, non_stein_lower=n // 2, all_strong=True)
+        return ClassificationResult(sd, EXACT, count, fill, Certificate(family.kind, data))
+    if family.kind in _PRODUCT_KINDS:
+        data = _fiber_certificate(sd)
+        count = prod(data["t_values"])
+        if family.kind == sf.K_OVER_K1:
+            data["k"] = family.k
+            if count != 1:
+                raise ArithmeticError(f"product of T values is {count}, not 1 on (1/2, 2/3, k/(k+1))")
         else:
-            fill = Fillability(MIXED, stein_lower=n, non_stein_lower=n // 2, all_strong=True)
-        return ClassificationResult(sd, EXACT, count, fill, Certificate(family.kind, data))
-    if family.kind == sf.K_OVER_K1:
-        data = _fiber_certificate(sd)
-        data["k"] = family.k
-        count = prod(data["t_values"])
-        if count != 1:
-            raise ArithmeticError(f"product of T values is {count}, not 1 on (1/2, 2/3, k/(k+1))")
+            coeffs = slope_coeffs(sd)
+            data["coeffs"] = coeffs
+            data["limit"] = v3_slope_limit(sd, coeffs)
+            q1, q2, v1 = sd.conv[0].q, sd.conv[1].q, sd.conv[0].v
+            n1 = -q2 - 1
+            lhs = abs(q1 * n1 + v1)
+            data["imbalance"] = {"n1": n1, "lhs": lhs, "rhs": q1 * q2, "ok": lhs > q1 * q2}
         fill = Fillability(ALL_STEIN, stein_lower=count, non_stein_lower=0, all_strong=True)
         return ClassificationResult(sd, EXACT, count, fill, Certificate(family.kind, data))
-    if family.kind in (sf.SUM_GE_9_4, sf.SUM_LT_2):
-        data = _fiber_certificate(sd)
-        count = prod(data["t_values"])
-        coeffs = slope_coeffs(sd)
-        data["coeffs"] = coeffs
-        data["limit"] = v3_slope_limit(sd, coeffs)
-        q1, q2, v1 = sd.conv[0].q, sd.conv[1].q, sd.conv[0].v
-        n1 = -q2 - 1
-        data["imbalance"] = {
-            "n1": n1,
-            "lhs": abs(q1 * n1 + v1),
-            "rhs": q1 * q2,
-            "ok": abs(q1 * n1 + v1) > q1 * q2,
-        }
-        fill = Fillability(ALL_STEIN, stein_lower=count, non_stein_lower=0, all_strong=True)
-        return ClassificationResult(sd, EXACT, count, fill, Certificate(family.kind, data))
-    if family.kind == sf.DEGENERATE_SUM_2:
-        reason = "higher genus periodic surface bundle; no counting technique applies"
-        return ClassificationResult(
-            sd, UNKNOWN, None, Fillability(NOT_APPLICABLE),
-            Certificate(family.kind, {"reason": reason}),
-        )
-    reason = "invariant sum in the open gap (2, 9/4) outside the known families"
-    return ClassificationResult(
-        sd, UNKNOWN, None, Fillability(NOT_APPLICABLE),
-        Certificate(sf.GAP_OTHER, {"reason": reason, "sum": sd.invariant_sum}),
-    )
+    data = {"reason": _UNKNOWN_REASONS[family.kind]}
+    if family.kind == sf.GAP_OTHER:
+        data["sum"] = sd.invariant_sum
+    return ClassificationResult(sd, UNKNOWN, None, Fillability(NOT_APPLICABLE), Certificate(family.kind, data))

@@ -123,12 +123,14 @@ def _cmd_slopes(args) -> int:
 
 def _cmd_floer(args) -> int:
     n = args.n
-    indices = index_set(n)
+    distinct = pairwise_distinct(n)  # refuses the n that index_set refuses, with its messages
     if args.index:
         parts = args.index.split(",")
         if len(parts) != 2:
             raise ValueError(f"--index expected 'i,j', got {args.index!r}")
         indices = [ContactIndex(n, int(parts[0]), int(parts[1]))]
+    else:
+        indices = index_set(n)
     positions = list(grid(n))
     rows = []
     for idx in indices:
@@ -140,7 +142,6 @@ def _cmd_floer(args) -> int:
             "laurent": str(HalfLaurent(dict(zip(positions, coeffs)))),
             "stein_obstructed": stein_obstructed(idx),
         })
-    distinct = pairwise_distinct(n)
     obstructed = sum(r["stein_obstructed"] for r in rows)
     if args.json:
         print(report.report("floer", {"n": n, "grid": positions, "classes": rows,
@@ -224,8 +225,15 @@ def _cmd_selftest(args) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error, so that main prints it as one `error: ` line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tightsf",
         description="Exact slope calculus and tight contact structure counts "
                     "for Seifert fibered spaces over S^2 with three singular fibers.",
@@ -270,13 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # --help prints and exits 0
+        return 1 if exc.code else 0
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

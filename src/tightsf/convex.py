@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .contfrac import solid_torus_count
 from .seifert import SeifertData, normalize
@@ -62,14 +61,21 @@ class SlopeCoeffs:
 
 
 def slope_coeffs(sd: SeifertData) -> SlopeCoeffs:
-    r1, r2, r3 = sd.r
+    """A, C, F, D: r_1 + r_2 + r_3 - 2, 2 - r_1 - r_2 - u_3/v_3,
+    (r_2 + r_3 - 2) v_1/q_1 + e/q12 and (2 - r_2 - u_3/v_3) v_1/q_1 - e/q12, with
+    q12 = q_1 q_2 and e = u_1 q_2 + q_2 - 1.  Each is one integer numerator over
+    q12 q_3 (A, F) or q12 v_3 (C, D), read off the convergents and reduced once.
+    """
     (p1, q1, u1, v1), (p2, q2, u2, v2), (p3, q3, u3, v3) = sd.conv
-    a = r1 + r2 + r3 - 2
-    c = 2 - r1 - r2 - Fraction(u3, v3)
-    edge_term = Fraction(u1 * q2 + q2 - 1, q1 * q2)
-    f = (r3 + r2 - 2) * Fraction(v1, q1) + edge_term
-    d = (2 - r2 - Fraction(u3, v3)) * Fraction(v1, q1) - edge_term
-    return SlopeCoeffs(a, c, f, d)
+    q12 = q1 * q2
+    e = u1 * q2 + q2 - 1
+    s12 = p1 * q2 + p2 * q1 - 2 * q12  # q12 (r_1 + r_2 - 2)
+    return SlopeCoeffs(
+        Fraction(s12 * q3 + p3 * q12, q12 * q3),
+        Fraction(-s12 * v3 - u3 * q12, q12 * v3),
+        Fraction((p3 * q2 + p2 * q3 - 2 * q2 * q3) * v1 + e * q3, q12 * q3),
+        Fraction(((2 * q2 - p2) * v3 - u3 * q2) * v1 - e * v3, q12 * v3),
+    )
 
 
 def fiber3_matrix(sd: SeifertData) -> UniMat:
@@ -95,13 +101,14 @@ def v3_slope_stepwise(sd: SeifertData, n1: int, n2: int) -> Slope:
 
 
 def v3_slope(sd: SeifertData, n1: int, coeffs: SlopeCoeffs) -> Slope:
-    """Closed form for the dV_3 slope after rounding, as a function of n_1."""
+    """Closed form ((A n_1 + F) q_3)/((C n_1 + D) v_3) for the dV_3 slope after rounding."""
     if n1 >= 0:
         raise ValueError("twisting must be negative")
-    a, f, c, d = integer_form(sd, coeffs)
-    if c * n1 + d == 0:
+    q3, v3 = sd.conv[2].q, sd.conv[2].v
+    den = (coeffs.C * n1 + coeffs.D) * v3
+    if den == 0:
         raise ValueError("slope undefined at this twisting")
-    return Slope(a * n1 + f, c * n1 + d)
+    return Slope.from_fraction((coeffs.A * n1 + coeffs.F) * q3 / den)
 
 
 def limit_regime(coeffs: SlopeCoeffs) -> bool:
@@ -130,36 +137,28 @@ def v3_slope_limit(sd: SeifertData, coeffs: SlopeCoeffs) -> LimitInfo:
     threshold_ok records whether the limit stays on the attainable side of
     (p_3 - q_3)/(v_3 - u_3).
 
-    The closed form is the Moebius function (a n + f)/(c n + d) of n_1, and
-    one step from n + 1 down to n changes it by (f c - a d) divided by the
-    product of the two denominators.  Away from the pole -d/c that product is
-    positive, so the values rise at every step exactly when a d - f c < 0
-    and the pole lies outside [-RISING_DEPTH, -1].  The flag can therefore
-    come back False for honest reasons near the -1 end: the form is constant
-    whenever the first two invariants both make balanced standard
-    neighborhoods (for example r_1 = r_2 = 1/2), and a pole between -2 and -1
-    puts n_1 = -1 on the far branch.  The tail toward -infinity is monotone
-    in every case.
+    The closed form is the Moebius function (a n + f)/(c n + d) of n_1 with
+    (a, f, c, d) = (A q_3, F q_3, C v_3, D v_3), and one step from n + 1 down
+    to n changes it by (f c - a d) divided by the product of the two
+    denominators.  Away from the pole -d/c = -D/C that product is positive, so
+    the values rise at every step exactly when a d - f c, of the sign of
+    A D - F C, is negative and the pole lies outside [-RISING_DEPTH, -1].  The
+    flag can therefore come back False for honest reasons near the -1 end: the
+    form is constant whenever the first two invariants both make balanced
+    standard neighborhoods (for example r_1 = r_2 = 1/2), and a pole between
+    -2 and -1 puts n_1 = -1 on the far branch.  The tail toward -infinity is
+    monotone in every case.
     """
     if not limit_regime(coeffs):
         raise ValueError("gap region")
-    if coeffs.C == 0:
+    A, C, F, D = coeffs.A, coeffs.C, coeffs.F, coeffs.D
+    if C == 0:
         raise ArithmeticError("coefficient C vanishes outside the gap region")
     p3, q3, u3, v3 = sd.conv[2]
-    a, f, c, d = integer_form(sd, coeffs)
-    limit = Fraction(a, c)
-    increasing = a * d - f * c < 0 and not -RISING_DEPTH <= Fraction(-d, c) <= -1
+    limit = A * q3 / (C * v3)
+    increasing = A * D < F * C and not -RISING_DEPTH <= -D / C <= -1
     threshold_ok = limit <= Fraction(p3 - q3, v3 - u3)
     return LimitInfo(Slope.from_fraction(limit), increasing, threshold_ok)
-
-
-def integer_form(sd: SeifertData, coeffs: SlopeCoeffs) -> tuple[int, int, int, int]:
-    """Integers (a, f, c, d) with the closed form equal to (a n + f)/(c n + d)."""
-    q3, v3 = sd.conv[2].q, sd.conv[2].v
-    parts = (coeffs.A * q3, coeffs.F * q3, coeffs.C * v3, coeffs.D * v3)
-    scale = lcm(*(x.denominator for x in parts))
-    a, f, c, d = (x.numerator * (scale // x.denominator) for x in parts)
-    return a, f, c, d
 
 
 # A sphere-family table has one row per k < n, and a report prints each row;

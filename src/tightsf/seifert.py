@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import floor
 
 from .contfrac import Convergents, convergents, expand
@@ -26,7 +27,7 @@ class SeifertData:
     r: tuple[Fraction, Fraction, Fraction]
     conv: tuple[Convergents, Convergents, Convergents]
 
-    @property
+    @cached_property
     def invariant_sum(self) -> Fraction:
         return sum(self.r, Fraction(0))
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import tightsf.contfrac as contfrac
+
 from tightsf.classify import ALL_STEIN, EXACT, INFINITE, MIXED, TORSION, UNKNOWN, classify
 from tightsf.convex import max_twist_table
 from tightsf.floer import index_set
@@ -83,3 +85,20 @@ def test_no_exact_zero():
             if res.status == EXACT:
                 assert res.count >= 1
 
+
+
+def test_each_leg_is_read_once(monkeypatch):
+    # the run decomposition is taken once per leg: T is the shortcut's
+    # solid-torus count, so no second pass over a boundary slope's runs
+    runs, calls = contfrac._runs, []
+
+    def counted(x):
+        calls.append(x)
+        return runs(x)
+
+    sd = parse_manifold("-2;1/3,2/5,3/7")
+    monkeypatch.setattr(contfrac, "_runs", counted)
+    res = classify(sd)
+    assert res.certificate.case == "sum_lt_2" and res.count == 8
+    assert len(calls) == 3
+    assert [row["count"] for row in res.certificate.data["shortcut"]] == list(res.certificate.data["t_values"])

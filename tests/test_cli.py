@@ -43,8 +43,14 @@ def test_cf_domain_error(capsys):
 
 
 def test_parse_error_exit_code(capsys):
-    code, _, _ = run(capsys, "nonsense")
-    assert code == 1
+    # a usage error is one line, like every other error
+    for argv in (["nonsense"], ["slopes", "-2;1/2,2/3,7/8"], ["bypass", "--dividing", "1/2"],
+                 [], ["classify"], ["--json"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+    code, out, err = run(capsys, "classify", "--help")
+    assert code == 0 and out.startswith("usage: ") and err == ""
 
 
 def test_classify_exit_codes(capsys):
@@ -244,6 +250,20 @@ def test_sphere_family_cap_fails_fast(capsys):
         assert perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and "limit" in err
+
+
+def test_floer_index_builds_one_class(capsys, monkeypatch):
+    # --index builds only its own class, and still refuses an n over the cap
+    def refuse(n):
+        raise AssertionError("the whole index set was built")
+
+    monkeypatch.setattr(importlib.import_module("tightsf.cli"), "index_set", refuse)
+    code, out, err = run(capsys, "floer", "--n", str(MAX_N), "--index", "1,0", "--json")
+    assert code == 0 and err == ""
+    assert [(row["i"], row["j"]) for row in json.loads(out)["result"]["classes"]] == [(1, 0)]
+    code, out, err = run(capsys, "floer", "--n", str(MAX_N + 1), "--index", "1,1")
+    assert code == 1 and out == ""
+    assert err == f"error: n = {MAX_N + 1} is more than the limit {MAX_N}\n"
 
 
 def test_floer_cap_fails_fast(capsys):

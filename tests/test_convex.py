@@ -1,7 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, lcm
 
 import pytest
 
@@ -10,7 +10,7 @@ import tightsf.convex as convex
 from tightsf.convex import (
     MAX_TWIST_ROWS,
     RISING_DEPTH,
-    integer_form,
+    SlopeCoeffs,
     limit_regime,
     max_twist_table,
     measured_slope,
@@ -66,6 +66,40 @@ def test_rounded_slope_matches_fraction_sum():
         s_a = Slope(rng.randint(-bound, bound), da)
         s_b = Slope(rng.randint(-bound, bound), db)
         assert rounded_slope(s_a, s_b, delta) == rounded_slope_fraction(s_a, s_b, delta)
+
+
+def slope_coeffs_fraction_sum(sd):
+    # oracle: the coefficients as sums of Fractions, term by term
+    r1, r2, r3 = sd.r
+    (p1, q1, u1, v1), (p2, q2, u2, v2), (p3, q3, u3, v3) = sd.conv
+    a = r1 + r2 + r3 - 2
+    c = 2 - r1 - r2 - Fraction(u3, v3)
+    edge_term = Fraction(u1 * q2 + q2 - 1, q1 * q2)
+    f = (r3 + r2 - 2) * Fraction(v1, q1) + edge_term
+    d = (2 - r2 - Fraction(u3, v3)) * Fraction(v1, q1) - edge_term
+    return SlopeCoeffs(a, c, f, d)
+
+
+def integer_form(sd, coeffs):
+    # integers (a, f, c, d) with the closed form equal to (a n + f)/(c n + d),
+    # over the lcm of the denominators of A q3, F q3, C v3 and D v3
+    q3, v3 = sd.conv[2].q, sd.conv[2].v
+    parts = (coeffs.A * q3, coeffs.F * q3, coeffs.C * v3, coeffs.D * v3)
+    scale = lcm(*(x.denominator for x in parts))
+    return tuple(x.numerator * (scale // x.denominator) for x in parts)
+
+
+def test_slope_coeffs_matches_fraction_sum_sweep():
+    # every sorted triple with q_i <= 12; the random big legs are in
+    # test_increasing_matches_stepwise_windows_and_big_legs
+    checked = 0
+    for triple in sorted_triples(12):
+        sd = normalize(triple, -2)
+        c = slope_coeffs(sd)
+        assert c == slope_coeffs_fraction_sum(sd)
+        assert all(type(x) is Fraction for x in (c.A, c.C, c.F, c.D))
+        checked += 1
+    assert checked == 16215
 
 
 def test_slope_coeffs_example():
@@ -234,6 +268,7 @@ def test_increasing_matches_stepwise_windows_and_big_legs():
         cases.append(parse_manifold(text))
     for sd in cases:
         c = slope_coeffs(sd)
+        assert c == slope_coeffs_fraction_sum(sd)
         assert limit_regime(c)
         assert v3_slope_limit(sd, c).increasing == increasing_stepwise(sd, c)
 
