@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("classify", _cmd_classify, "count tight contact structures with certificate")
     p.add_argument("manifold")
 
-    add("selftest", _cmd_selftest, "run the built-in consistency suites")
+    sub.add_parser("selftest", help="run the built-in consistency suites").set_defaults(fn=_cmd_selftest)
     return parser
 
 

@@ -227,12 +227,3 @@ def max_twist_table(n: int) -> MaxTwistTable:
         boundary = Slope(k - n)
         rows.append(MaxTwistRow(k, Slope(num, delta), boundary, solid_torus_count(boundary)))
     return MaxTwistTable(n, tuple(rows))
-
-
-def twist_step_allowed(n: int, ruling: Slope) -> bool:
-    """Twist number criterion: a bypass along a ruling of slope r raises the
-    twisting of a curve with neighborhood slope 1/n when 1/r >= n + 1."""
-    rden, rnum = ruling.vec()
-    if rnum == 0:
-        raise ValueError("ruling slope must be nonzero")
-    return Fraction(rden, rnum) >= n + 1

@@ -14,8 +14,6 @@ back.  Every downstream count is insensitive to the choice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .slopes import Slope
 
 FRONT = "front"
@@ -24,13 +22,6 @@ BACK = "back"
 # bypass_oracle scans about dividing.den + ruling.den neighbours per doubling
 # of its bound, so a larger starting bound is refused before any is scanned.
 MAX_ORACLE_DEN = 10**6
-
-
-def farey_edge(a: Slope, b: Slope) -> bool:
-    """True when the line vectors of a and b span Z^2."""
-    da, na = a.vec()
-    db, nb = b.vec()
-    return abs(da * nb - db * na) == 1
 
 
 def _cross(p: tuple[int, int], q: tuple[int, int]) -> int:
@@ -42,32 +33,6 @@ def _ccw(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> bool:
     # increasing direction we meet b before c.  Vectors are (den, num) with
     # den >= 0, so the sign test below realizes the stated cyclic order.
     return _cross(a, b) * _cross(b, c) * _cross(c, a) < 0
-
-
-@dataclass(frozen=True)
-class Arc:
-    """Closed arc between two distinct slopes.
-
-    side FRONT is the arc traversed counterclockwise from start to end; side
-    BACK is the arc from end to start.
-    """
-
-    start: Slope
-    end: Slope
-    side: str = FRONT
-
-    def __post_init__(self):
-        if self.start == self.end:
-            raise ValueError("arc endpoints must be distinct")
-        if self.side not in (FRONT, BACK):
-            raise ValueError(f"unknown side {self.side!r}")
-
-
-def arc_contains(arc: Arc, x: Slope) -> bool:
-    if x == arc.start or x == arc.end:
-        return True
-    a, b = (arc.start, arc.end) if arc.side == FRONT else (arc.end, arc.start)
-    return _ccw(a.vec(), x.vec(), b.vec())
 
 
 def bypass_attach(dividing: Slope, ruling: Slope, side: str = FRONT) -> Slope:

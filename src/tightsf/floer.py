@@ -20,14 +20,7 @@ not depend on that overall choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
-
-THETA = 2  # plane-field invariant shared by all classes on these manifolds
-
-
-def class_degree() -> Fraction:
-    return -Fraction(THETA, 4) - Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -86,15 +79,6 @@ class ExpansionVector:
         if len(self.coeffs) != self.n:
             raise ValueError("coefficient vector has wrong length")
 
-    def coeff(self, jprime: int) -> int:
-        pos = (jprime + self.n - 1) // 2
-        if not 0 <= pos < self.n or grid(self.n)[pos] != jprime:
-            raise ValueError("position off the basis grid")
-        return self.coeffs[pos]
-
-    def __neg__(self) -> "ExpansionVector":
-        return ExpansionVector(self.n, tuple(-c for c in self.coeffs))
-
 
 def expansion(idx: ContactIndex) -> ExpansionVector:
     """Basis coordinates: (-1)^k binom(i, k) at j' = j + i - 2k, k = 0..i."""
@@ -136,17 +120,6 @@ class HalfLaurent:
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
         return HalfLaurent(out)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def coeff(self, twice_exp: int) -> int:
-        return self.terms.get(twice_exp, 0)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -173,11 +146,6 @@ def laurent_image(idx: ContactIndex) -> HalfLaurent:
     for _ in range(idx.i):
         out = out * step
     return out
-
-
-def conjugate(v: ExpansionVector) -> ExpansionVector:
-    """Relabel the basis by j' -> -j'."""
-    return ExpansionVector(v.n, v.coeffs[::-1])
 
 
 def stein_obstructed(idx: ContactIndex) -> bool:

@@ -4,11 +4,7 @@ A manifold M(r1, r2, r3) with rational invariants is normalized to
 M(e0; r1, r2, r3) with each ri in Q n (0, 1) by moving integer parts into the
 integer Euler number e0; the tuple is kept sorted ascending, since the
 invariants are unordered.  Each invariant ri = pi/qi carries its convergents
-(pi, qi, ui, vi) and the attaching matrix
-
-    A_i = [[q_i, v_i], [-p_i, -u_i]],   det A_i = p_i v_i - q_i u_i = 1,
-
-which glues the fiber neighborhood V_i into the product piece.
+(pi, qi, ui, vi), with pi vi - qi ui = 1.
 """
 from __future__ import annotations
 
@@ -18,7 +14,6 @@ from functools import cached_property
 from math import floor
 
 from .contfrac import Convergents, convergents, expand
-from .slopes import UniMat
 
 
 @dataclass(frozen=True)
@@ -30,11 +25,6 @@ class SeifertData:
     @cached_property
     def invariant_sum(self) -> Fraction:
         return sum(self.r, Fraction(0))
-
-    def attach_matrix(self, i: int) -> UniMat:
-        """A_i for i in 1..3."""
-        p, q, u, v = self.conv[i - 1]
-        return UniMat(q, v, -p, -u)
 
     def __str__(self) -> str:
         return f"M({self.e0}; {', '.join(str(x) for x in self.r)})"

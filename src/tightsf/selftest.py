@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -33,11 +32,6 @@ def fractions_upto(max_q: int) -> Iterator[tuple[int, int]]:
         for p in range(1, q):
             if gcd(p, q) == 1:
                 yield p, q
-
-
-def sorted_triples(max_q: int) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
-    """Every r1 <= r2 <= r3 among the fractions of fractions_upto(max_q)."""
-    return combinations_with_replacement(sorted(Fraction(p, q) for p, q in fractions_upto(max_q)), 3)
 
 
 def random_invariant(rng: random.Random) -> Fraction:

@@ -108,10 +108,6 @@ class UniMat:
     def __setattr__(self, name, value):
         raise AttributeError("UniMat is immutable")
 
-    @classmethod
-    def identity(cls) -> "UniMat":
-        return cls(1, 0, 0, 1)
-
     @property
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
@@ -119,14 +115,6 @@ class UniMat:
     def inverse(self) -> "UniMat":
         s = self.det  # +-1, so the integer adjugate is the inverse up to sign
         return UniMat(s * self.d, -s * self.b, -s * self.c, s * self.a)
-
-    def __matmul__(self, other: "UniMat") -> "UniMat":
-        return UniMat(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
     def apply(self, s: Slope) -> Slope:
         """Image of the slope under the column-vector action, (x, y) read as y/x."""
@@ -136,14 +124,6 @@ class UniMat:
         if x == 0 and y == 0:
             raise ArithmeticError(f"{self!r} kills the line of {s}, but a unimodular matrix kills none")
         return Slope(y, x)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniMat):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
 
     def __repr__(self) -> str:
         return f"UniMat({self.a}, {self.b}, {self.c}, {self.d})"

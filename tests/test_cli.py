@@ -1,12 +1,15 @@
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tightsf.cli import main
 from tightsf.convex import MAX_TWIST_ROWS, MaxTwistTable, max_twist_table, slope_coeffs, v3_slope, v3_slope_stepwise
@@ -45,12 +48,60 @@ def test_cf_domain_error(capsys):
 def test_parse_error_exit_code(capsys):
     # a usage error is one line, like every other error
     for argv in (["nonsense"], ["slopes", "-2;1/2,2/3,7/8"], ["bypass", "--dividing", "1/2"],
-                 [], ["classify"], ["--json"]):
+                 [], ["classify"], ["--json"], ["selftest", "--json"]):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "", argv
         assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
     code, out, err = run(capsys, "classify", "--help")
     assert code == 0 and out.startswith("usage: ") and err == ""
+
+
+_number = st.integers(-10**4, 10**4).map(str)
+_ratio = st.builds("{}/{}".format, _number, _number)
+_fraction = st.one_of(
+    _ratio, _number, st.sampled_from(["inf", "1/0", "0/0", "", "1//2", "--1", "x", "1.5", "+1/2"]), st.text(max_size=6),
+)
+_spaced = st.builds("{}{}{}".format, st.sampled_from(["", " "]), _fraction, st.sampled_from(["", " "]))
+_manifold = st.one_of(
+    st.builds("{};{},{},{}".format, st.integers(-4, 1), _ratio, _ratio, _ratio),
+    st.builds("{},{},{}".format, _ratio, _ratio, _ratio),
+    st.builds("{};{}".format, _number, st.lists(_spaced, min_size=2, max_size=4).map(",".join)),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["classify", "seifert", "slopes", "cf", "bypass", "floer"]))
+    if command in ("classify", "seifert"):
+        argv = [command, draw(_manifold)]
+    elif command == "slopes":
+        argv = [command, draw(_manifold), "--n1", draw(_number)]
+    elif command == "cf":
+        argv = [command, draw(_spaced)]
+    elif command == "bypass":
+        argv = [command, "--dividing", draw(_spaced), "--ruling", draw(_spaced)]
+        argv += draw(st.sampled_from([[], ["--oracle"], ["--side", "back", "--oracle"]]))
+    else:
+        argv = [command, "--n", str(draw(st.integers(-2, 30)))]
+        index = st.one_of(st.builds("{},{}".format, st.integers(-2, 30), st.integers(-30, 30)), _fraction)
+        argv += draw(st.one_of(st.just([]), index.map(lambda text: ["--index", text])))
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+@settings(max_examples=300, deadline=2000)
+@given(cli_argv())
+def test_cli_contract(argv):
+    # exit 0, 1 or 2; an error is one `error: ` line on stderr and nothing on stdout
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert out.getvalue() == "", argv
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: "), argv
+    else:
+        assert err.getvalue() == "", argv
 
 
 def test_classify_exit_codes(capsys):

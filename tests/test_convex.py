@@ -16,14 +16,14 @@ from tightsf.convex import (
     measured_slope,
     rounded_slope,
     slope_coeffs,
-    twist_step_allowed,
     v3_slope,
     v3_slope_limit,
     v3_slope_stepwise,
 )
 from tightsf.seifert import normalize, parse_manifold
-from tightsf.selftest import random_invariant, rounded_slope_fraction, sorted_triples
-from tightsf.slopes import INF, Slope, UniMat
+from tightsf.selftest import random_invariant, rounded_slope_fraction
+from tightsf.slopes import Slope, UniMat
+from triples import sorted_triples
 
 
 def sphere_family(n):
@@ -288,7 +288,7 @@ def test_max_twist_table():
 
 def test_max_twist_table_checks_each_boundary(monkeypatch):
     # a wrong V_3 transfer is caught by the row check, which -O keeps
-    monkeypatch.setattr(convex, "fiber3_matrix", lambda sd: UniMat.identity())
+    monkeypatch.setattr(convex, "fiber3_matrix", lambda sd: UniMat(1, 0, 0, 1))
     with pytest.raises(ArithmeticError, match="-n\\+k"):
         max_twist_table(3)
 
@@ -334,10 +334,3 @@ def test_max_twist_rows_cap():
     with pytest.raises(ValueError):
         max_twist_table(0)
 
-
-def test_twist_step_allowed():
-    assert twist_step_allowed(-4, INF)
-    assert not twist_step_allowed(-1, Slope(-1))
-    assert twist_step_allowed(-3, Slope(-1, 2))
-    with pytest.raises(ValueError):
-        twist_step_allowed(-2, Slope(0))

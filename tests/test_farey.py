@@ -6,16 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tightsf.contfrac import expand
-from tightsf.farey import (
-    BACK,
-    FRONT,
-    MAX_ORACLE_DEN,
-    Arc,
-    arc_contains,
-    bypass_attach,
-    bypass_oracle,
-    farey_edge,
-)
+from tightsf.farey import BACK, FRONT, MAX_ORACLE_DEN, _ccw, bypass_attach, bypass_oracle
 from tightsf.selftest import fractions_upto
 from tightsf.slopes import INF, Slope
 
@@ -23,6 +14,21 @@ slopes_st = st.one_of(
     st.just(INF),
     st.builds(Slope, st.integers(-40, 40), st.integers(1, 25)),
 )
+
+
+def _cross_abs(a, b):
+    (da, na), (db, nb) = a.vec(), b.vec()
+    return abs(da * nb - db * na)
+
+
+def farey_edge(a, b):
+    """True when the line vectors of a and b span Z^2."""
+    return _cross_abs(a, b) == 1
+
+
+def arc_contains(start, end, x):
+    """Whether x lies on the closed arc from start counterclockwise to end."""
+    return x == start or x == end or _ccw(start.vec(), x.vec(), end.vec())
 
 
 def test_farey_edge_examples():
@@ -37,16 +43,12 @@ def test_edge_symmetry(a, b):
 
 
 def test_arc_membership():
-    arc = Arc(INF, Slope(-5, 2), FRONT)
-    assert arc_contains(arc, Slope(-3))
-    assert not arc_contains(arc, Slope(0))
-    assert arc_contains(arc, INF)
-    assert arc_contains(arc, Slope(-5, 2))
-    back = Arc(INF, Slope(-5, 2), BACK)
-    assert not arc_contains(back, Slope(-3))
-    assert arc_contains(back, Slope(0))
-    with pytest.raises(ValueError):
-        Arc(INF, INF)
+    assert arc_contains(INF, Slope(-5, 2), Slope(-3))
+    assert not arc_contains(INF, Slope(-5, 2), Slope(0))
+    assert arc_contains(INF, Slope(-5, 2), INF)
+    assert arc_contains(INF, Slope(-5, 2), Slope(-5, 2))
+    assert not arc_contains(Slope(-5, 2), INF, Slope(-3))
+    assert arc_contains(Slope(-5, 2), INF, Slope(0))
 
 
 def test_bypass_examples():
@@ -68,8 +70,7 @@ def test_bypass_result_is_neighbor_in_arc():
         for side in (FRONT, BACK):
             out = bypass_attach(s, r, side)
             assert farey_edge(out, s) or out == r
-            arc = Arc(r, s, FRONT) if side == FRONT else Arc(s, r, FRONT)
-            assert arc_contains(arc, out)
+            assert arc_contains(r, s, out) if side == FRONT else arc_contains(s, r, out)
 
 
 @settings(max_examples=150, deadline=None)
@@ -88,11 +89,6 @@ def test_oracle_bound_cap():
         with pytest.raises(ValueError, match="limit"):
             bypass_oracle(dividing, ruling, BACK)
         assert perf_counter() - start < 0.1
-
-
-def _cross_abs(a, b):
-    (da, na), (db, nb) = a.vec(), b.vec()
-    return abs(da * nb - db * na)
 
 
 def test_monotone_progress():

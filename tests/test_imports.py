@@ -1,4 +1,5 @@
-"""Each name has one import path: the module that defines or uses it."""
+"""Each name has one import path: the module that defines or uses it, and
+each definition has a consumer."""
 import ast
 import importlib
 import pkgutil
@@ -6,6 +7,7 @@ from pathlib import Path
 from types import ModuleType
 
 import tightsf
+from test_perfbench_stages import benchmark_imports, benchmark_stages
 
 PACKAGE_DIR = Path(tightsf.__file__).parent
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules([str(PACKAGE_DIR)]))
@@ -50,3 +52,112 @@ def test_unused_import_scan_sees_a_stray_alias():
 def test_no_unused_imports():
     found = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in PACKAGE_DIR.glob("*.py")}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def _overridden(tree):
+    """(class, method) pairs that a base class from outside the package
+    defines: the base calls them, as argparse calls ArgumentParser.error."""
+    namespace = {}
+    imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+               and not getattr(node, "level", 0) and getattr(node, "module", None) != "__future__"]
+    exec(compile(ast.Module(imports, []), "<imports>", "exec"), namespace)
+    pairs = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for base in node.bases:
+                try:
+                    base_class = eval(compile(ast.Expression(base), "<base>", "eval"), namespace)
+                except NameError:  # a class of the package
+                    continue
+                pairs.update((node.name, name) for name in dir(base_class))
+    return pairs
+
+
+def _definitions(tree):
+    """(name, node, is_method) for each top-level function and class, and each
+    public method of a top-level class that no outside base class defines."""
+    overridden = _overridden(tree)
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                        and (node.name, item.name) not in overridden):
+                    yield f"{node.name}.{item.name}", item, True
+
+
+def unused_definitions(sources, consumed=frozenset()):
+    """Definitions in sources (module name -> text) that nothing reads, by module.
+
+    A top-level name is read as an ast.Name or an ast.Attribute.attr, a method
+    only as an ast.Attribute.attr.  A read counts when it lies outside the
+    definition's own lines and outside every definition found unused, so a
+    group of definitions that only read each other is reported whole.  Names
+    in consumed have a consumer outside the sources.
+    """
+    defs, reads = [], {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for qualname, node, is_method in _definitions(tree):
+            defs.append((module, qualname, is_method, range(node.lineno, node.end_lineno + 1)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append((module, node.lineno, False))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append((module, node.lineno, True))
+    unused = set()  # indices into defs
+    while True:
+        dead = {(defs[i][0], line) for i in unused for line in defs[i][3]}
+        found = set()
+        for i, (module, qualname, is_method, lines) in enumerate(defs):
+            name = qualname.rpartition(".")[2]
+            readers = {(m, line) for m, line, attr in reads.get(name, ()) if attr or not is_method}
+            if name not in consumed and not readers - dead - {(module, line) for line in lines}:
+                found.add(i)
+        if found == unused:
+            break
+        unused = found
+    report = {}
+    for i in sorted(unused):
+        module, qualname, _, lines = defs[i]
+        report.setdefault(module, []).append((lines.start, qualname))
+    return report
+
+def test_unused_definition_scan_sees_strays():
+    source = (
+        "class Box:\n"
+        "    def used(self):\n"
+        "        return 1\n"
+        "    def stray_method(self):\n"
+        "        return self.used()\n"
+        "def stray_function():\n"
+        "    return Box().used()\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+        "def only_called_by_a_stray():\n"
+        "    return 2\n"
+        "def stray_caller():\n"
+        "    return only_called_by_a_stray()\n"
+        "def entry():\n"
+        "    return Box().used()\n"
+        "entry()\n"
+    )
+    assert unused_definitions({"m": source}) == {"m": [
+        (4, "Box.stray_method"), (6, "stray_function"), (8, "recursive"),
+        (10, "only_called_by_a_stray"), (12, "stray_caller"),
+    ]}
+    # a method is called through an attribute; a bare name of the same text is no call
+    assert unused_definitions({"m": "class A:\n    def f(self):\n        pass\nf = 1\nprint(f, A)\n"}) == {
+        "m": [(2, "A.f")]}
+    # an override is called by its outside base, and a consumer outside the sources counts
+    parser = "import argparse\nclass P(argparse.ArgumentParser):\n    def error(self, message):\n        pass\n"
+    assert unused_definitions({"m": parser}) == {"m": [(2, "P")]}
+    assert unused_definitions({"m": parser}, consumed={"P"}) == {}
+
+
+def test_every_definition_has_a_consumer():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    consumed = {name for _, name in benchmark_imports() if name is not None}
+    consumed |= {stage.partition(".")[2] for stage in benchmark_stages()}
+    assert unused_definitions(sources, consumed) == {}

@@ -11,14 +11,12 @@ from tightsf.seifert import (
     SUM_LT_2,
     TORUS_BUNDLE,
     WRONG_E0,
-    SeifertData,
     detect_family,
     h1_order,
     linking_matrix,
     normalize,
     parse_manifold,
 )
-from tightsf.selftest import fractions_upto
 
 
 def det_gauss(matrix):
@@ -72,21 +70,6 @@ def test_parse_manifold():
     assert sd2.e0 == -2
     with pytest.raises(ValueError):
         parse_manifold("1/2,2/3")
-
-
-def test_attach_matrix_contract():
-    sd = parse_manifold("-2;1/2,2/3,11/13")
-    for i in (1, 2, 3):
-        m = sd.attach_matrix(i)
-        p, q, u, v = sd.conv[i - 1]
-        assert (m.a, m.b, m.c, m.d) == (q, v, -p, -u)
-        assert m.det == 1
-
-
-def test_attach_determinant_exhaustive():
-    for p, q in fractions_upto(100):
-        sd = normalize([Fraction(1, 2), Fraction(1, 2), Fraction(p, q)], -2)
-        assert all(sd.attach_matrix(i).det == 1 for i in (1, 2, 3))
 
 
 def test_h1_examples():

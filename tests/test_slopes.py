@@ -36,7 +36,7 @@ def test_parse_and_str():
 def test_apply_mat_examples():
     a1 = UniMat(2, 1, -1, 0)
     assert a1.apply(Slope(-1)) == Slope(-1)
-    assert UniMat.identity().apply(Slope(-7, 5)) == Slope(-7, 5)
+    assert UniMat(1, 0, 0, 1).apply(Slope(-7, 5)) == Slope(-7, 5)
     # inverse attaching matrix of the n = 3 sphere family member applied to
     # the vector (6k+1, k) at k = 1 gives -n+k
     n, k = 3, 1
@@ -68,7 +68,6 @@ def test_inverse_round_trip():
         m = _random_unimodular(rng)
         s = Slope(rng.randint(-50, 50), rng.randint(1, 50)) if rng.random() > 0.02 else INF
         assert m.inverse().apply(m.apply(s)) == s
-        assert m.inverse() @ m == UniMat.identity()
 
 
 def test_unimodular_validation():
