@@ -24,7 +24,7 @@ from math import prod
 from typing import Any
 
 from . import seifert as sf
-from .contfrac import expand, shifted_product
+from .contfrac import leg_expansion, shifted_product
 from .convex import max_twist_table, slope_coeffs, v3_slope_limit
 from .seifert import SeifertData
 from .slopes import Slope
@@ -80,7 +80,8 @@ _PRODUCT_KINDS = (sf.K_OVER_K1, sf.SUM_GE_9_4, sf.SUM_LT_2)
 def _fiber_certificate(sd: SeifertData) -> dict[str, Any]:
     """Per-fiber counts plus the solid-torus shortcut data.
 
-    Each leg is expanded once and its T taken once.  The boundary slope
+    Each leg r = p/q is expanded once, from (p, q) with 0 < p < q as
+    normalize guarantees, and its T taken once.  The boundary slope
     ncf_eval(reverse_shift(entries)) equals (p - q)/(v - u) from the convergents
     stored in sd, and its solid-torus count is T: reverse_shift keeps the
     shifted factors a_k + 1, and the head a_0 + 1 becomes the unshifted last
@@ -89,7 +90,7 @@ def _fiber_certificate(sd: SeifertData) -> dict[str, Any]:
     t_values = []
     shortcut = []
     for r, (p, q, u, v) in zip(sd.r, sd.conv):
-        entries = expand(-1 / r)
+        entries = leg_expansion(p, q)
         t = shifted_product(entries)
         t_values.append(t)
         shortcut.append({"r": r, "entries": entries, "boundary": Slope(p - q, v - u), "count": t})

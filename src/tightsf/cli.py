@@ -18,7 +18,7 @@ from .floer import ContactIndex, HalfLaurent, expansion, grid, index_set, pairwi
 from .seifert import detect_family, h1_order, linking_matrix, parse_manifold
 from .selftest import run_all
 from .slopes import Slope
-from .theta import SurgeryDiagram, congruence
+from .theta import SurgeryDiagram, theta_parts
 
 
 def _cmd_cf(args) -> int:
@@ -168,21 +168,14 @@ def _cmd_theta(args) -> int:
         if key not in data:
             raise ValueError(f"diagram has no key {key!r}")
     diagram = SurgeryDiagram.from_lists(data["L"], data["rot"])
-    sigma, c1sq = congruence(diagram)
-    chi = 1 + len(diagram.linking)
-    value = c1sq - 3 * sigma - 2 * chi  # theta(diagram), from the parts above
+    parts = theta_parts(diagram)
     if args.json:
-        print(report.report("theta", {
-            "c1sq": c1sq,
-            "sigma": sigma,
-            "chi": chi,
-            "theta": value,
-        }))
+        print(report.report("theta", parts))
     else:
-        print(f"c1^2 = {c1sq}")
-        print(f"sigma = {sigma}")
-        print(f"chi = {chi}")
-        print(f"theta = {value}")
+        print(f"c1^2 = {parts.c1sq}")
+        print(f"sigma = {parts.sigma}")
+        print(f"chi = {parts.chi}")
+        print(f"theta = {parts.theta}")
     return 0
 
 

@@ -34,26 +34,26 @@ class Convergents(NamedTuple):
 MAX_EXPANSION = 10**6
 
 
-def _below_minus_one(x: Slope | Fraction) -> Fraction:
+def _below_minus_one(x: Slope | Fraction) -> tuple[int, int]:
+    """(n, d) with x = -n/d in lowest terms, for a slope or rational x < -1."""
     if isinstance(x, Slope):
-        if x.is_inf:
-            raise ValueError("not of the form -1/r with r in (0,1)")
-        x = x.as_fraction()
-    if x >= -1:
+        n, d = -x.num, x.den
+    else:
+        n, d = -x.numerator, x.denominator
+    if n <= d:  # x >= -1, or the infinite slope (n, d) = (-1, 0)
         raise ValueError("not of the form -1/r with r in (0,1)")
-    return x
+    return n, d
 
 
-def _runs(x: Slope | Fraction) -> list[tuple[int, int]]:
-    """Runs (a, m) of m consecutive entries a in the canonical expansion of x < -1.
+def _runs(n: int, d: int) -> list[tuple[int, int]]:
+    """Runs (a, m) of m consecutive entries a in the canonical expansion of -n/d,
+    for integers n > d >= 1.
 
-    With x = -n/d, a step with n/d in (1, 2] starts a run of -2 entries whose
-    length d // (n - d) is read off at once, so the loop runs once per regular
-    partial quotient: O(log q) steps however long the expansion is.  Runs of
+    A step with n/d in (1, 2] starts a run of -2 entries whose length
+    d // (n - d) is read off at once, so the loop runs once per regular
+    partial quotient: O(log n) steps however long the expansion is.  Runs of
     -2 alternate with single entries <= -3.
     """
-    f = _below_minus_one(x)
-    n, d = -f.numerator, f.denominator
     runs = []
     while d:
         e = n - d
@@ -69,12 +69,12 @@ def _runs(x: Slope | Fraction) -> list[tuple[int, int]]:
     return runs
 
 
-def expand(x: Slope | Fraction) -> tuple[int, ...]:
-    """Canonical expansion of a rational x < -1, as a tuple of entries <= -2.
+def leg_expansion(p: int, q: int) -> tuple[int, ...]:
+    """Canonical expansion of -q/p = -1/r for the leg r = p/q, 0 < p < q coprime.
 
     Raises ValueError when it would have more than MAX_EXPANSION entries.
     """
-    runs = _runs(x)
+    runs = _runs(q, p)
     length = sum(m for _, m in runs)
     if length > MAX_EXPANSION:
         raise ValueError(f"expansion has {length} entries, more than the limit {MAX_EXPANSION}")
@@ -82,6 +82,15 @@ def expand(x: Slope | Fraction) -> tuple[int, ...]:
     for a, m in runs:
         out += (a,) * m
     return tuple(out)
+
+
+def expand(x: Slope | Fraction) -> tuple[int, ...]:
+    """Canonical expansion of a rational x < -1, as a tuple of entries <= -2.
+
+    Raises ValueError when it would have more than MAX_EXPANSION entries.
+    """
+    n, d = _below_minus_one(x)
+    return leg_expansion(d, n)
 
 
 def shifted_product(entries) -> int:
@@ -104,16 +113,20 @@ def ncf_eval(entries) -> Slope:
     return Slope(n, d)
 
 
-def convergents(x: Slope | Fraction) -> Convergents:
-    """Convergents (p, q, u, v) of x = -q/p < -1, with p*v - q*u = 1.
+def leg_convergents(p: int, q: int) -> Convergents:
+    """Convergents (p, q, u, v) of -q/p for the leg r = p/q, 0 < p < q coprime.
 
     -v/u is the expansion without its last entry, so v is the inverse of p
     modulo q with 0 < v < q (v = 1, u = 0 for p = 1), and u = (p*v - 1)/q.
     """
-    f = _below_minus_one(x)
-    q, p = -f.numerator, f.denominator
     v = pow(p, -1, q)
     return Convergents(p, q, (p * v - 1) // q, v)
+
+
+def convergents(x: Slope | Fraction) -> Convergents:
+    """Convergents (p, q, u, v) of x = -q/p < -1, with p*v - q*u = 1."""
+    q, p = _below_minus_one(x)
+    return leg_convergents(p, q)
 
 
 def reverse_shift(entries) -> tuple[int, ...]:
@@ -137,7 +150,7 @@ def tight_count(r: Fraction) -> int:
     r = Fraction(r)
     if not 0 < r < 1:
         raise ValueError("invariant must lie in (0, 1)")
-    return shifted_product(a for a, _ in _runs(-1 / r))
+    return shifted_product(a for a, _ in _runs(r.denominator, r.numerator))
 
 
 def solid_torus_count(s: Slope | Fraction) -> int:
@@ -158,5 +171,5 @@ def solid_torus_count(s: Slope | Fraction) -> int:
         raise ValueError("boundary slope must be <= -1 in these coordinates")
     if f.denominator == 1:
         return -f.numerator
-    heads = [a for a, _ in _runs(f)]
+    heads = [a for a, _ in _runs(-f.numerator, f.denominator)]
     return abs(heads[-1]) * shifted_product(heads[:-1])

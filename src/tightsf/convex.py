@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contfrac import solid_torus_count
-from .seifert import SeifertData, normalize
+from .contfrac import Convergents, leg_convergents, solid_torus_count
+from .seifert import SeifertData
 from .slopes import Slope, UniMat
 
 
@@ -78,10 +78,11 @@ def slope_coeffs(sd: SeifertData) -> SlopeCoeffs:
     )
 
 
-def fiber3_matrix(sd: SeifertData) -> UniMat:
-    """Attaching matrix of V_3 in the presentation with the first invariant
-    untwisted and the last two twisted down by one."""
-    p, q, u, v = sd.conv[2]
+def fiber3_matrix(conv3: Convergents) -> UniMat:
+    """Attaching matrix of V_3, from the convergents of the third invariant, in
+    the presentation with the first invariant untwisted and the last two
+    twisted down by one."""
+    p, q, u, v = conv3
     return UniMat(q, v, q - p, v - u)
 
 
@@ -97,7 +98,7 @@ def v3_slope_stepwise(sd: SeifertData, n1: int, n2: int) -> Slope:
     if delta != q2 * n2 + v2:
         raise ValueError("imbalanced dividing sets")
     rounded = rounded_slope(measured_slope(1, sd, n1), measured_slope(2, sd, n2), delta)
-    return fiber3_matrix(sd).inverse().apply(-rounded)
+    return fiber3_matrix(sd.conv[2]).inverse().apply(-rounded)
 
 
 def v3_slope(sd: SeifertData, n1: int, coeffs: SlopeCoeffs) -> Slope:
@@ -113,7 +114,8 @@ def v3_slope(sd: SeifertData, n1: int, coeffs: SlopeCoeffs) -> Slope:
 
 def limit_regime(coeffs: SlopeCoeffs) -> bool:
     """A >= 1/4 or A < 0: the two finite-count regimes, where v3_slope_limit applies."""
-    return coeffs.A >= Fraction(1, 4) or coeffs.A < 0
+    a = coeffs.A
+    return 4 * a.numerator >= a.denominator or a.numerator < 0
 
 
 @dataclass(frozen=True)
@@ -148,17 +150,28 @@ def v3_slope_limit(sd: SeifertData, coeffs: SlopeCoeffs) -> LimitInfo:
     standard neighborhoods (for example r_1 = r_2 = 1/2), and a pole between
     -2 and -1 puts n_1 = -1 on the far branch.  The tail toward -infinity is
     monotone in every case.
+
+    Every comparison cross-multiplies the numerators and denominators of
+    A, C, F and D, whose denominators are positive, so no rational arithmetic
+    is done; threshold_ok uses v_3 > u_3.
     """
     if not limit_regime(coeffs):
         raise ValueError("gap region")
-    A, C, F, D = coeffs.A, coeffs.C, coeffs.F, coeffs.D
-    if C == 0:
+    an, ad = coeffs.A.numerator, coeffs.A.denominator
+    cn, cd = coeffs.C.numerator, coeffs.C.denominator
+    fn, fd = coeffs.F.numerator, coeffs.F.denominator
+    dn, dd = coeffs.D.numerator, coeffs.D.denominator
+    if cn == 0:
         raise ArithmeticError("coefficient C vanishes outside the gap region")
     p3, q3, u3, v3 = sd.conv[2]
-    limit = A * q3 / (C * v3)
-    increasing = A * D < F * C and not -RISING_DEPTH <= -D / C <= -1
-    threshold_ok = limit <= Fraction(p3 - q3, v3 - u3)
-    return LimitInfo(Slope.from_fraction(limit), increasing, threshold_ok)
+    limit = Slope(an * q3 * cd, ad * cn * v3)
+    # -D/C = -pole_num/pole_den with pole_den > 0
+    pole_num, pole_den = dn * cd, dd * cn
+    if pole_den < 0:
+        pole_num, pole_den = -pole_num, -pole_den
+    increasing = an * dn * fd * cd < fn * cn * ad * dd and not pole_den <= pole_num <= RISING_DEPTH * pole_den
+    threshold_ok = limit.num * (v3 - u3) <= (p3 - q3) * limit.den
+    return LimitInfo(limit, increasing, threshold_ok)
 
 
 # A sphere-family table has one row per k < n, and a report prints each row;
@@ -198,19 +211,17 @@ def max_twist_table(n: int) -> MaxTwistTable:
     over delta less 1 (the rounding), and the inverse V_3 transfer, unpacked
     once per table into four integers, carries the negated rounded vector to
     dV_3, where its image is checked to be proportional to (1, -n+k).  The
-    only slopes built are the two each row stores.  Both checks raise
-    ArithmeticError, so they hold under python -O.  Raises ValueError above
-    MAX_TWIST_ROWS rows.
+    convergents of the three legs are read off their (p, q), so the table
+    builds no Fraction, and the only slopes built are the two each row
+    stores.  Both checks raise ArithmeticError, so they hold under python -O.
+    Raises ValueError above MAX_TWIST_ROWS rows.
     """
     if n < 1:
         raise ValueError("family parameter must be positive")
     if n > MAX_TWIST_ROWS:
         raise ValueError(f"the table has {n} rows, more than the limit {MAX_TWIST_ROWS}")
-    sd = normalize(
-        (Fraction(1, 2), Fraction(2, 3), Fraction(5 * n + 1, 6 * n + 1)), -2
-    )
-    (p1, q1, u1, v1), (p2, q2, u2, v2) = sd.conv[0], sd.conv[1]
-    inv = fiber3_matrix(sd).inverse()
+    (p1, q1, u1, v1), (p2, q2, u2, v2) = leg_convergents(1, 2), leg_convergents(2, 3)
+    inv = fiber3_matrix(leg_convergents(5 * n + 1, 6 * n + 1)).inverse()
     a, b, c, d = inv.a, inv.b, inv.c, inv.d
     rows = []
     for k in range(n):

@@ -115,7 +115,7 @@ def _write(value: Any, pad: str, out: list[str]) -> None:
         _write_object(((k, v) for k in fields if (v := getattr(value, k)) is not None), pad, out)
 
 
-def report(command: str, result: dict[str, Any]) -> str:
+def report(command: str, result: Any) -> str:
     """The report document as json.dumps(doc, indent=2) writes it, in one pass."""
     out: list[str] = []
     _write({"schema": SCHEMA, "exact": True, "command": command, "result": result}, "", out)

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor
+from math import gcd
 
-from .contfrac import Convergents, convergents, expand
+from .contfrac import Convergents, leg_convergents, leg_expansion
 
 
 @dataclass(frozen=True)
@@ -24,23 +24,51 @@ class SeifertData:
 
     @cached_property
     def invariant_sum(self) -> Fraction:
-        return sum(self.r, Fraction(0))
+        return Fraction(*_sum_ratio(self.conv))
 
     def __str__(self) -> str:
         return f"M({self.e0}; {', '.join(str(x) for x in self.r)})"
 
 
+def _sum_ratio(conv) -> tuple[int, int]:
+    """(num, den) with r_1 + r_2 + r_3 = num/den and den = q_1 q_2 q_3, not reduced."""
+    (p1, q1, _, _), (p2, q2, _, _), (p3, q3, _, _) = conv
+    q12 = q1 * q2
+    return (p1 * q2 + p2 * q1) * q3 + p3 * q12, q12 * q3
+
+
 def normalize(raw, e0_raw: int) -> SeifertData:
     """Normalized data from unnormalized invariants plus an integer part."""
-    raw = [Fraction(x) for x in raw]
-    if len(raw) != 3:
+    return _normalize([(x.numerator, x.denominator) for x in map(Fraction, raw)], e0_raw)
+
+
+def _normalize(pairs, e0_raw: int) -> SeifertData:
+    """normalize on invariants given as integer pairs (p, q) with q != 0.
+
+    Each p/q is reduced with gcd and split by divmod into its floor, which
+    moves into e0, and a part p'/q with 0 < p' < q.  The parts are sorted by
+    p' (Q/q) for Q = q_1 q_2 q_3, an exact integer key of p'/q.
+    """
+    if len(pairs) != 3:
         raise ValueError("expected exactly three Seifert invariants")
-    if any(x.denominator == 1 for x in raw):
-        raise ValueError("fewer than three singular fibers")
-    e0 = e0_raw + sum(floor(x) for x in raw)
-    parts = sorted(x - floor(x) for x in raw)
-    conv = tuple(convergents(-1 / x) for x in parts)
-    return SeifertData(e0, tuple(parts), conv)
+    e0 = e0_raw
+    legs = []
+    for p, q in pairs:
+        if q < 0:
+            p, q = -p, -q
+        g = gcd(p, q)
+        if g == q:
+            raise ValueError("fewer than three singular fibers")
+        k, p = divmod(p // g, q // g)
+        e0 += k
+        legs.append((p, q // g))
+    scale = legs[0][1] * legs[1][1] * legs[2][1]
+    legs.sort(key=lambda leg: leg[0] * (scale // leg[1]))
+    return SeifertData(
+        e0,
+        tuple(Fraction(p, q) for p, q in legs),
+        tuple(leg_convergents(p, q) for p, q in legs),
+    )
 
 
 def parse_manifold(text: str) -> SeifertData:
@@ -54,16 +82,17 @@ def parse_manifold(text: str) -> SeifertData:
     items = [s.strip() for s in tail.split(",")]
     if len(items) != 3:
         raise ValueError("expected three invariants r1,r2,r3")
-    return normalize([_parse_fraction(s) for s in items], e0)
+    return _normalize([_parse_fraction(s) for s in items], e0)
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str) -> tuple[int, int]:
+    """'p/q' or an integer, as the pair (p, q) with q != 0."""
     if "/" in text:
         p, q = (int(s) for s in text.split("/", 1))
         if q == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(p, q)
-    return Fraction(int(text))
+        return p, q
+    return int(text), 1
 
 
 def h1_order(sd: SeifertData) -> int:
@@ -90,7 +119,7 @@ MAX_PLUMBING_VERTICES = 1000
 def linking_matrix(sd: SeifertData) -> tuple[tuple[int, ...], ...]:
     """Star-shaped plumbing matrix: central vertex framed e0, one leg per
     fiber carrying the expansion of -1/ri, consecutive vertices linked once."""
-    legs = [expand(-1 / ri) for ri in sd.r]
+    legs = [leg_expansion(c.p, c.q) for c in sd.conv]
     n = 1 + sum(len(l) for l in legs)
     if n > MAX_PLUMBING_VERTICES:
         raise ValueError(f"plumbing has {n} vertices, more than the limit {MAX_PLUMBING_VERTICES}")
@@ -117,10 +146,11 @@ SUM_LT_2 = "sum_lt_2"
 DEGENERATE_SUM_2 = "degenerate_sum_2"
 GAP_OTHER = "gap_other"
 
-TORUS_BUNDLE_TRIPLES = (
-    (Fraction(1, 2), Fraction(3, 4), Fraction(3, 4)),
-    (Fraction(1, 2), Fraction(2, 3), Fraction(5, 6)),
-    (Fraction(2, 3), Fraction(2, 3), Fraction(2, 3)),
+# the three torus-bundle triples, as the (p, q) of each sorted leg
+TORUS_BUNDLE_LEGS = (
+    ((1, 2), (3, 4), (3, 4)),
+    ((1, 2), (2, 3), (5, 6)),
+    ((2, 3), (2, 3), (2, 3)),
 )
 
 
@@ -148,20 +178,19 @@ def detect_family(sd: SeifertData) -> Family:
     """
     if sd.e0 != -2:
         return Family(WRONG_E0)
-    r = sd.r
-    if r in TORUS_BUNDLE_TRIPLES:
+    (p1, q1, _, _), (p2, q2, _, _), (p3, q3, _, _) = sd.conv
+    if ((p1, q1), (p2, q2), (p3, q3)) in TORUS_BUNDLE_LEGS:
         return Family(TORUS_BUNDLE)
-    if r[0] == Fraction(1, 2) and r[1] == Fraction(2, 3):
-        p3, q3 = r[2].numerator, r[2].denominator
+    if (p1, q1, p2, q2) == (1, 2, 2, 3):
         if q3 % 6 == 1 and p3 == 5 * (q3 // 6) + 1 and q3 // 6 >= 1:
             return Family(SPHERE_FAMILY, n=q3 // 6)
         if q3 == p3 + 1 and p3 >= 6:
             return Family(K_OVER_K1, k=p3)
-    total = sd.invariant_sum
-    if total >= Fraction(9, 4):
+    num, den = _sum_ratio(sd.conv)
+    if 4 * num >= 9 * den:
         return Family(SUM_GE_9_4)
-    if total < 2:
+    if num < 2 * den:
         return Family(SUM_LT_2)
-    if total == 2:
+    if num == 2 * den:
         return Family(DEGENERATE_SUM_2)
     return Family(GAP_OTHER)

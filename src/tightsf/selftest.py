@@ -132,7 +132,7 @@ def check_max_twist_chain(ns: Iterable[int] = range(1, 21)) -> str:
         _check(table.n == n and len(table.rows) == n, f"n = {n}: the table has {len(table.rows)} rows, not n")
         sd = normalize((Fraction(1, 2), Fraction(2, 3), Fraction(5 * n + 1, 6 * n + 1)), -2)
         q1, v1 = sd.conv[0].q, sd.conv[0].v
-        transfer = fiber3_matrix(sd).inverse()
+        transfer = fiber3_matrix(sd.conv[2]).inverse()
         for k, row in enumerate(table.rows):
             n1, n2 = -3 * k - 1, -2 * k - 1
             rounded = rounded_slope_fraction(measured_slope(1, sd, n1), measured_slope(2, sd, n2), q1 * n1 + v1)

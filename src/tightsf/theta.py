@@ -118,7 +118,22 @@ def c1_squared(diagram: SurgeryDiagram) -> Fraction:
     return congruence(diagram)[1]
 
 
+@dataclass(frozen=True)
+class ThetaParts:
+    c1sq: Fraction
+    sigma: int
+    chi: int
+    theta: Fraction
+
+
+def theta_parts(diagram: SurgeryDiagram) -> ThetaParts:
+    """c1^2, sigma, chi = 1 + (number of link components) and
+    theta = c1^2 - 3*sigma - 2*chi, from one congruence elimination."""
+    sigma, c1sq = congruence(diagram)
+    chi = 1 + len(diagram.linking)
+    return ThetaParts(c1sq, sigma, chi, c1sq - 3 * sigma - 2 * chi)
+
+
 def theta(diagram: SurgeryDiagram) -> Fraction:
     """c1^2 - 3*sigma - 2*chi with chi = 1 + (number of link components)."""
-    sigma, c1sq = congruence(diagram)
-    return c1sq - 3 * sigma - 2 * (1 + len(diagram.linking))
+    return theta_parts(diagram).theta

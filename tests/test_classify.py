@@ -1,13 +1,20 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
+import pytest
+from hypothesis import given, settings
+
 import tightsf.contfrac as contfrac
 
-from tightsf.classify import ALL_STEIN, EXACT, INFINITE, MIXED, TORSION, UNKNOWN, classify
+from tightsf import report
+from tightsf.classify import ALL_STEIN, EXACT, INFINITE, MIXED, TORSION, UNKNOWN, _fiber_certificate, classify
+from tightsf.contfrac import expand, shifted_product
 from tightsf.convex import max_twist_table
 from tightsf.floer import index_set
 from tightsf.seifert import normalize, parse_manifold
+from triples import big_invariants, sorted_triples
 
 
 def test_sphere_family_example():
@@ -86,15 +93,14 @@ def test_no_exact_zero():
                 assert res.count >= 1
 
 
-
 def test_each_leg_is_read_once(monkeypatch):
     # the run decomposition is taken once per leg: T is the shortcut's
     # solid-torus count, so no second pass over a boundary slope's runs
     runs, calls = contfrac._runs, []
 
-    def counted(x):
-        calls.append(x)
-        return runs(x)
+    def counted(n, d):
+        calls.append((n, d))
+        return runs(n, d)
 
     sd = parse_manifold("-2;1/3,2/5,3/7")
     monkeypatch.setattr(contfrac, "_runs", counted)
@@ -102,3 +108,44 @@ def test_each_leg_is_read_once(monkeypatch):
     assert res.certificate.case == "sum_lt_2" and res.count == 8
     assert len(calls) == 3
     assert [row["count"] for row in res.certificate.data["shortcut"]] == list(res.certificate.data["t_values"])
+
+
+def test_report_path_builds_only_the_printed_fractions(monkeypatch):
+    # text -> parse -> classify -> JSON -> report over every triple with
+    # q_i <= 7 builds a Fraction only for a printed value: the three r and the
+    # sum, plus the four coefficients where the limit regimes print them
+    texts = [f"-2;{a},{b},{c}" for a, b, c in sorted_triples(7)]
+    new, built = Fraction.__new__, []
+
+    def counted(cls, *args, **kwargs):
+        built[-1] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    cases = []
+    for text in texts:
+        built.append(0)
+        res = classify(parse_manifold(text))
+        report.report("classify", report.classification_json(res))
+        cases.append(res.certificate.case)
+    monkeypatch.undo()
+    assert len(built) == 969 and max(built) <= 8
+    assert built == [8 if case in ("sum_ge_9_4", "sum_lt_2") else 4 for case in cases]
+
+
+@settings(max_examples=200, deadline=None)
+@given(big_invariants())
+def test_fiber_certificate_matches_expand_on_big_legs(drawn):
+    # each leg is expanded from its (p, q); the Fraction route -1/r agrees,
+    # an expansion over MAX_EXPANSION entries included
+    _, legs = drawn
+    sd = normalize([Fraction(p, q) for p, q in legs], -2)
+    try:
+        want = [expand(-1 / r) for r in sd.r]
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            _fiber_certificate(sd)
+        return
+    data = _fiber_certificate(sd)
+    assert [row["entries"] for row in data["shortcut"]] == want
+    assert list(data["t_values"]) == [shifted_product(e) for e in want]

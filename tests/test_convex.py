@@ -1,15 +1,16 @@
-import dataclasses
 import random
 from fractions import Fraction
 from math import floor, gcd, lcm
 
 import pytest
+from hypothesis import given, settings
 
 from tightsf.contfrac import convergents
 import tightsf.convex as convex
 from tightsf.convex import (
     MAX_TWIST_ROWS,
     RISING_DEPTH,
+    LimitInfo,
     SlopeCoeffs,
     limit_regime,
     max_twist_table,
@@ -23,7 +24,7 @@ from tightsf.convex import (
 from tightsf.seifert import normalize, parse_manifold
 from tightsf.selftest import random_invariant, rounded_slope_fraction
 from tightsf.slopes import Slope, UniMat
-from triples import sorted_triples
+from triples import big_invariants, sorted_triples
 
 
 def sphere_family(n):
@@ -236,15 +237,18 @@ def increasing_stepwise(sd, coeffs):
 
 
 def test_increasing_matches_stepwise_sweep():
-    # every sorted triple with q_i <= 12 in the two limit regimes
+    # every sorted triple with q_i <= 12 in the two limit regimes, each field
+    # also against the Fraction formulas
     checked = rising = 0
     for triple in sorted_triples(12):
         sd = normalize(triple, -2)
         c = slope_coeffs(sd)
+        assert limit_regime(c) == limit_regime_fraction(c)
         if not limit_regime(c):
             continue
         info = v3_slope_limit(sd, c)
         assert info.increasing == increasing_stepwise(sd, c)
+        assert info == v3_slope_limit_fraction(sd, c)
         checked += 1
         rising += info.increasing
     assert checked == 14686 and 0 < rising < checked
@@ -273,6 +277,38 @@ def test_increasing_matches_stepwise_windows_and_big_legs():
         assert v3_slope_limit(sd, c).increasing == increasing_stepwise(sd, c)
 
 
+# The Fraction formulas limit_regime and v3_slope_limit used before they
+# cross-multiplied numerators and denominators, kept as their oracle.
+
+def limit_regime_fraction(coeffs):
+    return coeffs.A >= Fraction(1, 4) or coeffs.A < 0
+
+
+def v3_slope_limit_fraction(sd, coeffs):
+    A, C, F, D = coeffs.A, coeffs.C, coeffs.F, coeffs.D
+    p3, q3, u3, v3 = sd.conv[2]
+    limit = A * q3 / (C * v3)
+    increasing = A * D < F * C and not -RISING_DEPTH <= -D / C <= -1
+    threshold_ok = limit <= Fraction(p3 - q3, v3 - u3)
+    return LimitInfo(Slope.from_fraction(limit), increasing, threshold_ok)
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_invariants())
+def test_limit_matches_fraction_oracle_on_big_legs(drawn):
+    # 64-512-bit legs, random legs and scaled family triples alike
+    _, legs = drawn
+    sd = normalize([Fraction(p, q) for p, q in legs], -2)
+    c = slope_coeffs(sd)
+    assert limit_regime(c) == limit_regime_fraction(c)
+    if limit_regime(c):
+        info = v3_slope_limit(sd, c)
+        assert info == v3_slope_limit_fraction(sd, c) and type(info.limit) is Slope
+    else:
+        with pytest.raises(ValueError, match="gap region"):
+            v3_slope_limit(sd, c)
+
+
 def test_max_twist_table():
     t1 = max_twist_table(1)
     assert [(r.k, r.boundary, r.count) for r in t1.rows] == [(0, Slope(-1), 1)]
@@ -295,12 +331,11 @@ def test_max_twist_table_checks_each_boundary(monkeypatch):
 
 def test_max_twist_table_checks_the_balance(monkeypatch):
     # dividing counts that fail to balance are caught by the row check, which -O keeps
-    def unbalanced(r, e0):
-        sd = normalize(r, e0)
-        conv = (sd.conv[0], sd.conv[1]._replace(v=sd.conv[1].v + 1), sd.conv[2])
-        return dataclasses.replace(sd, conv=conv)
+    def unbalanced(p, q):
+        conv = convergents(Fraction(-q, p))
+        return conv._replace(v=conv.v + 1) if (p, q) == (2, 3) else conv
 
-    monkeypatch.setattr(convex, "normalize", unbalanced)
+    monkeypatch.setattr(convex, "leg_convergents", unbalanced)
     with pytest.raises(ArithmeticError, match="balance"):
         max_twist_table(3)
 

@@ -1,22 +1,29 @@
+import random
 from fractions import Fraction
+from math import floor
 
 import pytest
+from hypothesis import given, settings
 
+from tightsf.contfrac import leg_expansion
 from tightsf.seifert import (
     DEGENERATE_SUM_2,
     GAP_OTHER,
     K_OVER_K1,
+    MAX_PLUMBING_VERTICES,
     SPHERE_FAMILY,
     SUM_GE_9_4,
     SUM_LT_2,
     TORUS_BUNDLE,
     WRONG_E0,
+    Family,
     detect_family,
     h1_order,
     linking_matrix,
     normalize,
     parse_manifold,
 )
+from triples import big_invariants
 
 
 def det_gauss(matrix):
@@ -106,6 +113,7 @@ def test_detect_family_examples():
     assert fam.kind == K_OVER_K1 and fam.k == 9
     assert detect_family(parse_manifold("-2;1/2,3/4,4/5")).kind == GAP_OTHER
     assert detect_family(parse_manifold("-2;7/9,7/9,7/9")).kind == SUM_GE_9_4
+    assert detect_family(parse_manifold("-2;3/4,3/4,3/4")).kind == SUM_GE_9_4  # sum exactly 9/4
     assert detect_family(parse_manifold("-2;1/2,2/3,9/11")).kind == SUM_LT_2
     assert detect_family(parse_manifold("-2;2/5,4/5,4/5")).kind == DEGENERATE_SUM_2
     assert detect_family(parse_manifold("0;1/2,2/3,6/7")).kind == WRONG_E0
@@ -121,3 +129,87 @@ def test_sphere_family_sits_in_gap():
 def test_zero_denominator_is_a_value_error():
     with pytest.raises(ValueError, match="zero denominator"):
         parse_manifold("-2;1/0,1/2,1/3")
+
+
+# The Fraction route normalize, detect_family and invariant_sum took before
+# they ran on integer pairs, kept as their oracle.
+
+TORUS_BUNDLE_TRIPLES = (
+    (Fraction(1, 2), Fraction(3, 4), Fraction(3, 4)),
+    (Fraction(1, 2), Fraction(2, 3), Fraction(5, 6)),
+    (Fraction(2, 3), Fraction(2, 3), Fraction(2, 3)),
+)
+
+
+def normalize_fraction(raw, e0_raw):
+    """(e0, r) with the integer parts moved into e0 and the parts sorted."""
+    raw = [Fraction(x) for x in raw]
+    return e0_raw + sum(floor(x) for x in raw), tuple(sorted(x - floor(x) for x in raw))
+
+
+def detect_family_fraction(e0, r):
+    if e0 != -2:
+        return Family(WRONG_E0)
+    if r in TORUS_BUNDLE_TRIPLES:
+        return Family(TORUS_BUNDLE)
+    if r[0] == Fraction(1, 2) and r[1] == Fraction(2, 3):
+        p3, q3 = r[2].numerator, r[2].denominator
+        if q3 % 6 == 1 and p3 == 5 * (q3 // 6) + 1 and q3 // 6 >= 1:
+            return Family(SPHERE_FAMILY, n=q3 // 6)
+        if q3 == p3 + 1 and p3 >= 6:
+            return Family(K_OVER_K1, k=p3)
+    total = sum(r, Fraction(0))
+    if total >= Fraction(9, 4):
+        return Family(SUM_GE_9_4)
+    if total < 2:
+        return Family(SUM_LT_2)
+    if total == 2:
+        return Family(DEGENERATE_SUM_2)
+    return Family(GAP_OTHER)
+
+
+@settings(max_examples=400, deadline=None)
+@given(big_invariants())
+def test_integer_route_matches_fraction_oracle_on_big_legs(drawn):
+    # 64-512-bit legs, unreduced, with random signs and integer parts, read
+    # both by normalize and by parse_manifold
+    e0_raw, legs = drawn
+    e0, r = normalize_fraction([Fraction(p, q) for p, q in legs], e0_raw)
+    text = f"{e0_raw};" + ",".join(f"{p}/{q}" for p, q in legs)
+    for sd in (normalize([Fraction(p, q) for p, q in legs], e0_raw), parse_manifold(text)):
+        assert (sd.e0, sd.r) == (e0, r)
+        assert all(type(x) is Fraction for x in sd.r)
+        for x, (p, q, u, v) in zip(r, sd.conv):
+            # v is the inverse of p modulo q in (0, q), which fixes u
+            assert (p, q) == (x.numerator, x.denominator) and p * v - q * u == 1 and 0 < v < q
+        assert sd.invariant_sum == sum(r, Fraction(0)) and type(sd.invariant_sum) is Fraction
+        assert detect_family(sd) == detect_family_fraction(e0, r)
+
+
+def test_h1_order_matches_sympy_determinant():
+    # random legs, with e0 from -4 to 0 and some with e0 + r1 + r2 + r3 = 0, whose
+    # plumbing fits MAX_PLUMBING_VERTICES; kept to at most 40 vertices so that
+    # sympy's determinant stays fast
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(10)
+    checked = zero = 0
+    while checked < 60:
+        legs = []
+        for _ in range(3):
+            q = rng.randint(2, 2 ** rng.randint(2, 14))
+            legs.append(Fraction(rng.randint(1, q - 1), q))
+        e0 = rng.randint(-4, 0)
+        if rng.random() < 0.1:
+            legs[2] = -e0 - legs[0] - legs[1]  # e0 + r1 + r2 + r3 = 0: a surface bundle
+            if legs[2].denominator == 1:
+                continue
+        sd = normalize(legs, e0)
+        vertices = 1 + sum(len(leg_expansion(c.p, c.q)) for c in sd.conv)
+        if vertices > 40:
+            continue
+        assert vertices <= MAX_PLUMBING_VERTICES
+        det = sympy.Matrix(linking_matrix(sd)).det(method="domain-ge")
+        assert h1_order(sd) == abs(int(det))
+        checked += 1
+        zero += det == 0
+    assert zero > 0

@@ -357,8 +357,7 @@ def counted(monkeypatch):
         calls["check"] += 1
         check(self)
 
-    for module in (theta_module, cli):
-        monkeypatch.setattr(module, "congruence", counted_congruence)
+    monkeypatch.setattr(theta_module, "congruence", counted_congruence)
     monkeypatch.setattr(SurgeryDiagram, "__post_init__", counted_check)
     return calls
 
