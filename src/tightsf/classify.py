@@ -81,7 +81,8 @@ def _fiber_certificate(sd: SeifertData) -> dict[str, Any]:
     """Per-fiber counts plus the solid-torus shortcut data.
 
     Each leg r = p/q is expanded once, from (p, q) with 0 < p < q as
-    normalize guarantees, and its T taken once.  The boundary slope
+    normalize guarantees, and its T taken once, from the heads of the
+    expansion's runs.  The boundary slope
     ncf_eval(reverse_shift(entries)) equals (p - q)/(v - u) from the convergents
     stored in sd, and its solid-torus count is T: reverse_shift keeps the
     shifted factors a_k + 1, and the head a_0 + 1 becomes the unshifted last
@@ -91,7 +92,7 @@ def _fiber_certificate(sd: SeifertData) -> dict[str, Any]:
     shortcut = []
     for r, (p, q, u, v) in zip(sd.r, sd.conv):
         entries = leg_expansion(p, q)
-        t = shifted_product(entries)
+        t = shifted_product(entries.runs)
         t_values.append(t)
         shortcut.append({"r": r, "entries": entries, "boundary": Slope(p - q, v - u), "count": t})
     return {"t_values": tuple(t_values), "shortcut": tuple(shortcut)}

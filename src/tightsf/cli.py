@@ -27,11 +27,11 @@ def _cmd_cf(args) -> int:
     p, q, u, v = convergents(x)
     shifted = reverse_shift(entries)
     shifted_value = Slope(p - q, v - u)  # equals ncf_eval(shifted)
-    t = shifted_product(entries)  # T(p/q), read off the expansion of -q/p
+    t = shifted_product(entries.runs)  # T(p/q), read off the expansion of -q/p
     if args.json:
         print(report.report("cf", {
             "slope": x,
-            "entries": list(entries),
+            "entries": entries,
             "p": p, "q": q, "u": u, "v": v,
             "t": t,
             "reverse_shift": list(shifted),

@@ -69,22 +69,50 @@ def _runs(n: int, d: int) -> list[tuple[int, int]]:
     return runs
 
 
-def leg_expansion(p: int, q: int) -> tuple[int, ...]:
-    """Canonical expansion of -q/p = -1/r for the leg r = p/q, 0 < p < q coprime.
+class Expansion(tuple):
+    """A canonical expansion: the tuple of its entries, built from `runs`, the
+    (a, m) pairs of m consecutive entries a that _runs reads off.
 
-    Raises ValueError when it would have more than MAX_EXPANSION entries.
+    Code that needs one number per run (T, the JSON text of the entries) reads
+    `runs` and makes O(runs) Python steps, however long the tuple is.
+    """
+
+    def __new__(cls, runs: list[tuple[int, int]]) -> Expansion:
+        if len(runs) == 1:  # a leg such as 1/q or (q-1)/q: one repetition, no list
+            (a, m), = runs
+            flat = (a,) * m
+        else:
+            flat = []
+            for a, m in runs:
+                flat += (a,) * m
+        self = tuple.__new__(cls, flat)
+        self.runs = runs
+        return self
+
+
+def leg_runs(p: int, q: int) -> list[tuple[int, int]]:
+    """Runs of the canonical expansion of -q/p = -1/r for the leg r = p/q,
+    0 < p < q coprime, checked against the cap before any entry is built.
+
+    Raises ValueError when the expansion would have more than MAX_EXPANSION
+    entries.
     """
     runs = _runs(q, p)
     length = sum(m for _, m in runs)
     if length > MAX_EXPANSION:
         raise ValueError(f"expansion has {length} entries, more than the limit {MAX_EXPANSION}")
-    out = []
-    for a, m in runs:
-        out += (a,) * m
-    return tuple(out)
+    return runs
 
 
-def expand(x: Slope | Fraction) -> tuple[int, ...]:
+def leg_expansion(p: int, q: int) -> Expansion:
+    """Canonical expansion of -q/p = -1/r for the leg r = p/q, 0 < p < q coprime.
+
+    Raises ValueError when it would have more than MAX_EXPANSION entries.
+    """
+    return Expansion(leg_runs(p, q))
+
+
+def expand(x: Slope | Fraction) -> Expansion:
     """Canonical expansion of a rational x < -1, as a tuple of entries <= -2.
 
     Raises ValueError when it would have more than MAX_EXPANSION entries.
@@ -93,9 +121,13 @@ def expand(x: Slope | Fraction) -> tuple[int, ...]:
     return leg_expansion(d, n)
 
 
-def shifted_product(entries) -> int:
-    """|prod (a_k + 1)| over canonical entries; each -2 adds a factor -1 and is skipped."""
-    return abs(prod(a + 1 for a in entries if a != -2))
+def shifted_product(runs) -> int:
+    """|prod (a_k + 1)| over the canonical entries that the runs (a, m) spell.
+
+    A run of -2 adds only factors -1, and every other run is one entry, so
+    the product is read off the run heads in O(runs) steps.
+    """
+    return abs(prod(a + 1 for a, _ in runs if a != -2))
 
 
 def ncf_eval(entries) -> Slope:
@@ -150,7 +182,7 @@ def tight_count(r: Fraction) -> int:
     r = Fraction(r)
     if not 0 < r < 1:
         raise ValueError("invariant must lie in (0, 1)")
-    return shifted_product(a for a, _ in _runs(r.denominator, r.numerator))
+    return shifted_product(_runs(r.denominator, r.numerator))
 
 
 def solid_torus_count(s: Slope | Fraction) -> int:
@@ -171,5 +203,5 @@ def solid_torus_count(s: Slope | Fraction) -> int:
         raise ValueError("boundary slope must be <= -1 in these coordinates")
     if f.denominator == 1:
         return -f.numerator
-    heads = [a for a, _ in _runs(-f.numerator, f.denominator)]
-    return abs(heads[-1]) * shifted_product(heads[:-1])
+    runs = _runs(-f.numerator, f.denominator)
+    return abs(runs[-1][0]) * shifted_product(runs[:-1])

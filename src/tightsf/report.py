@@ -9,9 +9,11 @@ fixed at construction time and json round-trips byte for byte; no value in a
 report is ever a float.
 
 The writer dispatches on the exact type of each value: str, int, bool, None,
-`Slope`, `Fraction`, dict, list and tuple, and a record is any other type with
-`__dataclass_fields__`.  Subclasses of the plain types are not accepted, so no
-value pays for an isinstance test (against `Fraction` that is an ABC check).
+`Slope`, `Fraction`, dict, `Expansion`, list and tuple, and a record is any
+other type with `__dataclass_fields__`.  An `Expansion` (a tuple subclass) is
+the list of its entries, written one run of equal entries at a time.  Other
+subclasses of the plain types are not accepted, so no value pays for an
+isinstance test (against `Fraction` that is an ABC check).
 A record type's field names are read once and kept in a module dict keyed by
 the type.  Any other value raises TypeError.
 """
@@ -22,6 +24,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .classify import ClassificationResult
+from .contfrac import Expansion
 from .seifert import SeifertData
 from .slopes import Slope
 
@@ -92,6 +95,8 @@ def _write(value: Any, pad: str, out: list[str]) -> None:
         out.append("null")
     elif t is dict:
         _write_object(value.items(), pad, out)
+    elif t is Expansion:
+        _write_expansion(value, pad, out)
     elif t is list or t is tuple:
         if not value:
             out.append("[]")
@@ -113,6 +118,34 @@ def _write(value: Any, pad: str, out: list[str]) -> None:
                 raise TypeError(f"cannot write {t.__name__} into a report")
             fields = _FIELDS[t] = tuple(t.__dataclass_fields__)
         _write_object(((k, v) for k in fields if (v := getattr(value, k)) is not None), pad, out)
+
+
+def _write_expansion(value: Expansion, pad: str, out: list[str]) -> None:
+    """Append the JSON list of an expansion's entries, as _write does for a
+    tuple of ints.  A run of m >= 2 equal entries is one string repetition,
+    and the single entries between such runs are one join, so the Python
+    steps are O(runs) however long the expansion is.
+    """
+    if not value:
+        out.append("[]")
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    out.append("[\n" + inner + int.__repr__(value[0]))
+    done = 1  # entries before this index are written
+    end = 0  # the end of the current run
+    for a, m in value.runs:
+        end += m
+        if m > 1:
+            start = end - m
+            if done < start:
+                out.append(sep + sep.join(map(int.__repr__, value[done:start])))
+                done = start
+            out.append((sep + int.__repr__(a)) * (end - done))
+            done = end
+    if done < end:
+        out.append(sep + sep.join(map(int.__repr__, value[done:end])))
+    out.append("\n" + pad + "]")
 
 
 def report(command: str, result: Any) -> str:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .contfrac import Convergents, leg_convergents, leg_expansion
+from .contfrac import Convergents, Expansion, leg_convergents, leg_runs
 
 
 @dataclass(frozen=True)
@@ -112,21 +112,22 @@ def h1_order(sd: SeifertData) -> int:
 
 
 # The linking matrix has n^2 entries for n vertices, so the plumbing size
-# is capped before the matrix is allocated.
+# is capped, from the run lengths of the legs, before any leg or the matrix
+# is built.
 MAX_PLUMBING_VERTICES = 1000
 
 
 def linking_matrix(sd: SeifertData) -> tuple[tuple[int, ...], ...]:
     """Star-shaped plumbing matrix: central vertex framed e0, one leg per
     fiber carrying the expansion of -1/ri, consecutive vertices linked once."""
-    legs = [leg_expansion(c.p, c.q) for c in sd.conv]
-    n = 1 + sum(len(l) for l in legs)
+    runs = [leg_runs(c.p, c.q) for c in sd.conv]
+    n = 1 + sum(m for leg in runs for _, m in leg)
     if n > MAX_PLUMBING_VERTICES:
         raise ValueError(f"plumbing has {n} vertices, more than the limit {MAX_PLUMBING_VERTICES}")
     m = [[0] * n for _ in range(n)]
     m[0][0] = sd.e0
     idx = 1
-    for leg in legs:
+    for leg in map(Expansion, runs):
         prev = 0
         for a in leg:
             m[idx][idx] = a

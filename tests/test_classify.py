@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction
@@ -6,6 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 
+import tightsf.classify as classify_module
 import tightsf.contfrac as contfrac
 
 from tightsf import report
@@ -110,6 +112,39 @@ def test_each_leg_is_read_once(monkeypatch):
     assert [row["count"] for row in res.certificate.data["shortcut"]] == list(res.certificate.data["t_values"])
 
 
+def test_long_run_costs_one_step(monkeypatch):
+    # r = (q-1)/q expands to q-1 entries -2, one run: T reads at most one item
+    # per run, and writing the entries calls int.__repr__ at most once per run
+    # and once for the first entry (counted work, not timing)
+    q = 10**5
+    handed = []
+
+    def counted_product(items):
+        items = list(items)
+        handed.append(len(items))
+        return shifted_product(items)
+
+    monkeypatch.setattr(classify_module, "shifted_product", counted_product)
+    legs = [row["entries"] for row in _fiber_certificate(parse_manifold(f"-2;1/3,2/5,{q - 1}/{q}"))["shortcut"]]
+    assert [len(leg) for leg in legs] == [1, 2, q - 1] and legs[2].runs == [(-2, q - 1)]
+    assert len(handed) == 3 and all(n <= len(leg.runs) for n, leg in zip(handed, legs))
+
+    reprs = []
+
+    class CountedInt:  # stands in for the builtin int that report reads int.__repr__ from
+        @staticmethod
+        def __repr__(a):
+            reprs.append(a)
+            return int.__repr__(a)
+
+    monkeypatch.setattr(report, "int", CountedInt, raising=False)
+    out = []
+    report._write(legs[2], "  ", out)
+    monkeypatch.undo()
+    assert len(reprs) <= 1 + len(legs[2].runs)
+    assert "".join(out) == json.dumps(list(legs[2]), indent=2).replace("\n", "\n  ")
+
+
 def test_report_path_builds_only_the_printed_fractions(monkeypatch):
     # text -> parse -> classify -> JSON -> report over every triple with
     # q_i <= 7 builds a Fraction only for a printed value: the three r and the
@@ -148,4 +183,4 @@ def test_fiber_certificate_matches_expand_on_big_legs(drawn):
         return
     data = _fiber_certificate(sd)
     assert [row["entries"] for row in data["shortcut"]] == want
-    assert list(data["t_values"]) == [shifted_product(e) for e in want]
+    assert list(data["t_values"]) == [shifted_product(e.runs) for e in want]

@@ -140,9 +140,15 @@ def test_fast_paths_match_stepwise_oracles():
         x = -1 / r
         entries = expand_stepwise(x)
         conv = convergents_via_eval(x, entries)
-        assert expand(x) == entries
+        fast = expand(x)
+        assert fast == entries
+        # the runs spell the entries: maximal runs of -2, every other entry alone
+        runs = fast.runs
+        assert [a for a, m in runs for _ in range(m)] == list(entries)
+        assert all(m >= 1 and (m == 1 or a == -2) for a, m in runs)
+        assert not any(a == b == -2 for (a, _), (b, _) in zip(runs, runs[1:]))
         assert convergents(x) == conv
-        assert tight_count(r) == shifted_product(entries) == abs(prod_shifted(entries))
+        assert tight_count(r) == shifted_product(runs) == abs(prod_shifted(entries))
         boundary = Fraction(conv.p - conv.q, conv.v - conv.u)
         assert solid_torus_count(boundary) == unshifted_last_count(expand_stepwise(boundary))
 

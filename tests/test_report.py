@@ -1,6 +1,8 @@
 import json
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Any
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from tightsf import report
 from tightsf.classify import Fillability, classify
+from tightsf.contfrac import Expansion, leg_expansion
 from tightsf.convex import LimitInfo, MaxTwistRow, SlopeCoeffs
 from tightsf.seifert import parse_manifold
 from tightsf.slopes import INF, Slope
@@ -64,8 +67,9 @@ def written(value) -> str:
 
 
 # Values a report may hold: str (non-ASCII included), int (bigints
-# included), bool, None, Fraction and Slope (the infinite one too), nested in
-# dicts, lists, tuples and records with an optional field, empty ones too.
+# included), bool, None, Fraction and Slope (the infinite one too), the
+# Expansion of a leg, nested in dicts, lists, tuples and records with an
+# optional field, empty ones too.
 leaves = st.one_of(
     st.text(max_size=8),
     st.integers(min_value=-(10**400), max_value=10**400),
@@ -74,6 +78,9 @@ leaves = st.one_of(
     st.fractions(),
     st.builds(Slope, st.integers(), st.integers(min_value=1)),
     st.just(INF),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**4).filter(lambda r: 0 < r < 1).map(
+        lambda r: leg_expansion(r.numerator, r.denominator)),
+    st.just(Expansion([])),
 )
 values = st.recursive(
     leaves,
@@ -109,6 +116,47 @@ def test_classification_report_matches_json_dumps():
             {"schema": report.SCHEMA, "exact": True, "command": "classify", "result": doc},
             indent=2, default=oracle,
         )
+
+
+def _fib(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def expansion_legs():
+    """(p, q) of legs whose expansions are one long run, all single entries,
+    or a mix: near-1 and 1/q legs, Fibonacci ratios, and random legs of 2^4 ..
+    2^14 bits."""
+    for q in (2, 3, 10, 10**3, 10**5):
+        yield q - 1, q
+        yield 1, q
+    for k in (5, 60, 400, 1200):
+        yield _fib(k - 1), _fib(k)
+        yield _fib(k - 2), _fib(k)
+        yield _fib(k), _fib(k + 2)
+    rng = random.Random(14)
+    for e in range(2, 15):
+        for _ in range(3):
+            q = rng.getrandbits(2**e) | (1 << (2**e - 1))
+            p = rng.randrange(1, q)
+            g = gcd(p, q)
+            yield p // g, q // g
+
+
+def test_expansion_writer_matches_json_dumps():
+    # an Expansion is written run by run; at any nesting depth the text is
+    # json.dumps of its entries
+    for p, q in expansion_legs():
+        e = leg_expansion(p, q)
+        want = json.dumps(list(e), indent=2)
+        for pad in ("", "  ", "      "):
+            out = []
+            report._write(e, pad, out)
+            assert "".join(out) == want.replace("\n", "\n" + pad)
+    assert written(Expansion([])) == "[]"
+    assert written({"e": Expansion([])}) == json.dumps({"e": []}, indent=2)
 
 
 def test_writer_int_tuples_and_fractions():

@@ -5,6 +5,8 @@ from math import floor
 import pytest
 from hypothesis import given, settings
 
+import tightsf.seifert as seifert
+
 from tightsf.contfrac import leg_expansion
 from tightsf.seifert import (
     DEGENERATE_SUM_2,
@@ -213,3 +215,13 @@ def test_h1_order_matches_sympy_determinant():
         checked += 1
         zero += det == 0
     assert zero > 0
+
+
+def test_plumbing_cap_is_read_off_the_runs(monkeypatch):
+    # 1 + 1 + 1 + 99999 vertices: refused from the run lengths, before any leg
+    # is built
+    built = []
+    monkeypatch.setattr(seifert, "Expansion", built.append)
+    with pytest.raises(ValueError, match=r"^plumbing has 100002 vertices, more than the limit 1000$"):
+        linking_matrix(parse_manifold("-2;1/3,1/3,99999/100000"))
+    assert built == []
