@@ -114,7 +114,7 @@ def classify(sd: SeifertData) -> ClassificationResult:
         count = n * (n + 1) // 2
         if table.total != count:
             raise ArithmeticError(f"max_twist_table rows sum to {table.total}, not n(n+1)/2 = {count}")
-        data: dict[str, Any] = {"n": n, "per_k": table.rows}
+        data: dict[str, Any] = {"n": n, "per_k": table}
         if n == 1:  # also (1/2, 2/3, k/(k+1)) at k = 6, where the one structure is Stein
             data["also_k_over_k_plus_1"] = 6
         kind = ALL_STEIN if n == 1 else MIXED

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from typing import NamedTuple
 
-from .contfrac import Convergents, leg_convergents, solid_torus_count
+from .contfrac import Convergents, leg_convergents
 from .seifert import SeifertData
 from .slopes import Slope, UniMat
 
@@ -180,11 +182,11 @@ def v3_slope_limit(sd: SeifertData, coeffs: SlopeCoeffs) -> LimitInfo:
 MAX_TWIST_ROWS = 10**5
 
 
-@dataclass(frozen=True)
-class MaxTwistRow:
+class MaxTwistRow(NamedTuple):
     k: int
-    rounded: Slope  # slope of the rounded torus, -k/(6k+1)
-    boundary: Slope  # dV_3 boundary slope, -n+k
+    rounded_num: int  # slope of the rounded torus, -k/(6k+1), reduced with den > 0
+    rounded_den: int
+    boundary: int  # dV_3 boundary slope, the integer -n+k
     count: int  # tight structures on V_3 rel boundary
 
 
@@ -210,11 +212,16 @@ def max_twist_table(n: int) -> MaxTwistTable:
     are checked to balance at delta, the two measured numerators are summed
     over delta less 1 (the rounding), and the inverse V_3 transfer, unpacked
     once per table into four integers, carries the negated rounded vector to
-    dV_3, where its image is checked to be proportional to (1, -n+k).  The
-    convergents of the three legs are read off their (p, q), so the table
-    builds no Fraction, and the only slopes built are the two each row
-    stores.  Both checks raise ArithmeticError, so they hold under python -O.
-    Raises ValueError above MAX_TWIST_ROWS rows.
+    dV_3, where its image is checked to be proportional to (1, -n+k).  Both
+    checks raise ArithmeticError, so they hold under python -O.
+
+    A row is five ints (k, rounded_num, rounded_den, boundary, count): the
+    rounded slope is reduced by one gcd to a positive denominator, as Slope
+    reduces it, the boundary is the integer -n+k the check proved, and the
+    count is n-k, which is solid_torus_count of the integer slope -n+k
+    (selftest.check_max_twist_chain compares the two).  The convergents of the
+    three legs are read off their (p, q), so the table builds no Fraction and
+    no Slope.  Raises ValueError above MAX_TWIST_ROWS rows.
     """
     if n < 1:
         raise ValueError("family parameter must be positive")
@@ -235,6 +242,6 @@ def max_twist_table(n: int) -> MaxTwistTable:
         y = c * delta - d * num
         if x == 0 or y != (k - n) * x:
             raise ArithmeticError(f"row k = {k}: V_3 boundary slope {Slope(y, x)} is not -n+k = {k - n}")
-        boundary = Slope(k - n)
-        rows.append(MaxTwistRow(k, Slope(num, delta), boundary, solid_torus_count(boundary)))
+        g = -gcd(num, delta)  # delta < 0, since q_1 >= v_1 > 0 and n_1 < 0
+        rows.append(MaxTwistRow(k, num // g, delta // g, k - n, n - k))
     return MaxTwistTable(n, tuple(rows))

@@ -2,18 +2,21 @@
 
 The writer renders library values itself: a `Slope` or `Fraction` is a
 {"num", "den"} pair (the infinite slope is {"num": 1, "den": 0}), and a record,
-a dataclass such as `SlopeCoeffs`, `LimitInfo`, `MaxTwistRow` or `Fillability`,
-is an object of its fields in declaration order, leaving out fields that are
-None.  Callers pass these values into a report unchanged.  Field order is
-fixed at construction time and json round-trips byte for byte; no value in a
-report is ever a float.
+a dataclass such as `SlopeCoeffs`, `LimitInfo` or `Fillability`, is an object
+of its fields in declaration order, leaving out fields that are None.  Callers
+pass these values into a report unchanged.  Field order is fixed at
+construction time and json round-trips byte for byte; no value in a report is
+ever a float.
 
 The writer dispatches on the exact type of each value: str, int, bool, None,
-`Slope`, `Fraction`, dict, `Expansion`, list and tuple, and a record is any
-other type with `__dataclass_fields__`.  An `Expansion` (a tuple subclass) is
-the list of its entries, written one run of equal entries at a time.  Other
-subclasses of the plain types are not accepted, so no value pays for an
-isinstance test (against `Fraction` that is an ABC check).
+`Slope`, `Fraction`, dict, `Expansion`, list and tuple, `MaxTwistTable`, and a
+record is any other type with `__dataclass_fields__`.  An `Expansion` (a tuple
+subclass) is the list of its entries, written one run of equal entries at a
+time.  A `MaxTwistTable` is the list of its rows, each `MaxTwistRow` (a tuple
+of five ints, not a record) written as the object {"k", "rounded", "boundary",
+"count"} from one template.  Other subclasses of the plain types are not
+accepted, so no value pays for an isinstance test (against `Fraction` that is
+an ABC check).
 A record type's field names are read once and kept in a module dict keyed by
 the type.  Any other value raises TypeError.
 """
@@ -25,6 +28,7 @@ from typing import Any
 
 from .classify import ClassificationResult
 from .contfrac import Expansion
+from .convex import MaxTwistTable
 from .seifert import SeifertData
 from .slopes import Slope
 
@@ -112,6 +116,9 @@ def _write(value: Any, pad: str, out: list[str]) -> None:
             sep = ",\n" + inner
         out.append("\n" + pad + "]")
     else:
+        if t is MaxTwistTable:
+            _write_max_twist_table(value, pad, out)
+            return
         fields = _FIELDS.get(t)
         if fields is None:
             if not hasattr(t, "__dataclass_fields__"):
@@ -146,6 +153,24 @@ def _write_expansion(value: Expansion, pad: str, out: list[str]) -> None:
     if done < end:
         out.append(sep + sep.join(map(int.__repr__, value[done:end])))
     out.append("\n" + pad + "]")
+
+
+def _write_max_twist_table(value: MaxTwistTable, pad: str, out: list[str]) -> None:
+    """Append the JSON list of a sphere-family table's rows, each the object
+    {"k", "rounded", "boundary", "count"}, from one %-template built per call.
+    The boundary's "den" is the literal 1: max_twist_table checks that the V_3
+    image is proportional to (1, -n+k), so the boundary slope is the integer
+    -n+k.
+    """
+    if not value.rows:
+        out.append("[]")
+        return
+    inner = pad + "  "
+    i2 = inner + "  "
+    i3 = i2 + "  "
+    tmpl = (f'{{\n{i2}"k": %d,\n{i2}"rounded": {{\n{i3}"num": %d,\n{i3}"den": %d\n{i2}}},'
+            f'\n{i2}"boundary": {{\n{i3}"num": %d,\n{i3}"den": 1\n{i2}}},\n{i2}"count": %d\n{inner}}}')
+    out.append("[\n" + inner + (",\n" + inner).join(map(tmpl.__mod__, value.rows)) + "\n" + pad + "]")
 
 
 def report(command: str, result: Any) -> str:

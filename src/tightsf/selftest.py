@@ -124,7 +124,9 @@ def check_closed_form(samples: int = 200, seed: int = 11, min_n1: int = -40) -> 
 
 def check_max_twist_chain(ns: Iterable[int] = range(1, 21)) -> str:
     """Each row against its own route: measured slopes summed as Fractions,
-    carried to dV_3 by v3_slope_stepwise and by the inverse attaching matrix."""
+    carried to dV_3 by v3_slope_stepwise and by the inverse attaching matrix,
+    and the count of the boundary slope from solid_torus_count; every row field
+    is a plain int."""
     rows = top = 0
     for n in ns:
         table = max_twist_table(n)
@@ -139,8 +141,10 @@ def check_max_twist_chain(ns: Iterable[int] = range(1, 21)) -> str:
             _check(rounded == Slope(-k, 6 * k + 1), f"n = {n}, k = {k}: rounded is not -k/(6k+1)")
             boundary = v3_slope_stepwise(sd, n1, n2)
             _check(boundary == transfer.apply(-rounded) == Slope(-n + k), f"n = {n}, k = {k}: boundary is not -n+k")
-            _check(solid_torus_count(boundary) == n - k, f"n = {n}, k = {k}: count is not n-k")
-            _check(row == MaxTwistRow(k, rounded, boundary, n - k) and type(row.count) is int,
+            count = solid_torus_count(boundary)
+            _check(count == n - k, f"n = {n}, k = {k}: count is not n-k")
+            _check(row == MaxTwistRow(k, rounded.num, rounded.den, boundary.num, count)
+                   and set(map(type, row)) == {int},
                    f"n = {n}, k = {k}: row {row} differs from the stepwise route")
             rows += 1
         top = max(top, n)

@@ -345,11 +345,11 @@ SABOTAGED_SELFTEST = """
 import sys
 import tightsf.selftest as selftest
 from tightsf.cli import main
-from tightsf.convex import MaxTwistRow, MaxTwistTable, max_twist_table
+from tightsf.convex import MaxTwistTable, max_twist_table
 
 def sabotaged(n):
     rows = max_twist_table(n).rows
-    return MaxTwistTable(n, rows[:-1] + (MaxTwistRow(n - 1, rows[-1].rounded, rows[-1].boundary, 2),))
+    return MaxTwistTable(n, rows[:-1] + (rows[-1]._replace(count=2),))
 
 if sys.argv[1] == "sabotage":
     selftest.max_twist_table = sabotaged

@@ -5,6 +5,9 @@ from math import floor, gcd, lcm
 import pytest
 from hypothesis import given, settings
 
+from tightsf import report
+import tightsf.contfrac as contfrac
+from tightsf.classify import classify
 from tightsf.contfrac import convergents
 import tightsf.convex as convex
 from tightsf.convex import (
@@ -361,6 +364,42 @@ def test_max_twist_table_builds_only_the_stored_slopes(monkeypatch):
         assert max_twist_table(n).total == n * (n + 1) // 2
         assert calls["Slope"] <= 2 * n + 4
         assert calls["apply"] == calls["measured_slope"] == calls["rounded_slope"] == 0
+
+
+def test_sphere_family_work_per_table_is_constant(monkeypatch):
+    # counted work, not timing: a table row is five ints, so building the
+    # table makes as many Slope constructions at n = 300 as at n = 1 and no
+    # solid_torus_count call, and writing its report makes as many _write
+    # calls at n = 1000 as at n = 10 (the writer recurses through the module
+    # global, so the wrapper sees every call)
+    calls = dict.fromkeys(("Slope", "solid_torus_count", "_write"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Slope, "__init__", counted("Slope", Slope.__init__))
+    stc = counted("solid_torus_count", contfrac.solid_torus_count)
+    monkeypatch.setattr(contfrac, "solid_torus_count", stc)
+    monkeypatch.setattr(convex, "solid_torus_count", stc, raising=False)  # a name convex might import
+    built = []
+    for n in (1, 7, 300):
+        calls.update(dict.fromkeys(calls, 0))
+        assert max_twist_table(n).total == n * (n + 1) // 2
+        built.append(calls["Slope"])
+        assert calls["solid_torus_count"] == 0
+    assert built[0] == built[1] == built[2]
+
+    monkeypatch.setattr(report, "_write", counted("_write", report._write))
+    written = []
+    for n in (10, 1000):
+        doc = report.classification_json(classify(sphere_family(n)))
+        calls["_write"] = 0
+        assert len(report.report("classify", doc)) > 100 * n
+        written.append(calls["_write"])
+    assert written[0] == written[1]
 
 
 def test_max_twist_rows_cap():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from tightsf import report
 from tightsf.classify import Fillability, classify
 from tightsf.contfrac import Expansion, leg_expansion
-from tightsf.convex import LimitInfo, MaxTwistRow, SlopeCoeffs
+from tightsf.convex import LimitInfo, MaxTwistTable, SlopeCoeffs, max_twist_table
 from tightsf.seifert import parse_manifold
 from tightsf.slopes import INF, Slope
 
@@ -40,8 +40,9 @@ def oracle(value):
         return {"A": value.A, "C": value.C, "F": value.F, "D": value.D}
     if isinstance(value, LimitInfo):
         return {"limit": value.limit, "increasing": value.increasing, "threshold_ok": value.threshold_ok}
-    if isinstance(value, MaxTwistRow):
-        return {"k": value.k, "rounded": value.rounded, "boundary": value.boundary, "count": value.count}
+    if isinstance(value, MaxTwistTable):
+        return [{"k": row.k, "rounded": Slope(row.rounded_num, row.rounded_den), "boundary": Slope(row.boundary),
+                 "count": row.count} for row in value.rows]
     if isinstance(value, Fillability):
         fill = {"kind": value.kind}
         if value.stein_lower is not None:
@@ -68,8 +69,8 @@ def written(value) -> str:
 
 # Values a report may hold: str (non-ASCII included), int (bigints
 # included), bool, None, Fraction and Slope (the infinite one too), the
-# Expansion of a leg, nested in dicts, lists, tuples and records with an
-# optional field, empty ones too.
+# Expansion of a leg, small sphere-family tables, nested in dicts, lists,
+# tuples and records with an optional field, empty ones too.
 leaves = st.one_of(
     st.text(max_size=8),
     st.integers(min_value=-(10**400), max_value=10**400),
@@ -81,6 +82,7 @@ leaves = st.one_of(
     st.fractions(min_value=0, max_value=1, max_denominator=10**4).filter(lambda r: 0 < r < 1).map(
         lambda r: leg_expansion(r.numerator, r.denominator)),
     st.just(Expansion([])),
+    st.integers(min_value=1, max_value=20).map(max_twist_table),
 )
 values = st.recursive(
     leaves,
@@ -109,7 +111,7 @@ def test_report_matches_json_dumps(result, command):
 
 
 def test_classification_report_matches_json_dumps():
-    for text in ("-2;1/2,2/3,11/13", "-2;7/9,7/9,7/9", "-2;1/2,2/3,5/6", "-2;1/2,3/4,4/5",
+    for text in ("-2;1/2,2/3,6/7", "-2;1/2,2/3,11/13", "-2;7/9,7/9,7/9", "-2;1/2,2/3,5/6", "-2;1/2,3/4,4/5",
                  "-2;1/3,1/3,99/100", "-2;1/2,2/3,7/8"):
         doc = report.classification_json(classify(parse_manifold(text)))
         assert report.report("classify", doc) == json.dumps(
@@ -157,6 +159,22 @@ def test_expansion_writer_matches_json_dumps():
             assert "".join(out) == want.replace("\n", "\n" + pad)
     assert written(Expansion([])) == "[]"
     assert written({"e": Expansion([])}) == json.dumps({"e": []}, indent=2)
+
+
+def test_max_twist_table_writer_matches_json_dumps():
+    # a table is written from one row template; at any nesting depth the text
+    # is json.dumps of its row objects
+    for n in [*range(1, 41), 799, 800, 10**4]:
+        table = max_twist_table(n)
+        want = json.dumps([
+            {"k": row.k, "rounded": {"num": row.rounded_num, "den": row.rounded_den},
+             "boundary": {"num": row.boundary, "den": 1}, "count": row.count}
+            for row in table.rows], indent=2)
+        for pad in ("", "  ", "      "):
+            out = []
+            report._write(table, pad, out)
+            assert "".join(out) == want.replace("\n", "\n" + pad)
+    assert written(MaxTwistTable(0, ())) == "[]"
 
 
 def test_writer_int_tuples_and_fractions():
