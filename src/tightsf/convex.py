@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from typing import NamedTuple
 
@@ -243,5 +244,6 @@ def max_twist_table(n: int) -> MaxTwistTable:
         if x == 0 or y != (k - n) * x:
             raise ArithmeticError(f"row k = {k}: V_3 boundary slope {Slope(y, x)} is not -n+k = {k - n}")
         g = -gcd(num, delta)  # delta < 0, since q_1 >= v_1 > 0 and n_1 < 0
-        rows.append(MaxTwistRow(k, num // g, delta // g, k - n, n - k))
-    return MaxTwistTable(n, tuple(rows))
+        rows.append((k, num // g, delta // g, k - n, n - k))
+    # tuple.__new__ types each row without the NamedTuple's Python-level __new__
+    return MaxTwistTable(n, tuple(map(partial(tuple.__new__, MaxTwistRow), rows)))

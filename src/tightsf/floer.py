@@ -16,11 +16,15 @@ j' = j + i - 2k, which fixes the overall sign of each class so that the
 one-step recursion  class(i+1, j) = shift(+1) - shift(-1)  holds on the nose.
 Distinctness, conjugation symmetry, and the mod-2 fillability obstruction do
 not depend on that overall choice.
+
+Both expansion and laurent_image read that signed binomial row, built in i
+steps of one multiply and one exact division each, so a class costs O(i) and
+laurent_image builds one HalfLaurent.  The i-fold product of Laurent
+polynomials is kept only as the test oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 
 @dataclass(frozen=True)
@@ -80,14 +84,23 @@ class ExpansionVector:
             raise ValueError("coefficient vector has wrong length")
 
 
+def _binomial_row(i: int) -> list[int]:
+    """(-1)^k binom(i, k) for k = 0..i, each entry from the one before."""
+    c = 1
+    row = [c]
+    for k in range(i):
+        c = c * (k - i) // (k + 1)  # exact: binom(i, k) (i-k) = binom(i, k+1) (k+1)
+        row.append(c)
+    return row
+
+
 def expansion(idx: ContactIndex) -> ExpansionVector:
     """Basis coordinates: (-1)^k binom(i, k) at j' = j + i - 2k, k = 0..i."""
-    coeffs = [0] * idx.n
-    for k in range(idx.i + 1):
-        jp = idx.j + idx.i - 2 * k
-        pos = (jp + idx.n - 1) // 2
-        coeffs[pos] += (-1) ** k * comb(idx.i, k)
-    return ExpansionVector(idx.n, tuple(coeffs))
+    n, i = idx.n, idx.i
+    low = (idx.j - i + n - 1) // 2  # the position of j' = j - i, where k = i
+    row = _binomial_row(i)
+    row.reverse()
+    return ExpansionVector(n, (0,) * low + tuple(row) + (0,) * (n - 1 - low - i))
 
 
 class HalfLaurent:
@@ -109,17 +122,6 @@ class HalfLaurent:
     def __setattr__(self, name, value):
         raise AttributeError("HalfLaurent is immutable")
 
-    @classmethod
-    def monomial(cls, twice_exp: int, coeff: int = 1) -> "HalfLaurent":
-        return cls({twice_exp: coeff})
-
-    def __mul__(self, other: "HalfLaurent") -> "HalfLaurent":
-        out: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return HalfLaurent(out)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -140,12 +142,10 @@ class HalfLaurent:
 
 
 def laurent_image(idx: ContactIndex) -> HalfLaurent:
-    """t^(j/2) (t^(1/2) - t^(-1/2))^i, the image of the class in the model."""
-    out = HalfLaurent.monomial(idx.j)
-    step = HalfLaurent({1: 1, -1: -1})
-    for _ in range(idx.i):
-        out = out * step
-    return out
+    """t^(j/2) (t^(1/2) - t^(-1/2))^i, the image of the class in the model:
+    (-1)^k binom(i, k) at t^((j+i-2k)/2)."""
+    i, j = idx.i, idx.j
+    return HalfLaurent(dict(zip(range(j + i, j - i - 1, -2), _binomial_row(i))))
 
 
 def stein_obstructed(idx: ContactIndex) -> bool:

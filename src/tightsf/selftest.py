@@ -125,8 +125,8 @@ def check_closed_form(samples: int = 200, seed: int = 11, min_n1: int = -40) -> 
 def check_max_twist_chain(ns: Iterable[int] = range(1, 21)) -> str:
     """Each row against its own route: measured slopes summed as Fractions,
     carried to dV_3 by v3_slope_stepwise and by the inverse attaching matrix,
-    and the count of the boundary slope from solid_torus_count; every row field
-    is a plain int."""
+    and the count of the boundary slope from solid_torus_count; every row is a
+    MaxTwistRow of plain ints."""
     rows = top = 0
     for n in ns:
         table = max_twist_table(n)
@@ -144,7 +144,7 @@ def check_max_twist_chain(ns: Iterable[int] = range(1, 21)) -> str:
             count = solid_torus_count(boundary)
             _check(count == n - k, f"n = {n}, k = {k}: count is not n-k")
             _check(row == MaxTwistRow(k, rounded.num, rounded.den, boundary.num, count)
-                   and set(map(type, row)) == {int},
+                   and type(row) is MaxTwistRow and set(map(type, row)) == {int},
                    f"n = {n}, k = {k}: row {row} differs from the stepwise route")
             rows += 1
         top = max(top, n)

@@ -16,6 +16,7 @@ from tightsf.selftest import (
     check_max_twist_chain,
 )
 from tightsf.theta import SurgeryDiagram, signature, theta
+from test_floer import product_image
 from triples import sorted_triples
 
 
@@ -75,14 +76,14 @@ def test_criterion_7_bypass_oracle_equivalence():
 
 
 def test_criterion_8_contact_class_model():
-    for n in range(1, 16):
+    for n in range(1, 31):
         for idx in index_set(n):
-            image = laurent_image(idx)
+            image = product_image(idx)
             vec = expansion(idx)
             assert image.terms == {jp: c for jp, c in zip(grid(n), vec.coeffs) if c}
-    for n in range(1, 31):
+            assert laurent_image(idx).terms == image.terms
         assert sum(stein_obstructed(idx) for idx in index_set(n)) == n // 2
-    print("PASS criterion 8: Laurent model matches expansions (n <= 15), floor(n/2) obstructed")
+    print("PASS criterion 8: Laurent product matches expansions and laurent_image (n <= 30), floor(n/2) obstructed")
 
 
 def test_criterion_9_theta_calculator():

@@ -13,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from tightsf.cli import main
 from tightsf.convex import MAX_TWIST_ROWS, MaxTwistTable, max_twist_table, slope_coeffs, v3_slope, v3_slope_stepwise
-from tightsf.floer import MAX_N, ContactIndex, HalfLaurent, laurent_image
+from tightsf.floer import MAX_N, ContactIndex
 from tightsf.seifert import parse_manifold
 from tightsf.selftest import check_closed_form
 from tightsf.slopes import Slope
+from test_floer import product_image
 
 
 def run(capsys, *argv):
@@ -178,7 +179,6 @@ def test_floer_reads_laurent_text_off_the_coefficients(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("Laurent arithmetic on the floer path")
 
-    monkeypatch.setattr(HalfLaurent, "__mul__", refuse)
     monkeypatch.setattr(importlib.import_module("tightsf.floer"), "laurent_image", refuse)
     code, out, err = run(capsys, "floer", "--n", "12", "--json")
     assert code == 0 and err == ""
@@ -191,7 +191,7 @@ def test_floer_laurent_matches_the_oracle(capsys):
         code, out, _ = run(capsys, "floer", "--n", str(n), "--json")
         assert code == 0
         for row in json.loads(out)["result"]["classes"]:
-            assert row["laurent"] == str(laurent_image(ContactIndex(n, row["i"], row["j"])))
+            assert row["laurent"] == str(product_image(ContactIndex(n, row["i"], row["j"])))
 
 
 def test_theta_cli(tmp_path, capsys):

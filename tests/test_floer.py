@@ -1,5 +1,8 @@
+from math import comb
+
 import pytest
 
+from tightsf import floer
 from tightsf.floer import (
     MAX_N,
     ContactIndex,
@@ -12,6 +15,19 @@ from tightsf.floer import (
     pairwise_distinct,
     stein_obstructed,
 )
+
+
+def product_image(idx):
+    """t^(j/2) (t^(1/2) - t^(-1/2))^i as the i-fold product of Laurent
+    polynomials, one HalfLaurent per factor: the oracle for laurent_image."""
+    out = HalfLaurent({idx.j: 1})
+    for _ in range(idx.i):
+        terms = {}
+        for e, c in out.terms.items():
+            terms[e + 1] = terms.get(e + 1, 0) + c
+            terms[e - 1] = terms.get(e - 1, 0) - c
+        out = HalfLaurent(terms)
+    return out
 
 
 def test_index_validation():
@@ -46,6 +62,45 @@ def test_laurent_examples():
     assert laurent_image(ContactIndex(3, 2, 0)).terms == {2: 1, 0: -2, -2: 1}
     assert laurent_image(ContactIndex(5, 0, 4)).terms == {4: 1}
     assert str(laurent_image(ContactIndex(2, 1, 0))) == "t^(1/2)-t^(-1/2)"
+
+
+class CountedIndex(int):
+    """An int that counts the subtractions it takes part in."""
+
+    uses = 0
+
+    def __sub__(self, other):
+        CountedIndex.uses += 1
+        return int(self) - other
+
+    def __rsub__(self, other):
+        CountedIndex.uses += 1
+        return other - int(self)
+
+
+def test_each_class_is_one_row_and_one_object(monkeypatch):
+    # the binomial row takes one step per entry after the first, and
+    # laurent_image builds one HalfLaurent per class; the i-fold product
+    # builds i + 2
+    for i in (0, 1, 7, 100, 1000):
+        CountedIndex.uses = 0
+        assert floer._binomial_row(CountedIndex(i)) == [(-1) ** k * comb(i, k) for k in range(i + 1)]
+        assert CountedIndex.uses == i
+    built = 0
+    init = HalfLaurent.__init__
+
+    def counting_init(self, terms=None):
+        nonlocal built
+        built += 1
+        init(self, terms)
+
+    monkeypatch.setattr(HalfLaurent, "__init__", counting_init)
+    for n in (30, 100):
+        classes = index_set(n)
+        built = 0
+        for idx in classes:
+            laurent_image(idx)
+        assert built == len(classes) == n * (n + 1) // 2
 
 
 def test_expansion_recursion():
