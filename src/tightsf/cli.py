@@ -34,7 +34,7 @@ def _cmd_cf(args) -> int:
             "entries": entries,
             "p": p, "q": q, "u": u, "v": v,
             "t": t,
-            "reverse_shift": list(shifted),
+            "reverse_shift": shifted,
             "reverse_shift_value": shifted_value,
         }))
     else:

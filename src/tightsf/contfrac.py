@@ -166,10 +166,9 @@ def reverse_shift(entries) -> tuple[int, ...]:
     t = tuple(entries)
     if not t:
         raise ValueError("reverse_shift needs a non-empty expansion")
-    if any(a > -2 for a in t):
+    if max(t) > -2:
         raise ValueError("reverse_shift needs a canonical expansion")
-    rev = t[::-1]
-    return rev[:-1] + (rev[-1] + 1,)
+    return t[:0:-1] + (t[0] + 1,)
 
 
 def tight_count(r: Fraction) -> int:

@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .contfrac import Convergents, leg_convergents
 from .seifert import SeifertData
@@ -177,9 +176,8 @@ def v3_slope_limit(sd: SeifertData, coeffs: SlopeCoeffs) -> LimitInfo:
     return LimitInfo(limit, increasing, threshold_ok)
 
 
-# A sphere-family table has one row per k < n, and a report prints each row;
-# a larger n is refused before any row is built, so a short input cannot ask
-# for an unbounded amount of work.
+# A report prints one sphere-family row per k < n; a larger n is refused up
+# front, so a short input cannot ask for an unbounded amount of output.
 MAX_TWIST_ROWS = 10**5
 
 
@@ -191,14 +189,28 @@ class MaxTwistRow(NamedTuple):
     count: int  # tight structures on V_3 rel boundary
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: a frozen __init__ pays a setattr call per field
 class MaxTwistTable:
+    """A sphere-family table as five columns, one per MaxTwistRow field;
+    max_twist_table makes each a range, and rows are built only on demand."""
     n: int
-    rows: tuple[MaxTwistRow, ...]
+    k: Sequence[int]
+    rounded_num: Sequence[int]
+    rounded_den: Sequence[int]
+    boundary: Sequence[int]
+    count: Sequence[int]
+
+    def tuples(self) -> Iterator[tuple[int, ...]]:
+        return zip(self.k, self.rounded_num, self.rounded_den, self.boundary, self.count)
+
+    @property
+    def rows(self) -> tuple[MaxTwistRow, ...]:
+        # tuple.__new__ types each row without the NamedTuple's Python-level __new__
+        return tuple(map(partial(tuple.__new__, MaxTwistRow), self.tuples()))
 
     @property
     def total(self) -> int:
-        return sum(row.count for row in self.rows)
+        return sum(self.count)
 
 
 def max_twist_table(n: int) -> MaxTwistTable:
@@ -208,21 +220,15 @@ def max_twist_table(n: int) -> MaxTwistTable:
     rounding gives -k/(6k+1) and the V_3 boundary slope -n+k, a solid torus
     carrying n-k tight structures.  The rows sum to n(n+1)/2.
 
-    Each row is derived once, in plain integers, along the route of
-    v3_slope_stepwise: the dividing counts q_1 n_1 + v_1 and q_2 n_2 + v_2
-    are checked to balance at delta, the two measured numerators are summed
-    over delta less 1 (the rounding), and the inverse V_3 transfer, unpacked
-    once per table into four integers, carries the negated rounded vector to
-    dV_3, where its image is checked to be proportional to (1, -n+k).  Both
-    checks raise ArithmeticError, so they hold under python -O.
-
-    A row is five ints (k, rounded_num, rounded_den, boundary, count): the
-    rounded slope is reduced by one gcd to a positive denominator, as Slope
-    reduces it, the boundary is the integer -n+k the check proved, and the
-    count is n-k, which is solid_torus_count of the integer slope -n+k
-    (selftest.check_max_twist_chain compares the two).  The convergents of the
-    three legs are read off their (p, q), so the table builds no Fraction and
-    no Slope.  Raises ValueError above MAX_TWIST_ROWS rows.
+    In plain integers at k = 0, 1, 2, along the route of v3_slope_stepwise,
+    the dividing counts must balance at delta = -(6k+1), the rounded
+    numerator must be num = k, and the inverse V_3 transfer must carry
+    (delta, -num) to an (x, y) with x != 0 and y = (k-n) x; each check raises
+    ArithmeticError, so -O keeps it.  These prove every row of every n: delta,
+    num, x and y are affine in k, so y - (k-n) x, of degree 2, vanishes
+    identically, which leaves x constant.  As gcd(k, 6k+1) = 1 and n-k is
+    solid_torus_count of -n+k, each column is a range (check_max_twist_chain
+    checks each row stepwise).  Raises ValueError above MAX_TWIST_ROWS rows.
     """
     if n < 1:
         raise ValueError("family parameter must be positive")
@@ -231,19 +237,17 @@ def max_twist_table(n: int) -> MaxTwistTable:
     (p1, q1, u1, v1), (p2, q2, u2, v2) = leg_convergents(1, 2), leg_convergents(2, 3)
     inv = fiber3_matrix(leg_convergents(5 * n + 1, 6 * n + 1)).inverse()
     a, b, c, d = inv.a, inv.b, inv.c, inv.d
-    rows = []
-    for k in range(n):
+    for k in (0, 1, 2):
         n1, n2 = -3 * k - 1, -2 * k - 1
         delta = q1 * n1 + v1
         if delta != q2 * n2 + v2:
             raise ArithmeticError(f"row k = {k}: dividing counts {delta} and {q2 * n2 + v2} do not balance")
         # the rounded slope is num/delta; its negation is the line (delta, -num)
         num = (-p1 * n1 - u1) + ((q2 - p2) * n2 + (v2 - u2)) - 1
+        if num != k or delta != -6 * k - 1:
+            raise ArithmeticError(f"row k = {k}: rounded slope {num}/{delta} is not -k/(6k+1)")
         x = a * delta - b * num
         y = c * delta - d * num
         if x == 0 or y != (k - n) * x:
             raise ArithmeticError(f"row k = {k}: V_3 boundary slope {Slope(y, x)} is not -n+k = {k - n}")
-        g = -gcd(num, delta)  # delta < 0, since q_1 >= v_1 > 0 and n_1 < 0
-        rows.append((k, num // g, delta // g, k - n, n - k))
-    # tuple.__new__ types each row without the NamedTuple's Python-level __new__
-    return MaxTwistTable(n, tuple(map(partial(tuple.__new__, MaxTwistRow), rows)))
+    return MaxTwistTable(n, range(n), range(0, -n, -1), range(1, 6 * n, 6), range(-n, 0), range(n, 0, -1))

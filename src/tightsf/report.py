@@ -12,11 +12,11 @@ The writer dispatches on the exact type of each value: str, int, bool, None,
 `Slope`, `Fraction`, dict, `Expansion`, list and tuple, `MaxTwistTable`, and a
 record is any other type with `__dataclass_fields__`.  An `Expansion` (a tuple
 subclass) is the list of its entries, written one run of equal entries at a
-time.  A `MaxTwistTable` is the list of its rows, each `MaxTwistRow` (a tuple
-of five ints, not a record) written as the object {"k", "rounded", "boundary",
-"count"} from one template.  Other subclasses of the plain types are not
-accepted, so no value pays for an isinstance test (against `Fraction` that is
-an ABC check).
+time.  A `MaxTwistTable` is the list of its rows, each written as the object
+{"k", "rounded", "boundary", "count"} from one template filled straight from
+the table's columns, so no row object is built.  Other subclasses of the
+plain types are not accepted, so no value pays for an isinstance test
+(against `Fraction` that is an ABC check).
 A record type's field names are read once and kept in a module dict keyed by
 the type.  Any other value raises TypeError.
 """
@@ -157,20 +157,17 @@ def _write_expansion(value: Expansion, pad: str, out: list[str]) -> None:
 
 def _write_max_twist_table(value: MaxTwistTable, pad: str, out: list[str]) -> None:
     """Append the JSON list of a sphere-family table's rows, each the object
-    {"k", "rounded", "boundary", "count"}, from one %-template built per call.
-    The boundary's "den" is the literal 1: max_twist_table checks that the V_3
-    image is proportional to (1, -n+k), so the boundary slope is the integer
-    -n+k.
+    {"k", "rounded", "boundary", "count"}, from one %-template filled from a
+    zip of the table's columns.  The boundary's "den" is the literal 1, since
+    max_twist_table checks that the V_3 image is proportional to (1, -n+k).
     """
-    if not value.rows:
-        out.append("[]")
-        return
     inner = pad + "  "
     i2 = inner + "  "
     i3 = i2 + "  "
     tmpl = (f'{{\n{i2}"k": %d,\n{i2}"rounded": {{\n{i3}"num": %d,\n{i3}"den": %d\n{i2}}},'
             f'\n{i2}"boundary": {{\n{i3}"num": %d,\n{i3}"den": 1\n{i2}}},\n{i2}"count": %d\n{inner}}}')
-    out.append("[\n" + inner + (",\n" + inner).join(map(tmpl.__mod__, value.rows)) + "\n" + pad + "]")
+    rows = (",\n" + inner).join(map(tmpl.__mod__, value.tuples()))
+    out.append("[\n" + inner + rows + "\n" + pad + "]" if rows else "[]")
 
 
 def report(command: str, result: Any) -> str:

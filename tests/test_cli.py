@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import io
 import json
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
 
@@ -12,7 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tightsf.cli import main
-from tightsf.convex import MAX_TWIST_ROWS, MaxTwistTable, max_twist_table, slope_coeffs, v3_slope, v3_slope_stepwise
+from tightsf.contfrac import solid_torus_count
+from tightsf.convex import (
+    MAX_TWIST_ROWS, max_twist_table, measured_slope, rounded_slope, slope_coeffs, v3_slope, v3_slope_stepwise,
+)
 from tightsf.floer import MAX_N, ContactIndex
 from tightsf.seifert import parse_manifold
 from tightsf.selftest import check_closed_form
@@ -303,6 +308,38 @@ def test_sphere_family_cap_fails_fast(capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and "limit" in err
 
 
+def test_printed_sphere_rows_match_the_stepwise_route(capsys):
+    # every per_k row as classify --json prints it, read back and checked one
+    # by one against the stepwise rounding and solid_torus_count, and the
+    # printed counts summed again
+    for n in (1, 2, 3, 7, 300, 1000):
+        manifold = f"-2;1/2,2/3,{5 * n + 1}/{6 * n + 1}"
+        code, out, err = run(capsys, "classify", manifold, "--json")
+        assert code == 0 and err == ""
+        result = json.loads(out)["result"]
+        sd = parse_manifold(manifold)
+        per_k = result["certificate"]["per_k"]
+        assert len(per_k) == n
+        for k, row in enumerate(per_k):
+            n1, n2 = -3 * k - 1, -2 * k - 1
+            rounded = rounded_slope(measured_slope(1, sd, n1), measured_slope(2, sd, n2), -6 * k - 1)
+            boundary = v3_slope_stepwise(sd, n1, n2)
+            assert row == {"k": k, "rounded": {"num": rounded.num, "den": rounded.den},
+                           "boundary": {"num": boundary.num, "den": boundary.den},
+                           "count": solid_torus_count(boundary)}, (n, k)
+        assert sum(row["count"] for row in per_k) == n * (n + 1) // 2 == result["count"]
+
+
+def test_sphere_family_report_at_the_cap(capsys):
+    # n = MAX_TWIST_ROWS: the largest table a report prints, pinned by size and digest
+    n = MAX_TWIST_ROWS
+    code, out, err = run(capsys, "classify", f"-2;1/2,2/3,{5 * n + 1}/{6 * n + 1}", "--json")
+    assert code == 0 and err == ""
+    data = out.encode()
+    assert len(data) == 24_138_027
+    assert hashlib.sha256(data).hexdigest()[:16] == "1258dfac61ad5e06"
+
+
 def test_floer_index_builds_one_class(capsys, monkeypatch):
     # --index builds only its own class, and still refuses an n over the cap
     def refuse(n):
@@ -329,10 +366,11 @@ def test_floer_cap_fails_fast(capsys):
 
 
 def test_broken_table_identity_is_one_line_error(capsys, monkeypatch):
-    # rows that no longer sum to n(n+1)/2 stop classify, with -O as without
+    # rows that no longer sum to n(n+1)/2 stop classify, with -O as without:
+    # the count column loses its last row
     def short_table(n):
         table = max_twist_table(n)
-        return MaxTwistTable(n, table.rows[:-1])
+        return replace(table, count=table.count[:-1])
 
     # the package exports the function classify under the submodule's name
     monkeypatch.setattr(importlib.import_module("tightsf.classify"), "max_twist_table", short_table)
@@ -343,13 +381,15 @@ def test_broken_table_identity_is_one_line_error(capsys, monkeypatch):
 
 SABOTAGED_SELFTEST = """
 import sys
+from dataclasses import replace
 import tightsf.selftest as selftest
 from tightsf.cli import main
-from tightsf.convex import MaxTwistTable, max_twist_table
+from tightsf.convex import max_twist_table
 
 def sabotaged(n):
-    rows = max_twist_table(n).rows
-    return MaxTwistTable(n, rows[:-1] + (rows[-1]._replace(count=2),))
+    # the last row counts 2, not 1, so the counts sum to n(n+1)/2 + 1
+    table = max_twist_table(n)
+    return replace(table, count=(*table.count[:-1], 2))
 
 if sys.argv[1] == "sabotage":
     selftest.max_twist_table = sabotaged

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import floor, gcd, lcm
 
@@ -344,9 +345,9 @@ def test_max_twist_table_checks_the_balance(monkeypatch):
 
 
 def test_max_twist_table_builds_only_the_stored_slopes(monkeypatch):
-    # each row derives its slopes in plain integers: the only Slope objects
-    # built are the rounded and boundary slopes it stores, and the stepwise
-    # helpers stay off the row path
+    # the table derives its slopes in plain integers and stores them as
+    # integer columns: it builds no Slope object, and the stepwise helpers
+    # stay off its path
     calls = dict.fromkeys(("Slope", "apply", "measured_slope", "rounded_slope"), 0)
 
     def counted(name, fn):
@@ -362,16 +363,17 @@ def test_max_twist_table_builds_only_the_stored_slopes(monkeypatch):
     for n in (1, 7, 300):
         calls.update(dict.fromkeys(calls, 0))
         assert max_twist_table(n).total == n * (n + 1) // 2
-        assert calls["Slope"] <= 2 * n + 4
+        assert calls["Slope"] == 0
         assert calls["apply"] == calls["measured_slope"] == calls["rounded_slope"] == 0
 
 
 def test_sphere_family_work_per_table_is_constant(monkeypatch):
-    # counted work, not timing: a table row is five ints, so building the
-    # table makes as many Slope constructions at n = 300 as at n = 1 and no
-    # solid_torus_count call, and writing its report makes as many _write
-    # calls at n = 1000 as at n = 10 (the writer recurses through the module
-    # global, so the wrapper sees every call)
+    # counted work, not timing: the table is five ranges checked at three
+    # values of k, so building it makes as many Slope constructions at
+    # n = MAX_TWIST_ROWS as at n = 1 and no solid_torus_count call, and holds
+    # no table-sized memory; writing its report makes as many _write calls at
+    # n = 1000 as at n = 10 (the writer recurses through the module global,
+    # so the wrapper sees every call)
     calls = dict.fromkeys(("Slope", "solid_torus_count", "_write"), 0)
 
     def counted(name, fn):
@@ -385,12 +387,20 @@ def test_sphere_family_work_per_table_is_constant(monkeypatch):
     monkeypatch.setattr(contfrac, "solid_torus_count", stc)
     monkeypatch.setattr(convex, "solid_torus_count", stc, raising=False)  # a name convex might import
     built = []
-    for n in (1, 7, 300):
+    for n in (1, 7, 300, MAX_TWIST_ROWS):
         calls.update(dict.fromkeys(calls, 0))
         assert max_twist_table(n).total == n * (n + 1) // 2
         built.append(calls["Slope"])
         assert calls["solid_torus_count"] == 0
-    assert built[0] == built[1] == built[2]
+    assert built[0] == built[1] == built[2] == built[3]
+
+    tracemalloc.start()
+    try:
+        table = max_twist_table(MAX_TWIST_ROWS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.n == MAX_TWIST_ROWS and peak < 16 * 1024
 
     monkeypatch.setattr(report, "_write", counted("_write", report._write))
     written = []

@@ -174,7 +174,7 @@ def test_max_twist_table_writer_matches_json_dumps():
             out = []
             report._write(table, pad, out)
             assert "".join(out) == want.replace("\n", "\n" + pad)
-    assert written(MaxTwistTable(0, ())) == "[]"
+    assert written(MaxTwistTable(0, *[range(0)] * 5)) == "[]"
 
 
 def test_writer_int_tuples_and_fractions():
