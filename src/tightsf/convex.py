@@ -235,8 +235,9 @@ def max_twist_table(n: int) -> MaxTwistTable:
     if n > MAX_TWIST_ROWS:
         raise ValueError(f"the table has {n} rows, more than the limit {MAX_TWIST_ROWS}")
     (p1, q1, u1, v1), (p2, q2, u2, v2) = leg_convergents(1, 2), leg_convergents(2, 3)
-    inv = fiber3_matrix(leg_convergents(5 * n + 1, 6 * n + 1)).inverse()
-    a, b, c, d = inv.a, inv.b, inv.c, inv.d
+    m = fiber3_matrix(leg_convergents(5 * n + 1, 6 * n + 1))  # raises ValueError unless unimodular
+    s = m.det  # +-1, so the inverse is the adjugate signed by s, as UniMat.inverse builds it
+    a, b, c, d = s * m.d, -s * m.b, -s * m.c, s * m.a
     for k in (0, 1, 2):
         n1, n2 = -3 * k - 1, -2 * k - 1
         delta = q1 * n1 + v1

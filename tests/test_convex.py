@@ -373,7 +373,7 @@ def test_sphere_family_work_per_table_is_constant(monkeypatch):
     # n = MAX_TWIST_ROWS as at n = 1 and no solid_torus_count call, and holds
     # no table-sized memory; writing its report makes as many _write calls at
     # n = 1000 as at n = 10 (the writer recurses through the module global,
-    # so the wrapper sees every call)
+    # so the wrapper sees every call), and none once its shape is templated
     calls = dict.fromkeys(("Slope", "solid_torus_count", "_write"), 0)
 
     def counted(name, fn):
@@ -402,14 +402,43 @@ def test_sphere_family_work_per_table_is_constant(monkeypatch):
         tracemalloc.stop()
     assert table.n == MAX_TWIST_ROWS and peak < 16 * 1024
 
+    # with a shape cache that keeps nothing, every report is written by _write
+    # directly; once the shape is templated, its reports make no _write call
     monkeypatch.setattr(report, "_write", counted("_write", report._write))
-    written = []
-    for n in (10, 1000):
-        doc = report.classification_json(classify(sphere_family(n)))
-        calls["_write"] = 0
-        assert len(report.report("classify", doc)) > 100 * n
-        written.append(calls["_write"])
-    assert written[0] == written[1]
+    monkeypatch.setattr(report, "_TEMPLATES", {})
+    docs = [report.classification_json(classify(sphere_family(n))) for n in (10, 1000)]
+    for max_shapes in (0, report._MAX_SHAPES):
+        monkeypatch.setattr(report, "_MAX_SHAPES", max_shapes)
+        if max_shapes:
+            report.report("classify", docs[0])
+            report.report("classify", docs[0])
+        written = []
+        for n, doc in zip((10, 1000), docs):
+            calls["_write"] = 0
+            assert len(report.report("classify", doc)) > 100 * n
+            written.append(calls["_write"])
+        assert written[0] == written[1] and (written[0] == 0) == (max_shapes > 0)
+
+
+def test_max_twist_table_builds_one_transfer_matrix(monkeypatch):
+    # the inverse V_3 transfer is read off the signed adjugate of the one
+    # attaching matrix, whose constructor keeps the unimodularity check
+    built = []
+    init = UniMat.__init__
+    monkeypatch.setattr(UniMat, "__init__", lambda self, *abcd: built.append(abcd) or init(self, *abcd))
+    monkeypatch.setattr(UniMat, "inverse", None)
+    for n in (1, 2, 7, 800):
+        built.clear()
+        assert max_twist_table(n).total == n * (n + 1) // 2
+        assert len(built) == 1
+
+    def skewed(p, q):
+        conv = convergents(Fraction(-q, p))
+        return conv._replace(u=conv.u + 1) if q > 3 else conv
+
+    monkeypatch.setattr(convex, "leg_convergents", skewed)
+    with pytest.raises(ValueError, match="unimodular"):
+        max_twist_table(3)
 
 
 def test_max_twist_rows_cap():

@@ -2,6 +2,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from typing import Any
 
@@ -15,6 +16,7 @@ from tightsf.contfrac import Expansion, leg_expansion
 from tightsf.convex import LimitInfo, MaxTwistTable, SlopeCoeffs, max_twist_table
 from tightsf.seifert import parse_manifold
 from tightsf.slopes import INF, Slope
+from triples import sorted_triples
 
 
 @dataclass(frozen=True)
@@ -103,11 +105,90 @@ def test_writer_matches_json_dumps(value):
     assert written(value) == json.dumps(value, indent=2, default=oracle)
 
 
+def dumped(command, result) -> str:
+    """The oracle's text of a report document."""
+    doc = {"schema": report.SCHEMA, "exact": True, "command": command, "result": result}
+    return json.dumps(doc, indent=2, default=oracle)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.dictionaries(st.text(max_size=8), values, max_size=3), st.text(max_size=8))
 def test_report_matches_json_dumps(result, command):
-    doc = {"schema": report.SCHEMA, "exact": True, "command": command, "result": result}
-    assert report.report(command, result) == json.dumps(doc, indent=2, default=oracle)
+    # from an empty shape cache, a document's first sighting is written
+    # directly and its second fills its shape's template
+    report._TEMPLATES.clear()
+    want = dumped(command, result)
+    assert report.report(command, result) == want
+    assert report.report(command, result) == want
+
+
+def test_cold_and_warm_paths_give_the_same_bytes(monkeypatch):
+    # documents of one shape whose leaves look like %-directives, need
+    # escaping or are huge, under a key holding %, NUL and SOH (the template's
+    # own markers): each is written directly, then from the shape's template
+    monkeypatch.setattr(report, "_TEMPLATES", {})
+
+    def doc(text, big, slope):
+        return {"100% %s %(x)d \0\1 key": text, "big": [big, -big], "slope": slope,
+                "record": Tagged(Fraction(big, 3), text), "mixed": [text, slope, {"%": big}]}
+
+    docs = [doc("%", 10**400, INF), doc("%s", -(10**400), Slope(-3, 7)), doc("%%", 1, INF),
+            doc("%(x)d", 0, Slope(2)), doc("n\u00efv \u00e9 \u2713 \0 \"q\" \\ %", 10**400 + 1, Slope(5, 3))]
+    for d in docs:
+        want = dumped("%s", d)
+        assert report.report("%s", d) == want
+        assert report.report("%s", d) == want
+    assert len(report._TEMPLATES) == 1 and None not in report._TEMPLATES.values()
+    # a non-str key or a float raises TypeError on the first sighting and
+    # again where the second would build a template; none is kept
+    for bad in ({1: "a"}, {"%": {2: INF}}, {"x": [1.5]}):
+        for _ in range(3):
+            with pytest.raises(TypeError):
+                report.report("c", bad)
+    assert sum(t is not None for t in report._TEMPLATES.values()) == 1
+
+
+def test_warm_report_makes_no_write_call(monkeypatch):
+    # counted work, not timing: a sum_lt_2 document's first sighting is
+    # written directly and builds nothing, its second builds the template,
+    # and then another sum_lt_2 document is that template filled, with no
+    # _write call
+    monkeypatch.setattr(report, "_TEMPLATES", {})
+    first, other = (report.classification_json(classify(parse_manifold(text)))
+                    for text in ("-2;1/3,2/5,3/7", "-2;1/4,2/7,3/8"))
+    assert first["certificate"]["case"] == other["certificate"]["case"] == "sum_lt_2"
+    calls = []
+    write = report._write
+    monkeypatch.setattr(report, "_write", lambda *args: calls.append(args) or write(*args))
+    assert report.report("classify", first) == dumped("classify", first)
+    assert calls and list(report._TEMPLATES.values()) == [None]
+    assert report.report("classify", first) == dumped("classify", first)
+    assert None not in report._TEMPLATES.values()
+    calls.clear()
+    assert report.report("classify", other) == dumped("classify", other)
+    assert calls == []
+
+
+def test_sweep_shapes_are_few(monkeypatch):
+    # every 10th triple of the q_i <= 12 sweep falls in at most 8 shapes
+    monkeypatch.setattr(report, "_TEMPLATES", {})
+    for triple in islice(sorted_triples(12), 0, None, 10):
+        doc = report.classification_json(classify(parse_manifold("-2;" + ",".join(map(str, triple)))))
+        assert report.report("classify", doc) == dumped("classify", doc)
+    assert 0 < len(report._TEMPLATES) <= 8
+
+
+def test_shape_cache_is_bounded(monkeypatch):
+    # 10^4 documents of distinct shapes (distinct key names): the cache stops
+    # at its bound, and later shapes are written directly
+    monkeypatch.setattr(report, "_TEMPLATES", {})
+    for i in range(10**4):
+        result = {f"key {i}": i, "r": Fraction(1, i + 2)}
+        want = dumped("bound", result)
+        assert report.report("bound", result) == want
+        assert report.report("bound", result) == want
+    assert len(report._TEMPLATES) == report._MAX_SHAPES
+    assert None not in report._TEMPLATES.values()
 
 
 def test_classification_report_matches_json_dumps():
