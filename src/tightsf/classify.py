@@ -24,7 +24,7 @@ from math import prod
 from typing import Any
 
 from . import seifert as sf
-from .contfrac import leg_expansion, shifted_product
+from .contfrac import capped_count, shifted_product
 from .convex import max_twist_table, slope_coeffs, v3_slope_limit
 from .seifert import SeifertData
 from .slopes import Slope
@@ -80,21 +80,21 @@ _PRODUCT_KINDS = (sf.K_OVER_K1, sf.SUM_GE_9_4, sf.SUM_LT_2)
 def _fiber_certificate(sd: SeifertData) -> dict[str, Any]:
     """Per-fiber counts plus the solid-torus shortcut data.
 
-    Each leg r = p/q is expanded once, from (p, q) with 0 < p < q as
-    normalize guarantees, and its T taken once, from the heads of the
-    expansion's runs.  The boundary slope
-    ncf_eval(reverse_shift(entries)) equals (p - q)/(v - u) from the convergents
-    stored in sd, and its solid-torus count is T: reverse_shift keeps the
-    shifted factors a_k + 1, and the head a_0 + 1 becomes the unshifted last
-    factor (checked by selftest.check_contfrac_identities).
+    Each leg's expansion is the runs stored in sd at parse: its entry count
+    is checked against MAX_EXPANSION, since the certificate prints every
+    entry, and its T is taken once, from the run heads.  The boundary slope
+    ncf_eval(reverse_shift(leg).entries()) equals (p - q)/(v - u) from the
+    convergents stored in sd, and its solid-torus count is T: reverse_shift
+    keeps the shifted factors a_k + 1, and the head a_0 + 1 becomes the
+    unshifted last factor (checked by selftest.check_contfrac_identities).
     """
     t_values = []
     shortcut = []
-    for r, (p, q, u, v) in zip(sd.r, sd.conv):
-        entries = leg_expansion(p, q)
-        t = shifted_product(entries.runs)
+    for r, (p, q, u, v), leg in zip(sd.r, sd.conv, sd.legs):
+        capped_count(leg)
+        t = shifted_product(leg)
         t_values.append(t)
-        shortcut.append({"r": r, "entries": entries, "boundary": Slope(p - q, v - u), "count": t})
+        shortcut.append({"r": r, "entries": leg, "boundary": Slope(p - q, v - u), "count": t})
     return {"t_values": tuple(t_values), "shortcut": tuple(shortcut)}
 
 

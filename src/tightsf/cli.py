@@ -11,7 +11,7 @@ _VALUE_PATTERN = re.compile(r"^-\d")
 
 from . import report
 from .classify import EXACT, INFINITE, UNKNOWN, classify
-from .contfrac import convergents, expand, reverse_shift, shifted_product
+from .contfrac import capped_count, leg_of, read_leg, reverse_shift, shifted_product
 from .convex import limit_regime, measured_slope, slope_coeffs, v3_slope, v3_slope_limit
 from .farey import BACK, FRONT, bypass_attach, bypass_oracle
 from .floer import ContactIndex, HalfLaurent, expansion, grid, index_set, pairwise_distinct, stein_obstructed
@@ -23,11 +23,11 @@ from .theta import SurgeryDiagram, theta_parts
 
 def _cmd_cf(args) -> int:
     x = Slope.parse(args.slope)
-    entries = expand(x)
-    p, q, u, v = convergents(x)
+    entries, (p, q, u, v) = read_leg(*leg_of(x))
+    capped_count(entries)
     shifted = reverse_shift(entries)
-    shifted_value = Slope(p - q, v - u)  # equals ncf_eval(shifted)
-    t = shifted_product(entries.runs)  # T(p/q), read off the expansion of -q/p
+    shifted_value = Slope(p - q, v - u)  # equals ncf_eval(shifted.entries())
+    t = shifted_product(entries)  # T(p/q), read off the expansion of -q/p
     if args.json:
         print(report.report("cf", {
             "slope": x,
@@ -38,10 +38,10 @@ def _cmd_cf(args) -> int:
             "reverse_shift_value": shifted_value,
         }))
     else:
-        print(f"{x} = {list(entries)}")
+        print(f"{x} = {list(entries.entries())}")
         print(f"convergents: p={p} q={q} u={u} v={v}")
         print(f"tight count T({p}/{q}) = {t}")
-        print(f"reverse shift: {list(shifted)} = {shifted_value}")
+        print(f"reverse shift: {list(shifted.entries())} = {shifted_value}")
     return 0
 
 

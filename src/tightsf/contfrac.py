@@ -11,11 +11,20 @@ the infinite slope.  reverse_shift produces the derived form
 For x = -q/p in lowest terms (q > p >= 1) the convergents (p, q, u, v) record
 -v/u = [a_0, ..., a_{m-1}], with u = 0, v = 1 when the expansion has length
 one; they always satisfy p*v - q*u = 1.
+
+An expansion is kept as its runs: an `Expansion` is the tuple of its (a, m)
+pairs, m consecutive entries a.  Runs of -2 come one per regular partial
+quotient, so read_leg takes a leg's runs and its convergents from one Euclid
+pass of O(log q) steps, however many entries the expansion has.  Everything
+else reads the runs: the entry count, T, reverse_shift and the report
+writer; only `Expansion.entries` spells the entries out.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
 from math import prod
+from operator import itemgetter
 from typing import NamedTuple
 
 from .slopes import INF, Slope
@@ -28,97 +37,104 @@ class Convergents(NamedTuple):
     v: int
 
 
-# An expansion of -1/r with r = p/q has up to q - 1 entries; a longer one is
-# refused before its tuple is built, so a short input cannot ask for an
-# unbounded amount of memory.
+# An expansion of -1/r with r = p/q has up to q - 1 entries.  expand and the
+# code that prints or plumbs a leg refuse a longer one from its run lengths,
+# so a short input cannot ask for an unbounded amount of output or memory.
 MAX_EXPANSION = 10**6
 
 
-def _below_minus_one(x: Slope | Fraction) -> tuple[int, int]:
-    """(n, d) with x = -n/d in lowest terms, for a slope or rational x < -1."""
+_LENGTH = itemgetter(1)
+
+
+class Expansion(tuple):
+    """An expansion as the tuple of its runs (a, m): m consecutive entries a,
+    with runs of -2 maximal and every other run a single entry (the canonical
+    form from read_leg, or the derived form from reverse_shift).
+
+    Indexing, len and iteration are those of the runs; entry_count and
+    entries give the entries' number and the entries themselves.
+    """
+
+    __slots__ = ()
+
+    def entry_count(self) -> int:
+        return sum(map(_LENGTH, self))
+
+    def entries(self) -> tuple[int, ...]:
+        """The flat tuple of entries, O(entries): for text output and oracles."""
+        return tuple(chain.from_iterable(repeat(a, m) for a, m in self))
+
+
+def leg_of(x: Slope | Fraction) -> tuple[int, int]:
+    """The leg (p, q) of a slope or rational x = -q/p < -1, in lowest terms."""
     if isinstance(x, Slope):
-        n, d = -x.num, x.den
+        q, p = -x.num, x.den
     else:
-        n, d = -x.numerator, x.denominator
-    if n <= d:  # x >= -1, or the infinite slope (n, d) = (-1, 0)
+        q, p = -x.numerator, x.denominator
+    if q <= p:  # x >= -1, or the infinite slope (q, p) = (-1, 0)
         raise ValueError("not of the form -1/r with r in (0,1)")
-    return n, d
+    return p, q
 
 
-def _runs(n: int, d: int) -> list[tuple[int, int]]:
-    """Runs (a, m) of m consecutive entries a in the canonical expansion of -n/d,
-    for integers n > d >= 1.
+def read_leg(p: int, q: int) -> tuple[Expansion, Convergents]:
+    """The runs of the canonical expansion of -q/p and the convergents
+    (p, q, u, v), for the leg r = p/q with 0 < p < q coprime, from one pass.
 
-    A step with n/d in (1, 2] starts a run of -2 entries whose length
-    d // (n - d) is read off at once, so the loop runs once per regular
-    partial quotient: O(log n) steps however long the expansion is.  Runs of
-    -2 alternate with single entries <= -3.
+    The pass is Euclid's on (q, p).  A step with n/d in (1, 2] starts a run of
+    -2 entries whose length d // (n - d) is read off at once; any other step
+    is one entry -b, b = ceil(n/d).  Beside it runs the numerator continuant
+    N_k of [a_0, ..., a_k] (N_{-2} = 0, N_{-1} = 1, N_k = -a_k N_{k-1} - N_{k-2}):
+    an entry -b sets N <- b N_1 - N_0, and a run of m entries -2 is an
+    arithmetic progression, m steps of N_1 - N_0 at once.  At the end N = q,
+    so v = N_{m-1}, and u = (p v - 1)/q.  O(log q) steps, however long the
+    expansion is.
     """
     runs = []
+    n, d = q, p
+    v, w = 0, 1  # the continuants N_{k-1}, N_k of the entries read so far
     while d:
         e = n - d
         if e <= d:
             m = d // e
             runs.append((-2, m))
             n, d = d - (m - 1) * e, d - m * e
+            step = w - v
+            v = w + (m - 1) * step
+            w = v + step
         else:
             b = -(-n // d)  # ceiling
             runs.append((-b, 1))
             # remainder 1/(b - n/d) = d/(b*d - n)
             n, d = d, b * d - n
-    return runs
+            v, w = w, b * w - v
+    # tuple.__new__ types the convergents without the NamedTuple's Python-level __new__
+    return Expansion(runs), tuple.__new__(Convergents, (p, q, (p * v - 1) // q, v))
 
 
-class Expansion(tuple):
-    """A canonical expansion: the tuple of its entries, built from `runs`, the
-    (a, m) pairs of m consecutive entries a that _runs reads off.
+def capped_count(leg: Expansion) -> int:
+    """The entry count of leg, read off its runs.
 
-    Code that needs one number per run (T, the JSON text of the entries) reads
-    `runs` and makes O(runs) Python steps, however long the tuple is.
+    Raises ValueError when it is more than MAX_EXPANSION.
     """
-
-    def __new__(cls, runs: list[tuple[int, int]]) -> Expansion:
-        if len(runs) == 1:  # a leg such as 1/q or (q-1)/q: one repetition, no list
-            (a, m), = runs
-            flat = (a,) * m
-        else:
-            flat = []
-            for a, m in runs:
-                flat += (a,) * m
-        self = tuple.__new__(cls, flat)
-        self.runs = runs
-        return self
-
-
-def leg_runs(p: int, q: int) -> list[tuple[int, int]]:
-    """Runs of the canonical expansion of -q/p = -1/r for the leg r = p/q,
-    0 < p < q coprime, checked against the cap before any entry is built.
-
-    Raises ValueError when the expansion would have more than MAX_EXPANSION
-    entries.
-    """
-    runs = _runs(q, p)
-    length = sum(m for _, m in runs)
+    length = leg.entry_count()
     if length > MAX_EXPANSION:
         raise ValueError(f"expansion has {length} entries, more than the limit {MAX_EXPANSION}")
-    return runs
-
-
-def leg_expansion(p: int, q: int) -> Expansion:
-    """Canonical expansion of -q/p = -1/r for the leg r = p/q, 0 < p < q coprime.
-
-    Raises ValueError when it would have more than MAX_EXPANSION entries.
-    """
-    return Expansion(leg_runs(p, q))
+    return length
 
 
 def expand(x: Slope | Fraction) -> Expansion:
-    """Canonical expansion of a rational x < -1, as a tuple of entries <= -2.
+    """Canonical expansion of a rational x < -1, as the runs of its entries <= -2.
 
     Raises ValueError when it would have more than MAX_EXPANSION entries.
     """
-    n, d = _below_minus_one(x)
-    return leg_expansion(d, n)
+    leg = read_leg(*leg_of(x))[0]
+    capped_count(leg)
+    return leg
+
+
+def convergents(x: Slope | Fraction) -> Convergents:
+    """Convergents (p, q, u, v) of x = -q/p < -1, with p*v - q*u = 1."""
+    return read_leg(*leg_of(x))[1]
 
 
 def shifted_product(runs) -> int:
@@ -131,7 +147,8 @@ def shifted_product(runs) -> int:
 
 
 def ncf_eval(entries) -> Slope:
-    """Right-to-left evaluation; the empty sequence gives the infinite slope."""
+    """Right-to-left evaluation of a sequence of entries (an Expansion's
+    entries()); the empty sequence gives the infinite slope."""
     n = d = None
     for a in reversed(tuple(entries)):
         if n is None:
@@ -145,30 +162,23 @@ def ncf_eval(entries) -> Slope:
     return Slope(n, d)
 
 
-def leg_convergents(p: int, q: int) -> Convergents:
-    """Convergents (p, q, u, v) of -q/p for the leg r = p/q, 0 < p < q coprime.
-
-    -v/u is the expansion without its last entry, so v is the inverse of p
-    modulo q with 0 < v < q (v = 1, u = 0 for p = 1), and u = (p*v - 1)/q.
+def reverse_shift(leg: Expansion) -> Expansion:
+    """The runs of [a_m, ..., a_1, a_0 + 1] (derived form; last entry may be
+    -1), for the runs of a canonical expansion [a_0, ..., a_m]: the runs
+    reversed, with the head entry shifted and moved to the end, in O(runs)
+    steps.  Runs of -2 stay maximal: a shifted head -2 joins the run before
+    it; every other entry stays a run of its own.
     """
-    v = pow(p, -1, q)
-    return Convergents(p, q, (p * v - 1) // q, v)
-
-
-def convergents(x: Slope | Fraction) -> Convergents:
-    """Convergents (p, q, u, v) of x = -q/p < -1, with p*v - q*u = 1."""
-    q, p = _below_minus_one(x)
-    return leg_convergents(p, q)
-
-
-def reverse_shift(entries) -> tuple[int, ...]:
-    """[a_m, ..., a_1, a_0 + 1] (derived form; last entry may be -1)."""
-    t = tuple(entries)
-    if not t:
+    if not leg:
         raise ValueError("reverse_shift needs a non-empty expansion")
-    if max(t) > -2:
+    if max(a for a, _ in leg) > -2:
         raise ValueError("reverse_shift needs a canonical expansion")
-    return t[:0:-1] + (t[0] + 1,)
+    (a, m), body = leg[0], leg[:0:-1]
+    if m > 1:
+        body += ((a, m - 1),)
+    if a == -3 and body and body[-1][0] == -2:
+        return Expansion(body[:-1] + ((-2, body[-1][1] + 1),))
+    return Expansion(body + ((a + 1, 1),))
 
 
 def tight_count(r: Fraction) -> int:
@@ -176,12 +186,12 @@ def tight_count(r: Fraction) -> int:
 
     This is the number of tight contact structures contributed by a singular
     fiber with normalized invariant r.  It is read off the runs of the
-    expansion, in O(log q) steps, without building the expansion.
+    expansion, in O(log q) steps, without spelling out the entries.
     """
     r = Fraction(r)
     if not 0 < r < 1:
         raise ValueError("invariant must lie in (0, 1)")
-    return shifted_product(_runs(r.denominator, r.numerator))
+    return shifted_product(read_leg(r.numerator, r.denominator)[0])
 
 
 def solid_torus_count(s: Slope | Fraction) -> int:
@@ -202,5 +212,5 @@ def solid_torus_count(s: Slope | Fraction) -> int:
         raise ValueError("boundary slope must be <= -1 in these coordinates")
     if f.denominator == 1:
         return -f.numerator
-    runs = _runs(-f.numerator, f.denominator)
+    runs = read_leg(f.denominator, -f.numerator)[0]
     return abs(runs[-1][0]) * shifted_product(runs[:-1])

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterator, NamedTuple, Sequence
 
-from .contfrac import Convergents, leg_convergents
+from .contfrac import Convergents
 from .seifert import SeifertData
 from .slopes import Slope, UniMat
 
@@ -213,6 +213,15 @@ class MaxTwistTable:
         return sum(self.count)
 
 
+def _family_convergents(n: int) -> tuple[Convergents, Convergents, Convergents]:
+    """The convergents of the legs 1/2, 2/3 and (5n+1)/(6n+1), in closed form.
+
+    p v - q u = 1 with 0 < v < q makes v the inverse of p modulo q, which
+    fixes (u, v); and (5n+1) 6 - (6n+1) 5 = 1 with 6 < 6n+1 for n >= 1.
+    """
+    return Convergents(1, 2, 0, 1), Convergents(2, 3, 1, 2), Convergents(5 * n + 1, 6 * n + 1, 5, 6)
+
+
 def max_twist_table(n: int) -> MaxTwistTable:
     """Upper-bound bookkeeping for M(-2; 1/2, 2/3, (5n+1)/(6n+1)).
 
@@ -234,8 +243,8 @@ def max_twist_table(n: int) -> MaxTwistTable:
         raise ValueError("family parameter must be positive")
     if n > MAX_TWIST_ROWS:
         raise ValueError(f"the table has {n} rows, more than the limit {MAX_TWIST_ROWS}")
-    (p1, q1, u1, v1), (p2, q2, u2, v2) = leg_convergents(1, 2), leg_convergents(2, 3)
-    m = fiber3_matrix(leg_convergents(5 * n + 1, 6 * n + 1))  # raises ValueError unless unimodular
+    (p1, q1, u1, v1), (p2, q2, u2, v2), conv3 = _family_convergents(n)
+    m = fiber3_matrix(conv3)  # raises ValueError unless unimodular
     s = m.det  # +-1, so the inverse is the adjugate signed by s, as UniMat.inverse builds it
     a, b, c, d = s * m.d, -s * m.b, -s * m.c, s * m.a
     for k in (0, 1, 2):

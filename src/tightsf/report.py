@@ -10,11 +10,13 @@ ever a float.
 
 The writer dispatches on the exact type of each value: str, int, bool, None,
 `Slope`, `Fraction`, dict, `Expansion`, list and tuple, `MaxTwistTable`, and a
-record is any other type with `__dataclass_fields__`.  An `Expansion` (a tuple
-subclass) is the list of its entries, written one run of equal entries at a
-time.  A `MaxTwistTable` is the list of its rows, each written as the object
-{"k", "rounded", "boundary", "count"} from one template filled straight from
-the table's columns, so no row object is built.  Other subclasses of the
+record is any other type with `__dataclass_fields__`.  An `Expansion` (the
+tuple of a leg's runs) is the list of its entries, written from the runs: the
+single entries between long runs as one join, and each long run as one
+string repetition, so no flat tuple of entries is built.  A `MaxTwistTable`
+is the list of its rows, each written as the object {"k", "rounded",
+"boundary", "count"} from one template filled straight from the table's
+columns, so no row object is built.  Other subclasses of the
 plain types are not accepted, so no value pays for an isinstance test
 (against `Fraction` that is an ABC check).
 A record type's field names are read once and kept in a module dict keyed by
@@ -26,11 +28,12 @@ come in 6 shapes.  _walk reads a document's shape key (each dict's keys, each
 record's type and which fields are None, each list's length, each leaf's
 type) and its leaves, each one %s slot: an escaped str, an int, a bool, the
 num or the den of a slope or fraction, an int of a short list of ints, or the
-entries of a short Expansion.  _template has _write write a placeholder
-document of the shape, so _write stays the one place that knows the layout.  A shape is templated from its
-second sighting, so a one-shot process never builds a template.  A long
-Expansion and a MaxTwistTable are spliced in by their own writers, never
-formatted through %.  A document with a dict, list or tuple of more than
+entries of an Expansion of at most _MAX_ITEMS entries (its entry count,
+not its number of runs, decides).  _template has _write write a placeholder
+document of the shape, so _write stays the one place that knows the layout.
+A shape is templated from its second sighting, so a one-shot process never
+builds a template.  A longer Expansion and a MaxTwistTable are spliced in by
+their own writers, never formatted through %.  A document with a dict, list or tuple of more than
 _MAX_ITEMS items (floer's classes, a large seifert matrix) is written
 directly, and so is one of a new shape once the cache holds _MAX_SHAPES.
 Nothing is cached by value.
@@ -51,14 +54,8 @@ SCHEMA = "tightsf/1"
 
 
 def manifold_json(sd: SeifertData) -> dict[str, Any]:
-    return {
-        "e0": sd.e0,
-        "r": sd.r,
-        "p": [c.p for c in sd.conv],
-        "q": [c.q for c in sd.conv],
-        "u": [c.u for c in sd.conv],
-        "v": [c.v for c in sd.conv],
-    }
+    p, q, u, v = map(list, zip(*sd.conv))
+    return {"e0": sd.e0, "r": sd.r, "p": p, "q": q, "u": u, "v": v}
 
 
 def classification_json(res: ClassificationResult) -> dict[str, Any]:
@@ -154,30 +151,38 @@ def _write(value: Any, pad: str, out: list[str]) -> None:
 
 def _write_expansion(value: Expansion, pad: str, out: list[str]) -> None:
     """Append the JSON list of an expansion's entries, as _write does for a
-    tuple of ints.  A run of m >= 2 equal entries is one string repetition,
-    and the single entries between such runs are one join, so the Python
-    steps are O(runs) however long the expansion is.
+    tuple of ints, from its runs.  The single entries between long runs are
+    one join, and a run of m >= 2 entries is its first entry plus one string
+    repetition of the rest, appended on its own, so the Python steps are
+    O(runs) and each long run's text is copied once.
     """
     if not value:
         out.append("[]")
         return
     inner = pad + "  "
     sep = ",\n" + inner
-    out.append("[\n" + inner + int.__repr__(value[0]))
-    done = 1  # entries before this index are written
-    end = 0  # the end of the current run
-    for a, m in value.runs:
-        end += m
-        if m > 1:
-            start = end - m
-            if done < start:
-                out.append(sep + sep.join(map(int.__repr__, value[done:start])))
-                done = start
-            out.append((sep + int.__repr__(a)) * (end - done))
-            done = end
-    if done < end:
-        out.append(sep + sep.join(map(int.__repr__, value[done:end])))
+    head = "[\n" + inner  # what comes before the next entry
+    singles: list[str] = []  # the single entries since the last long run
+    for a, m in value:
+        if m == 1:
+            singles.append(int.__repr__(a))
+            continue
+        if singles:
+            out.append(head + sep.join(singles))
+            singles = []
+            head = sep
+        text = int.__repr__(a)
+        out.append(head + text)
+        out.append((sep + text) * (m - 1))
+        head = sep
+    if singles:
+        out.append(head + sep.join(singles))
     out.append("\n" + pad + "]")
+
+
+def _entries_text(value: Expansion, sep: str) -> str:
+    """The entries of a short expansion joined by sep, from its runs."""
+    return sep.join([text for a, m in value for text in (int.__repr__(a),) * m])
 
 
 def _write_max_twist_table(value: MaxTwistTable, pad: str, out: list[str]) -> None:
@@ -228,17 +233,19 @@ def _walk(values: Iterable, pad: str, key: list, leaves: list, splices: list) ->
     Leaves: a str is its escaped text, an int the int and a bool its JSON
     word; a slope or fraction is two leaves, num and den; a list or tuple of
     at most _MAX_ITEMS plain ints is one leaf per int, and a non-empty
-    Expansion of at most _MAX_ITEMS entries one leaf, the text of its
-    entries.  A longer Expansion or a MaxTwistTable is a splice: splices gets
-    (the number of leaves before it, its writer, value, pad), and its text is
-    written straight into the report, never into a %-template.
+    Expansion of at most _MAX_ITEMS entries (counted from its runs) one
+    leaf, the text of its entries.  A longer Expansion or a MaxTwistTable
+    is a splice: splices gets (the number of leaves before it, its writer,
+    value, pad), and its text is written straight into the report, never
+    into a %-template.
 
     Tokens: the type of a str, int, bool, slope, fraction, None or splice; a
     dict's keys as a tuple, then its values; a record's type, then each
     field, None included; a list's or tuple's length n, then its items, or -n
-    for n plain ints, or -1 for an Expansion leaf.  Raises _Direct on a dict,
-    list or tuple of more than _MAX_ITEMS items and on any other type, so
-    that _write writes the document (or raises its TypeError).
+    for n plain ints, or -1 for an Expansion leaf (0 for an empty one).
+    Raises _Direct on a dict, list or tuple of more than _MAX_ITEMS items and
+    on any other type, so that _write writes the document (or raises its
+    TypeError).
     """
     for value in values:
         t = type(value)
@@ -259,24 +266,26 @@ def _walk(values: Iterable, pad: str, key: list, leaves: list, splices: list) ->
             key.append(tuple(value))
             _walk(value.values(), pad + "  ", key, leaves, splices)
             continue
-        elif t is list or t is tuple or t is Expansion:
+        elif t is Expansion:
+            n = value.entry_count()
+            if n > _MAX_ITEMS:
+                splices.append((len(leaves), _write_expansion, value, pad))  # its token is t, below
+            else:
+                if n:
+                    leaves.append(_entries_text(value, ",\n" + pad + "  "))
+                key.append(-1 if n else 0)
+                continue
+        elif t is list or t is tuple:
             n = len(value)
             if n > _MAX_ITEMS:
-                if t is not Expansion:
-                    raise _Direct
-                splices.append((len(leaves), _write_expansion, value, pad))  # its token is t, below
-            elif n and t is Expansion:
-                leaves.append((",\n" + pad + "  ").join(map(int.__repr__, value)))
-                key.append(-1)
-                continue
-            elif n and set(map(type, value)) == {int}:
+                raise _Direct
+            if n and set(map(type, value)) == {int}:
                 leaves.extend(value)
                 key.append(-n)
-                continue
             else:
                 key.append(n)
                 _walk(value, pad + "  ", key, leaves, splices)
-                continue
+            continue
         elif t is MaxTwistTable:
             splices.append((len(leaves), _write_max_twist_table, value, pad))
         elif value is not None:

@@ -4,16 +4,17 @@ A manifold M(r1, r2, r3) with rational invariants is normalized to
 M(e0; r1, r2, r3) with each ri in Q n (0, 1) by moving integer parts into the
 integer Euler number e0; the tuple is kept sorted ascending, since the
 invariants are unordered.  Each invariant ri = pi/qi carries its convergents
-(pi, qi, ui, vi), with pi vi - qi ui = 1.
+(pi, qi, ui, vi), with pi vi - qi ui = 1, and the runs of the expansion of
+-1/ri, both from one contfrac.read_leg pass at parse.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .contfrac import Convergents, Expansion, leg_convergents, leg_runs
+from .contfrac import Convergents, Expansion, capped_count, read_leg
 
 
 @dataclass(frozen=True)
@@ -21,6 +22,8 @@ class SeifertData:
     e0: int
     r: tuple[Fraction, Fraction, Fraction]
     conv: tuple[Convergents, Convergents, Convergents]
+    # the expansion of -1/ri, as runs, for each leg: derived from conv's (p, q)
+    legs: tuple[Expansion, Expansion, Expansion] = field(compare=False, repr=False)
 
     @cached_property
     def invariant_sum(self) -> Fraction:
@@ -47,7 +50,9 @@ def _normalize(pairs, e0_raw: int) -> SeifertData:
 
     Each p/q is reduced with gcd and split by divmod into its floor, which
     moves into e0, and a part p'/q with 0 < p' < q.  The parts are sorted by
-    p' (Q/q) for Q = q_1 q_2 q_3, an exact integer key of p'/q.
+    p' (Q/q) for Q = q_1 q_2 q_3, an exact integer key of p'/q.  One
+    read_leg pass per leg gives its convergents and runs; no cap applies
+    here, since the runs of any leg take O(log q) space.
     """
     if len(pairs) != 3:
         raise ValueError("expected exactly three Seifert invariants")
@@ -64,11 +69,8 @@ def _normalize(pairs, e0_raw: int) -> SeifertData:
         legs.append((p, q // g))
     scale = legs[0][1] * legs[1][1] * legs[2][1]
     legs.sort(key=lambda leg: leg[0] * (scale // leg[1]))
-    return SeifertData(
-        e0,
-        tuple(Fraction(p, q) for p, q in legs),
-        tuple(leg_convergents(p, q) for p, q in legs),
-    )
+    expansions, conv = zip(*[read_leg(p, q) for p, q in legs])
+    return SeifertData(e0, tuple(Fraction(p, q) for p, q in legs), conv, expansions)
 
 
 def parse_manifold(text: str) -> SeifertData:
@@ -112,29 +114,41 @@ def h1_order(sd: SeifertData) -> int:
 
 
 # The linking matrix has n^2 entries for n vertices, so the plumbing size
-# is capped, from the run lengths of the legs, before any leg or the matrix
-# is built.
+# is capped, from the run lengths of the legs, before any row is built.
 MAX_PLUMBING_VERTICES = 1000
 
 
 def linking_matrix(sd: SeifertData) -> tuple[tuple[int, ...], ...]:
     """Star-shaped plumbing matrix: central vertex framed e0, one leg per
-    fiber carrying the expansion of -1/ri, consecutive vertices linked once."""
-    runs = [leg_runs(c.p, c.q) for c in sd.conv]
-    n = 1 + sum(m for leg in runs for _, m in leg)
+    fiber carrying the expansion of -1/ri, consecutive vertices linked once.
+
+    Each leg's entry count is checked against MAX_EXPANSION, then the vertex
+    count against MAX_PLUMBING_VERTICES; the rows are then built one by one
+    from the runs stored in sd.
+    """
+    counts = [capped_count(leg) for leg in sd.legs]
+    n = 1 + sum(counts)
     if n > MAX_PLUMBING_VERTICES:
         raise ValueError(f"plumbing has {n} vertices, more than the limit {MAX_PLUMBING_VERTICES}")
-    m = [[0] * n for _ in range(n)]
-    m[0][0] = sd.e0
+    center = [0] * n
+    center[0] = sd.e0
+    rows = [center]
     idx = 1
-    for leg in map(Expansion, runs):
+    for leg, count in zip(sd.legs, counts):
+        center[idx] = 1
+        last = idx + count - 1
         prev = 0
-        for a in leg:
-            m[idx][idx] = a
-            m[idx][prev] = m[prev][idx] = 1
-            prev = idx
-            idx += 1
-    return tuple(tuple(row) for row in m)
+        for a, m in leg:
+            for _ in range(m):
+                row = [0] * n
+                row[prev] = 1
+                row[idx] = a
+                if idx < last:
+                    row[idx + 1] = 1
+                rows.append(row)
+                prev = idx
+                idx += 1
+    return tuple(map(tuple, rows))
 
 
 # family tags for the classifier

@@ -58,11 +58,11 @@ def check_contfrac_identities(max_q: int = 100) -> str:
     for p, q in fractions_upto(max_q):
         x = Fraction(-q, p)
         entries = expand(x)
-        _check(ncf_eval(entries) == Slope(-q, p), f"expansion of {x} does not evaluate back")
+        _check(ncf_eval(entries.entries()) == Slope(-q, p), f"expansion of {x} does not evaluate back")
         cp, cq, u, v = convergents(x)
         _check((cp, cq) == (p, q) and p * v - q * u == 1, f"convergents of {x} break p*v - q*u = 1")
         _check(q >= v > 0 and p >= u >= 0, f"convergents of {x} break q >= v > 0 and p >= u >= 0")
-        shifted = ncf_eval(reverse_shift(entries))
+        shifted = ncf_eval(reverse_shift(entries).entries())
         _check(shifted == Slope(p - q, v - u), f"reverse shift of {x} is not (p - q)/(v - u)")
         _check(solid_torus_count(shifted) == tight_count(Fraction(p, q)),
                f"solid torus count differs from T at r = {p}/{q}")

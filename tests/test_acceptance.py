@@ -44,7 +44,7 @@ def test_criterion_2_product_counts():
         assert res.count == product
         shortcut = 1
         for r in sd.r:
-            shortcut *= solid_torus_count(ncf_eval(reverse_shift(expand(-1 / r))))
+            shortcut *= solid_torus_count(ncf_eval(reverse_shift(expand(-1 / r)).entries()))
         assert shortcut == product
         checked += 1
     assert checked > 10000

@@ -1,6 +1,8 @@
 import json
 import random
 import re
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 
 import tightsf.classify as classify_module
 import tightsf.contfrac as contfrac
+import tightsf.seifert as seifert
 
 from tightsf import report
 from tightsf.classify import ALL_STEIN, EXACT, INFINITE, MIXED, TORSION, UNKNOWN, _fiber_certificate, classify
@@ -96,26 +99,40 @@ def test_no_exact_zero():
 
 
 def test_each_leg_is_read_once(monkeypatch):
-    # the run decomposition is taken once per leg: T is the shortcut's
-    # solid-torus count, so no second pass over a boundary slope's runs
-    runs, calls = contfrac._runs, []
+    # one read_leg pass per leg from text to report, in every regime: parse
+    # stores each leg's runs and convergents, and classify, the certificate
+    # (T is the shortcut's solid-torus count) and the report only read them
+    read_leg, calls = contfrac.read_leg, []
 
-    def counted(n, d):
-        calls.append((n, d))
-        return runs(n, d)
+    def counted(p, q):
+        calls.append((p, q))
+        return read_leg(p, q)
 
-    sd = parse_manifold("-2;1/3,2/5,3/7")
-    monkeypatch.setattr(contfrac, "_runs", counted)
-    res = classify(sd)
-    assert res.certificate.case == "sum_lt_2" and res.count == 8
-    assert len(calls) == 3
-    assert [row["count"] for row in res.certificate.data["shortcut"]] == list(res.certificate.data["t_values"])
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "tightsf":
+            for attr, value in list(vars(module).items()):
+                if value is read_leg:
+                    monkeypatch.setattr(module, attr, counted)
+    assert seifert.read_leg is counted
+    texts = ("-2;1/3,2/5,3/7", "-2;1/3,1/3,99999/100000", "-2;3/4,5/6,7/8", "-2;1/2,2/3,7/8",
+             "-2;1/2,2/3,11/13", "-2;1/2,3/4,3/4", "-2;1/2,3/4,4/5", "-2;1/3,5/6,5/6", "-1;1/2,2/3,6/7")
+    cases = set()
+    for text in texts:
+        calls.clear()
+        res = classify(parse_manifold(text))
+        report.report("classify", report.classification_json(res))
+        assert len(calls) == 3, text
+        cases.add(res.certificate.case)
+        if "shortcut" in res.certificate.data:
+            assert [row["count"] for row in res.certificate.data["shortcut"]] == list(res.certificate.data["t_values"])
+    assert len(cases) == len(texts) - 1  # every regime, sum_lt_2 twice
 
 
 def test_long_run_costs_one_step(monkeypatch):
     # r = (q-1)/q expands to q-1 entries -2, one run: T reads at most one item
-    # per run, and writing the entries calls int.__repr__ at most once per run
-    # and once for the first entry (counted work, not timing)
+    # per run, writing the entries calls int.__repr__ at most once per run
+    # and appends the run's repetition as a piece of its own, and classify
+    # allocates O(runs) memory (counted work, not timing)
     q = 10**5
     handed = []
 
@@ -124,10 +141,18 @@ def test_long_run_costs_one_step(monkeypatch):
         handed.append(len(items))
         return shifted_product(items)
 
+    sd = parse_manifold(f"-2;1/3,2/5,{q - 1}/{q}")
     monkeypatch.setattr(classify_module, "shifted_product", counted_product)
-    legs = [row["entries"] for row in _fiber_certificate(parse_manifold(f"-2;1/3,2/5,{q - 1}/{q}"))["shortcut"]]
-    assert [len(leg) for leg in legs] == [1, 2, q - 1] and legs[2].runs == [(-2, q - 1)]
-    assert len(handed) == 3 and all(n <= len(leg.runs) for n, leg in zip(handed, legs))
+    legs = [row["entries"] for row in _fiber_certificate(sd)["shortcut"]]
+    assert [leg.entry_count() for leg in legs] == [1, 2, q - 1] and legs[2] == ((-2, q - 1),)
+    assert len(handed) == 3 and all(n <= len(leg) for n, leg in zip(handed, legs))
+    monkeypatch.undo()
+
+    tracemalloc.start()
+    classify(sd)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 64 * 1024  # q - 1 flat entries would take 800 KB
 
     reprs = []
 
@@ -141,8 +166,9 @@ def test_long_run_costs_one_step(monkeypatch):
     out = []
     report._write(legs[2], "  ", out)
     monkeypatch.undo()
-    assert len(reprs) <= 1 + len(legs[2].runs)
-    assert "".join(out) == json.dumps(list(legs[2]), indent=2).replace("\n", "\n  ")
+    assert len(reprs) <= len(legs[2])
+    assert "".join(out) == json.dumps(list(legs[2].entries()), indent=2).replace("\n", "\n  ")
+    assert ",\n    -2" * (q - 2) in out
 
 
 def test_report_path_builds_only_the_printed_fractions(monkeypatch):
@@ -183,4 +209,4 @@ def test_fiber_certificate_matches_expand_on_big_legs(drawn):
         return
     data = _fiber_certificate(sd)
     assert [row["entries"] for row in data["shortcut"]] == want
-    assert list(data["t_values"]) == [shifted_product(e.runs) for e in want]
+    assert list(data["t_values"]) == [shifted_product(e) for e in want]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tightsf.cli import main
-from tightsf.contfrac import solid_torus_count
+from tightsf.contfrac import Expansion, solid_torus_count
 from tightsf.convex import (
     MAX_TWIST_ROWS, max_twist_table, measured_slope, rounded_slope, slope_coeffs, v3_slope, v3_slope_stepwise,
 )
@@ -230,6 +230,18 @@ def test_zero_denominator_is_one_line_error(capsys):
     code, out, err = run(capsys, "classify", "-2;1/0,1/2,1/3")
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_cf_at_the_cap_is_written_from_the_runs(capsys, monkeypatch):
+    # 10^6 entries -2: the leg and its reverse shift are read and written from
+    # their runs, never spelled out as entries, and the 20 MB report keeps
+    # its bytes
+    spelled = []
+    monkeypatch.setattr(Expansion, "entries", lambda self: spelled.append(self))
+    code, out, err = run(capsys, "cf", "-1000001/1000000", "--json")
+    assert code == 0 and err == "" and spelled == []
+    assert len(out) == 20000351
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "71bedc3f6ce5188f"
 
 
 def test_huge_leg_fails_fast(capsys):

@@ -333,13 +333,22 @@ def test_max_twist_table_checks_each_boundary(monkeypatch):
         max_twist_table(3)
 
 
+def family_convergents(n):
+    return tuple(convergents(Fraction(-q, p)) for p, q in ((1, 2), (2, 3), (5 * n + 1, 6 * n + 1)))
+
+
+def test_family_convergents_closed_form():
+    for n in [*range(1, 200), 10**5, 10**40]:
+        assert convex._family_convergents(n) == family_convergents(n)
+
+
 def test_max_twist_table_checks_the_balance(monkeypatch):
     # dividing counts that fail to balance are caught by the row check, which -O keeps
-    def unbalanced(p, q):
-        conv = convergents(Fraction(-q, p))
-        return conv._replace(v=conv.v + 1) if (p, q) == (2, 3) else conv
+    def unbalanced(n):
+        conv1, conv2, conv3 = family_convergents(n)
+        return conv1, conv2._replace(v=conv2.v + 1), conv3
 
-    monkeypatch.setattr(convex, "leg_convergents", unbalanced)
+    monkeypatch.setattr(convex, "_family_convergents", unbalanced)
     with pytest.raises(ArithmeticError, match="balance"):
         max_twist_table(3)
 
@@ -432,11 +441,11 @@ def test_max_twist_table_builds_one_transfer_matrix(monkeypatch):
         assert max_twist_table(n).total == n * (n + 1) // 2
         assert len(built) == 1
 
-    def skewed(p, q):
-        conv = convergents(Fraction(-q, p))
-        return conv._replace(u=conv.u + 1) if q > 3 else conv
+    def skewed(n):
+        conv1, conv2, conv3 = family_convergents(n)
+        return conv1, conv2, conv3._replace(u=conv3.u + 1)
 
-    monkeypatch.setattr(convex, "leg_convergents", skewed)
+    monkeypatch.setattr(convex, "_family_convergents", skewed)
     with pytest.raises(ValueError, match="unimodular"):
         max_twist_table(3)
 

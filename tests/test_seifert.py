@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import floor
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 
 import tightsf.seifert as seifert
 
-from tightsf.contfrac import leg_expansion
+from tightsf.contfrac import Expansion, read_leg
 from tightsf.seifert import (
     DEGENERATE_SUM_2,
     GAP_OTHER,
@@ -206,7 +207,7 @@ def test_h1_order_matches_sympy_determinant():
             if legs[2].denominator == 1:
                 continue
         sd = normalize(legs, e0)
-        vertices = 1 + sum(len(leg_expansion(c.p, c.q)) for c in sd.conv)
+        vertices = 1 + sum(len(read_leg(c.p, c.q)[0].entries()) for c in sd.conv)
         if vertices > 40:
             continue
         assert vertices <= MAX_PLUMBING_VERTICES
@@ -218,10 +219,15 @@ def test_h1_order_matches_sympy_determinant():
 
 
 def test_plumbing_cap_is_read_off_the_runs(monkeypatch):
-    # 1 + 1 + 1 + 99999 vertices: refused from the run lengths, before any leg
-    # is built
+    # 1 + 1 + 1 + 99999 vertices: refused from the run lengths, before any
+    # leg's entries are spelled out or any row is built
+    sd = parse_manifold("-2;1/3,1/3,99999/100000")
     built = []
-    monkeypatch.setattr(seifert, "Expansion", built.append)
+    monkeypatch.setattr(Expansion, "entries", lambda self: built.append(self))
+    tracemalloc.start()
     with pytest.raises(ValueError, match=r"^plumbing has 100002 vertices, more than the limit 1000$"):
-        linking_matrix(parse_manifold("-2;1/3,1/3,99999/100000"))
+        linking_matrix(sd)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     assert built == []
+    assert peak < 64 * 1024  # one row of 100002 zeros would take 800 KB
