@@ -14,10 +14,10 @@ from .classify import EXACT, INFINITE, UNKNOWN, classify
 from .contfrac import capped_count, leg_of, read_leg, reverse_shift, shifted_product
 from .convex import limit_regime, measured_slope, slope_coeffs, v3_slope, v3_slope_limit
 from .farey import BACK, FRONT, bypass_attach, bypass_oracle
-from .floer import ContactIndex, HalfLaurent, expansion, grid, index_set, pairwise_distinct, stein_obstructed
+from .floer import ContactIndex, expansion, grid, index_set, laurent_image, pairwise_distinct, stein_obstructed
 from .seifert import detect_family, h1_order, linking_matrix, parse_manifold
 from .selftest import run_all
-from .slopes import Slope
+from .slopes import Slope, parse_int
 from .theta import SurgeryDiagram, theta_parts
 
 
@@ -128,20 +128,16 @@ def _cmd_floer(args) -> int:
         parts = args.index.split(",")
         if len(parts) != 2:
             raise ValueError(f"--index expected 'i,j', got {args.index!r}")
-        indices = [ContactIndex(n, int(parts[0]), int(parts[1]))]
+        indices = [ContactIndex(n, *map(parse_int, parts))]
     else:
         indices = index_set(n)
     positions = list(grid(n))
-    rows = []
-    for idx in indices:
-        coeffs = expansion(idx).coeffs
-        rows.append({
-            "i": idx.i, "j": idx.j,
-            "coeffs": list(coeffs),
-            # the image's coefficient at t^(j'/2) is the class's coordinate at j'
-            "laurent": str(HalfLaurent(dict(zip(positions, coeffs)))),
-            "stein_obstructed": stein_obstructed(idx),
-        })
+    rows = [{
+        "i": idx.i, "j": idx.j,
+        "coeffs": list(expansion(idx).coeffs),
+        "laurent": laurent_image(idx),
+        "stein_obstructed": stein_obstructed(idx),
+    } for idx in indices]
     obstructed = sum(r["stein_obstructed"] for r in rows)
     if args.json:
         print(report.report("floer", {"n": n, "grid": positions, "classes": rows,
@@ -159,7 +155,7 @@ def _cmd_floer(args) -> int:
 def _cmd_theta(args) -> int:
     with open(args.diagram, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=parse_int)
         except RecursionError:
             raise ValueError("diagram JSON is nested too deeply") from None
     if not isinstance(data, dict):
@@ -270,15 +266,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# an interpreter without an int/str digit limit (before 3.10.7) has none to lift
+_get_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+
+
 def main(argv=None) -> int:
+    digits = _get_digits()
     try:
         args = build_parser().parse_args(argv)
+        # every integer a command reads from text goes through parse_int, under
+        # MAX_INPUT_DIGITS, so each integer it prints, text or JSON, is printed whole
+        _set_digits(0)
         return args.fn(args)
     except SystemExit as exc:  # --help prints and exits 0
         return 1 if exc.code else 0
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        _set_digits(digits)
 
 
 if __name__ == "__main__":

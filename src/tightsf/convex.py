@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .contfrac import Convergents
 from .seifert import SeifertData
@@ -181,32 +180,20 @@ def v3_slope_limit(sd: SeifertData, coeffs: SlopeCoeffs) -> LimitInfo:
 MAX_TWIST_ROWS = 10**5
 
 
-class MaxTwistRow(NamedTuple):
-    k: int
-    rounded_num: int  # slope of the rounded torus, -k/(6k+1), reduced with den > 0
-    rounded_den: int
-    boundary: int  # dV_3 boundary slope, the integer -n+k
-    count: int  # tight structures on V_3 rel boundary
-
-
 @dataclass(slots=True)  # not frozen: a frozen __init__ pays a setattr call per field
 class MaxTwistTable:
-    """A sphere-family table as five columns, one per MaxTwistRow field;
-    max_twist_table makes each a range, and rows are built only on demand."""
+    """A sphere-family table as five columns, which max_twist_table makes
+    ranges; tuples() zips them into the rows (k, rounded_num, rounded_den,
+    boundary, count)."""
     n: int
     k: Sequence[int]
-    rounded_num: Sequence[int]
+    rounded_num: Sequence[int]  # slope of the rounded torus, -k/(6k+1), reduced with den > 0
     rounded_den: Sequence[int]
-    boundary: Sequence[int]
-    count: Sequence[int]
+    boundary: Sequence[int]  # dV_3 boundary slope, the integer -n+k
+    count: Sequence[int]  # tight structures on V_3 rel boundary
 
     def tuples(self) -> Iterator[tuple[int, ...]]:
         return zip(self.k, self.rounded_num, self.rounded_den, self.boundary, self.count)
-
-    @property
-    def rows(self) -> tuple[MaxTwistRow, ...]:
-        # tuple.__new__ types each row without the NamedTuple's Python-level __new__
-        return tuple(map(partial(tuple.__new__, MaxTwistRow), self.tuples()))
 
     @property
     def total(self) -> int:

@@ -18,30 +18,13 @@ Distinctness, conjugation symmetry, and the mod-2 fillability obstruction do
 not depend on that overall choice.
 
 Both expansion and laurent_image read that signed binomial row, built in i
-steps of one multiply and one exact division each, so a class costs O(i) and
-laurent_image builds one HalfLaurent.  The i-fold product of Laurent
-polynomials is kept only as the test oracle.
+steps of one multiply and one exact division each, so a class costs O(i):
+laurent_image writes the class's Laurent text straight from the row.  The
+i-fold product of Laurent polynomials is kept only as the test oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class ContactIndex:
-    n: int
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if not 0 <= self.i <= self.n - 1:
-            raise ValueError("index i out of range")
-        if abs(self.j) > self.n - self.i - 1:
-            raise ValueError("index j out of range")
-        if (self.j - (self.n + 1 - self.i)) % 2:
-            raise ValueError("index j has the wrong parity")
 
 
 # The table holds n(n+1)/2 classes of n coefficients, and its text grows about
@@ -54,6 +37,22 @@ def _check_table_size(n: int) -> None:
         raise ValueError("n must be positive")
     if n > MAX_N:
         raise ValueError(f"n = {n} is more than the limit {MAX_N}")
+
+
+@dataclass(frozen=True)
+class ContactIndex:
+    n: int
+    i: int
+    j: int
+
+    def __post_init__(self):
+        _check_table_size(self.n)
+        if not 0 <= self.i <= self.n - 1:
+            raise ValueError("index i out of range")
+        if abs(self.j) > self.n - self.i - 1:
+            raise ValueError("index j out of range")
+        if (self.j - (self.n + 1 - self.i)) % 2:
+            raise ValueError("index j has the wrong parity")
 
 
 def index_set(n: int) -> list[ContactIndex]:
@@ -103,49 +102,25 @@ def expansion(idx: ContactIndex) -> ExpansionVector:
     return ExpansionVector(n, (0,) * low + tuple(row) + (0,) * (n - 1 - low - i))
 
 
-class HalfLaurent:
-    """Laurent polynomial in t^(1/2) with integer coefficients.
+def laurent_image(idx: ContactIndex) -> str:
+    """t^(j/2) (t^(1/2) - t^(-1/2))^i, the image of the class in the model, as
+    text: (-1)^k binom(i, k) t^((j+i-2k)/2) for k = 0..i, highest power first.
 
-    Keys of the internal dict are twice the exponent, so t^(j/2) is stored at
-    key j; within one element all keys share a parity.
+    The exponents j+i, j+i-2, ... descend and share a parity, and no entry of
+    the row is 0, so each term is written in the row's order.  A coefficient
+    of +-1 is a bare sign, the constant term is its signed coefficient, and
+    the leading "+" of the first term (whose coefficient is 1) is dropped.
     """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[int, int] | None = None):
-        clean = {e: c for e, c in (terms or {}).items() if c != 0}
-        parities = {e % 2 for e in clean}
-        if len(parities) > 1:
-            raise ValueError("mixed exponent parities in one element")
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HalfLaurent is immutable")
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            exp = f"t^({e}/2)" if e % 2 else ("" if e == 0 else f"t^{e // 2}")
-            if exp == "":
-                parts.append(f"{c:+d}")
-            elif c == 1:
-                parts.append(f"+{exp}")
-            elif c == -1:
-                parts.append(f"-{exp}")
-            else:
-                parts.append(f"{c:+d}*{exp}")
-        text = "".join(parts)
-        return text[1:] if text.startswith("+") else text
-
-
-def laurent_image(idx: ContactIndex) -> HalfLaurent:
-    """t^(j/2) (t^(1/2) - t^(-1/2))^i, the image of the class in the model:
-    (-1)^k binom(i, k) at t^((j+i-2k)/2)."""
     i, j = idx.i, idx.j
-    return HalfLaurent(dict(zip(range(j + i, j - i - 1, -2), _binomial_row(i))))
+    odd = (j + i) % 2
+    terms = []
+    for e, c in zip(range(j + i, j - i - 1, -2), _binomial_row(i)):
+        if e == 0:
+            terms.append("%+d" % c)
+            continue
+        power = "t^(%d/2)" % e if odd else "t^%d" % (e // 2)
+        terms.append(("+" if c == 1 else "-" if c == -1 else "%+d*" % c) + power)
+    return "".join(terms)[1:]
 
 
 def stein_obstructed(idx: ContactIndex) -> bool:

@@ -15,6 +15,7 @@ from functools import cached_property
 from math import gcd
 
 from .contfrac import Convergents, Expansion, capped_count, read_leg
+from .slopes import parse_int
 
 
 @dataclass(frozen=True)
@@ -74,11 +75,12 @@ def _normalize(pairs, e0_raw: int) -> SeifertData:
 
 
 def parse_manifold(text: str) -> SeifertData:
-    """Parse 'e0;r1,r2,r3' (normalized) or 'r1,r2,r3' (unnormalized)."""
+    """Parse 'e0;r1,r2,r3' (normalized) or 'r1,r2,r3' (unnormalized); each
+    integer is read by slopes.parse_int, so under its MAX_INPUT_DIGITS cap."""
     t = text.strip()
     if ";" in t:
         head, tail = t.split(";", 1)
-        e0 = int(head.strip())
+        e0 = parse_int(head.strip())
     else:
         e0, tail = 0, t
     items = [s.strip() for s in tail.split(",")]
@@ -90,11 +92,11 @@ def parse_manifold(text: str) -> SeifertData:
 def _parse_fraction(text: str) -> tuple[int, int]:
     """'p/q' or an integer, as the pair (p, q) with q != 0."""
     if "/" in text:
-        p, q = (int(s) for s in text.split("/", 1))
+        p, q = map(parse_int, text.split("/", 1))
         if q == 0:
             raise ValueError(f"zero denominator in {text!r}")
         return p, q
-    return int(text), 1
+    return parse_int(text), 1
 
 
 def h1_order(sd: SeifertData) -> int:

@@ -12,9 +12,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .contfrac import convergents, expand, ncf_eval, reverse_shift, solid_torus_count, tight_count
-from .convex import (
-    MaxTwistRow, fiber3_matrix, max_twist_table, measured_slope, slope_coeffs, v3_slope, v3_slope_stepwise,
-)
+from .convex import fiber3_matrix, max_twist_table, measured_slope, slope_coeffs, v3_slope, v3_slope_stepwise
 from .farey import BACK, FRONT, bypass_attach, bypass_oracle
 from .seifert import normalize
 from .slopes import INF, Slope
@@ -126,16 +124,17 @@ def check_max_twist_chain(ns: Iterable[int] = range(1, 21)) -> str:
     """Each row against its own route: measured slopes summed as Fractions,
     carried to dV_3 by v3_slope_stepwise and by the inverse attaching matrix,
     and the count of the boundary slope from solid_torus_count; every row is a
-    MaxTwistRow of plain ints."""
+    tuple of plain ints."""
     rows = top = 0
     for n in ns:
         table = max_twist_table(n)
         _check(table.total == n * (n + 1) // 2, f"n = {n}: rows sum to {table.total}, not n(n+1)/2")
-        _check(table.n == n and len(table.rows) == n, f"n = {n}: the table has {len(table.rows)} rows, not n")
+        tuples = list(table.tuples())
+        _check(table.n == n and len(tuples) == n, f"n = {n}: the table has {len(tuples)} rows, not n")
         sd = normalize((Fraction(1, 2), Fraction(2, 3), Fraction(5 * n + 1, 6 * n + 1)), -2)
         q1, v1 = sd.conv[0].q, sd.conv[0].v
         transfer = fiber3_matrix(sd.conv[2]).inverse()
-        for k, row in enumerate(table.rows):
+        for k, row in enumerate(tuples):
             n1, n2 = -3 * k - 1, -2 * k - 1
             rounded = rounded_slope_fraction(measured_slope(1, sd, n1), measured_slope(2, sd, n2), q1 * n1 + v1)
             _check(rounded == Slope(-k, 6 * k + 1), f"n = {n}, k = {k}: rounded is not -k/(6k+1)")
@@ -143,8 +142,7 @@ def check_max_twist_chain(ns: Iterable[int] = range(1, 21)) -> str:
             _check(boundary == transfer.apply(-rounded) == Slope(-n + k), f"n = {n}, k = {k}: boundary is not -n+k")
             count = solid_torus_count(boundary)
             _check(count == n - k, f"n = {n}, k = {k}: count is not n-k")
-            _check(row == MaxTwistRow(k, rounded.num, rounded.den, boundary.num, count)
-                   and type(row) is MaxTwistRow and set(map(type, row)) == {int},
+            _check(row == (k, rounded.num, rounded.den, boundary.num, count) and set(map(type, row)) == {int},
                    f"n = {n}, k = {k}: row {row} differs from the stepwise route")
             rows += 1
         top = max(top, n)

@@ -14,6 +14,20 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+# An input integer is read from a text of at most this many characters.  int()
+# takes time quadratic in the length of the text, and outside theta every
+# integer tightsf prints is a polynomial of fixed degree in the input integers,
+# so this cap also bounds the printing that the CLI does past the interpreter's
+# own int/str limit.
+MAX_INPUT_DIGITS = 4000
+
+
+def parse_int(text: str) -> int:
+    """int(text), refused with ValueError if text is longer than MAX_INPUT_DIGITS."""
+    if len(text) > MAX_INPUT_DIGITS:
+        raise ValueError(f"an input integer of {len(text)} characters is more than the limit {MAX_INPUT_DIGITS}")
+    return int(text)
+
 
 class Slope:
     """Reduced rational slope num/den with den >= 0; den == 0 encodes infinity."""
@@ -62,8 +76,8 @@ class Slope:
             return INF
         if "/" in t:
             p, q = t.split("/", 1)
-            return cls(int(p), int(q))
-        return cls(int(t))
+            return cls(parse_int(p), parse_int(q))
+        return cls(parse_int(t))
 
     def __neg__(self) -> "Slope":
         return Slope(-self.num, self.den) if self.den else self

@@ -16,7 +16,7 @@ from tightsf.selftest import (
     check_max_twist_chain,
 )
 from tightsf.theta import SurgeryDiagram, signature, theta
-from test_floer import product_image
+from test_floer import laurent_text, product_image
 from triples import sorted_triples
 
 
@@ -80,10 +80,11 @@ def test_criterion_8_contact_class_model():
         for idx in index_set(n):
             image = product_image(idx)
             vec = expansion(idx)
-            assert image.terms == {jp: c for jp, c in zip(grid(n), vec.coeffs) if c}
-            assert laurent_image(idx).terms == image.terms
+            assert image == {jp: c for jp, c in zip(grid(n), vec.coeffs) if c}
+            assert laurent_image(idx) == laurent_text(image)
         assert sum(stein_obstructed(idx) for idx in index_set(n)) == n // 2
-    print("PASS criterion 8: Laurent product matches expansions and laurent_image (n <= 30), floor(n/2) obstructed")
+    print("PASS criterion 8: Laurent product matches expansions and the laurent_image text (n <= 30), "
+          "floor(n/2) obstructed")
 
 
 def test_criterion_9_theta_calculator():

@@ -30,7 +30,7 @@ def test_sphere_family_example():
     assert res.fillability.non_stein_lower == 1
     assert res.fillability.all_strong
     assert res.certificate.case == "sphere_family"
-    assert [row.count for row in res.certificate.data["per_k"].rows] == [2, 1]
+    assert [count for *_, count in res.certificate.data["per_k"].tuples()] == [2, 1]
 
 
 def test_overlap_example():

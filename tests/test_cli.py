@@ -3,10 +3,12 @@ import importlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from math import prod
 from pathlib import Path
 from time import perf_counter
 
@@ -21,8 +23,8 @@ from tightsf.convex import (
 from tightsf.floer import MAX_N, ContactIndex
 from tightsf.seifert import parse_manifold
 from tightsf.selftest import check_closed_form
-from tightsf.slopes import Slope
-from test_floer import product_image
+from tightsf.slopes import MAX_INPUT_DIGITS, Slope
+from test_floer import laurent_text, product_image
 
 
 def run(capsys, *argv):
@@ -180,14 +182,17 @@ def test_floer_cli(capsys):
     assert code == 0 and "not Stein fillable" in out
 
 
-def test_floer_reads_laurent_text_off_the_coefficients(capsys, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("Laurent arithmetic on the floer path")
-
-    monkeypatch.setattr(importlib.import_module("tightsf.floer"), "laurent_image", refuse)
+def test_floer_reads_two_binomial_rows_per_class(capsys, monkeypatch):
+    # one row for the coefficients and one for the Laurent text of each class
+    floer = importlib.import_module("tightsf.floer")
+    binomial_row = floer._binomial_row
+    calls = []
+    monkeypatch.setattr(floer, "_binomial_row", lambda i: calls.append(i) or binomial_row(i))
     code, out, err = run(capsys, "floer", "--n", "12", "--json")
     assert code == 0 and err == ""
-    assert len(json.loads(out)["result"]["classes"]) == 78
+    classes = json.loads(out)["result"]["classes"]
+    assert len(classes) == 78 and len(calls) == 156
+    assert sorted(calls) == sorted(row["i"] for row in classes for _ in range(2))
 
 
 def test_floer_laurent_matches_the_oracle(capsys):
@@ -196,7 +201,20 @@ def test_floer_laurent_matches_the_oracle(capsys):
         code, out, _ = run(capsys, "floer", "--n", str(n), "--json")
         assert code == 0
         for row in json.loads(out)["result"]["classes"]:
-            assert row["laurent"] == str(product_image(ContactIndex(n, row["i"], row["j"])))
+            assert row["laurent"] == laurent_text(product_image(ContactIndex(n, row["i"], row["j"])))
+
+
+def test_floer_table_at_the_cap(capsys):
+    # n = MAX_N: the largest table, text and JSON, pinned by size and digest
+    # (the golden corpus stops at n = 10)
+    code, out, err = run(capsys, "floer", "--n", str(MAX_N), "--json")
+    assert code == 0 and err == ""
+    data = out.encode()
+    assert len(data) == 12_460_633
+    assert hashlib.sha256(data).hexdigest()[:16] == "865d17fd795b56cd"
+    code, out, err = run(capsys, "floer", "--n", str(MAX_N))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "c6256f442d5a884c"
 
 
 def test_theta_cli(tmp_path, capsys):
@@ -255,6 +273,54 @@ def test_huge_leg_fails_fast(capsys):
         assert perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_integers_past_the_interpreter_limit_print_whole(capsys):
+    # legs of 1501 digits: the count and the sum's denominator have about 4500
+    # digits, past the interpreter's int/str limit of 4300; text and JSON both
+    # print every integer, and main leaves the interpreter's limit as it was
+    n = 10**1500
+    rng = random.Random(3)
+    legs = ",".join(f"{rng.randrange(1, n)}/{rng.randrange(n, 10 * n)}" for _ in range(3))
+    limit = sys.get_int_max_str_digits()
+    # T(1/(n+1)) = n, so the first count is n (n+2) (n+6)
+    for manifold, want in ((f"-2;1/{n + 1},1/{n + 3},1/{n + 7}", n * (n + 2) * (n + 6)), (f"-2;{legs}", None)):
+        code, text, err = run(capsys, "classify", manifold)
+        assert code == 0 and err == ""
+        code, out, err = run(capsys, "classify", manifold, "--json")
+        assert code == 0 and err == ""
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            result = json.loads(out)["result"]
+            count = result["count"]
+            assert f"exactly {count} tight contact structures" in text and len(str(result["sum"]["den"])) > limit
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert result["certificate"]["case"] == "sum_lt_2" and count == prod(result["certificate"]["t_values"])
+        assert want is None or count == want
+
+
+def test_input_integer_cap_is_one_line(tmp_path, capsys):
+    # an integer of more than MAX_INPUT_DIGITS characters is refused at parse,
+    # in every command that reads one, with tightsf's limit named
+    for size in (MAX_INPUT_DIGITS + 1, 10**5):
+        big = "9" * size
+        diagram = tmp_path / "big.json"
+        diagram.write_text('{"L": [[%s]], "rot": [0]}' % big)
+        for argv in (("classify", f"-2;1/2,1/3,1/{big}"), ("classify", f"{big};1/2,1/3,1/5", "--json"),
+                     ("seifert", f"1/2,1/3,{big}/7"), ("slopes", f"-2;1/2,1/3,{big}/7", "--n1", "-1"),
+                     ("cf", f"-{big}/7"), ("bypass", "--dividing", big, "--ruling", "1/2"),
+                     ("floer", "--n", "3", "--index", f"{big},0"), ("theta", "--diagram", str(diagram))):
+            start = perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert perf_counter() - start < 1.0
+            assert code == 1 and out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error: an input integer of ")
+            assert err.endswith(f" characters is more than the limit {MAX_INPUT_DIGITS}\n")
+    # at the cap the input is read
+    code, out, err = run(capsys, "classify", "-2;1/2,1/3,1/" + "9" * MAX_INPUT_DIGITS)
+    assert code == 0 and err == ""
 
 
 def test_plumbing_cap(capsys):

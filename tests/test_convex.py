@@ -315,10 +315,10 @@ def test_limit_matches_fraction_oracle_on_big_legs(drawn):
 
 def test_max_twist_table():
     t1 = max_twist_table(1)
-    assert [(r.k, r.boundary, r.count) for r in t1.rows] == [(0, Slope(-1), 1)]
+    assert [(k, Slope(b), count) for k, _, _, b, count in t1.tuples()] == [(0, Slope(-1), 1)]
     assert t1.total == 1
     t2 = max_twist_table(2)
-    assert [(r.k, r.boundary, r.count) for r in t2.rows] == [
+    assert [(k, Slope(b), count) for k, _, _, b, count in t2.tuples()] == [
         (0, Slope(-2), 2),
         (1, Slope(-1), 1),
     ]

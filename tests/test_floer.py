@@ -7,7 +7,6 @@ from tightsf.floer import (
     MAX_N,
     ContactIndex,
     ExpansionVector,
-    HalfLaurent,
     expansion,
     grid,
     index_set,
@@ -19,15 +18,36 @@ from tightsf.floer import (
 
 def product_image(idx):
     """t^(j/2) (t^(1/2) - t^(-1/2))^i as the i-fold product of Laurent
-    polynomials, one HalfLaurent per factor: the oracle for laurent_image."""
-    out = HalfLaurent({idx.j: 1})
+    polynomials in t^(1/2), one factor at a time: the oracle for the classes.
+    The dict maps twice the exponent to the coefficient, without zeros."""
+    terms = {idx.j: 1}
     for _ in range(idx.i):
-        terms = {}
-        for e, c in out.terms.items():
-            terms[e + 1] = terms.get(e + 1, 0) + c
-            terms[e - 1] = terms.get(e - 1, 0) - c
-        out = HalfLaurent(terms)
-    return out
+        product = {}
+        for e, c in terms.items():
+            product[e + 1] = product.get(e + 1, 0) + c
+            product[e - 1] = product.get(e - 1, 0) - c
+        terms = {e: c for e, c in product.items() if c}
+    return terms
+
+
+def laurent_text(terms):
+    """A Laurent polynomial, keyed by twice the exponent, as text: terms from
+    the highest power down, +-1 as a bare sign, and no leading "+".  The
+    oracle for laurent_image's text."""
+    parts = []
+    for e in sorted(terms, reverse=True):
+        c = terms[e]
+        exp = f"t^({e}/2)" if e % 2 else ("" if e == 0 else f"t^{e // 2}")
+        if exp == "":
+            parts.append(f"{c:+d}")
+        elif c == 1:
+            parts.append(f"+{exp}")
+        elif c == -1:
+            parts.append(f"-{exp}")
+        else:
+            parts.append(f"{c:+d}*{exp}")
+    text = "".join(parts)
+    return text[1:] if text.startswith("+") else text
 
 
 def test_index_validation():
@@ -38,6 +58,9 @@ def test_index_validation():
         ContactIndex(2, 0, 0)  # wrong parity
     with pytest.raises(ValueError):
         ContactIndex(2, 0, 3)  # out of range
+    for n, message in ((0, "n must be positive"), (MAX_N + 1, "limit")):
+        with pytest.raises(ValueError, match=message):
+            ContactIndex(n, 0, n - 1)  # refused before expansion builds n coefficients
 
 
 def test_index_set_examples():
@@ -59,9 +82,21 @@ def test_expansion_examples():
 
 
 def test_laurent_examples():
-    assert laurent_image(ContactIndex(3, 2, 0)).terms == {2: 1, 0: -2, -2: 1}
-    assert laurent_image(ContactIndex(5, 0, 4)).terms == {4: 1}
-    assert str(laurent_image(ContactIndex(2, 1, 0))) == "t^(1/2)-t^(-1/2)"
+    assert product_image(ContactIndex(3, 2, 0)) == {2: 1, 0: -2, -2: 1}
+    assert product_image(ContactIndex(5, 0, 4)) == {4: 1}
+    examples = {(3, 2, 0): "t^1-2+t^-1", (5, 0, 4): "t^2", (2, 1, 0): "t^(1/2)-t^(-1/2)", (1, 0, 0): "1",
+                (4, 3, 0): "t^(3/2)-3*t^(1/2)+3*t^(-1/2)-t^(-3/2)", (5, 2, -2): "1-2*t^-1+t^-2"}
+    for (n, i, j), text in examples.items():
+        idx = ContactIndex(n, i, j)
+        assert laurent_image(idx) == laurent_text(product_image(idx)) == text
+
+
+def test_laurent_image_matches_the_oracle_up_to_the_cap():
+    # the text depends on (i, j) alone, and n = 99 and n = 100 between them
+    # give every (i, j) of every n <= MAX_N
+    for n in (MAX_N - 1, MAX_N):
+        for idx in index_set(n):
+            assert laurent_image(idx) == laurent_text(product_image(idx)), idx
 
 
 class CountedIndex(int):
@@ -80,27 +115,25 @@ class CountedIndex(int):
 
 def test_each_class_is_one_row_and_one_object(monkeypatch):
     # the binomial row takes one step per entry after the first, and
-    # laurent_image builds one HalfLaurent per class; the i-fold product
-    # builds i + 2
+    # laurent_image reads one row per class and returns its text
     for i in (0, 1, 7, 100, 1000):
         CountedIndex.uses = 0
         assert floer._binomial_row(CountedIndex(i)) == [(-1) ** k * comb(i, k) for k in range(i + 1)]
         assert CountedIndex.uses == i
-    built = 0
-    init = HalfLaurent.__init__
+    rows = 0
+    binomial_row = floer._binomial_row
 
-    def counting_init(self, terms=None):
-        nonlocal built
-        built += 1
-        init(self, terms)
+    def counting_row(i):
+        nonlocal rows
+        rows += 1
+        return binomial_row(i)
 
-    monkeypatch.setattr(HalfLaurent, "__init__", counting_init)
+    monkeypatch.setattr(floer, "_binomial_row", counting_row)
     for n in (30, 100):
         classes = index_set(n)
-        built = 0
-        for idx in classes:
-            laurent_image(idx)
-        assert built == len(classes) == n * (n + 1) // 2
+        rows = 0
+        assert all(type(laurent_image(idx)) is str for idx in classes)
+        assert rows == len(classes) == n * (n + 1) // 2
 
 
 def test_expansion_recursion():
@@ -190,5 +223,3 @@ def test_stein_obstruction():
 def test_vector_guards():
     with pytest.raises(ValueError):
         ExpansionVector(3, (1, 0))
-    with pytest.raises(ValueError):
-        HalfLaurent({0: 1, 1: 1})

@@ -43,8 +43,8 @@ def oracle(value):
     if isinstance(value, LimitInfo):
         return {"limit": value.limit, "increasing": value.increasing, "threshold_ok": value.threshold_ok}
     if isinstance(value, MaxTwistTable):
-        return [{"k": row.k, "rounded": Slope(row.rounded_num, row.rounded_den), "boundary": Slope(row.boundary),
-                 "count": row.count} for row in value.rows]
+        return [{"k": k, "rounded": Slope(num, den), "boundary": Slope(boundary), "count": count}
+                for k, num, den, boundary, count in value.tuples()]
     if isinstance(value, Fillability):
         fill = {"kind": value.kind}
         if value.stein_lower is not None:
@@ -264,9 +264,8 @@ def test_max_twist_table_writer_matches_json_dumps():
     for n in [*range(1, 41), 799, 800, 10**4]:
         table = max_twist_table(n)
         want = json.dumps([
-            {"k": row.k, "rounded": {"num": row.rounded_num, "den": row.rounded_den},
-             "boundary": {"num": row.boundary, "den": 1}, "count": row.count}
-            for row in table.rows], indent=2)
+            {"k": k, "rounded": {"num": num, "den": den}, "boundary": {"num": boundary, "den": 1}, "count": count}
+            for k, num, den, boundary, count in table.tuples()], indent=2)
         for pad in ("", "  ", "      "):
             out = []
             report._write(table, pad, out)
