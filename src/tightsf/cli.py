@@ -86,8 +86,8 @@ def _cmd_seifert(args) -> int:
 
 
 def _cmd_slopes(args) -> int:
+    n1 = parse_int(args.n1)
     sd = parse_manifold(args.manifold)
-    n1 = args.n1
     if n1 >= 0:
         raise ValueError("twisting --n1 must be negative")
     coeffs = slope_coeffs(sd)
@@ -122,7 +122,7 @@ def _cmd_slopes(args) -> int:
 
 
 def _cmd_floer(args) -> int:
-    n = args.n
+    n = parse_int(args.n)
     distinct = pairwise_distinct(n)  # refuses the n that index_set refuses, with its messages
     if args.index:
         parts = args.index.split(",")
@@ -250,10 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("slopes", _cmd_slopes, "measured slopes, rounding coefficients, closed form")
     p.add_argument("manifold")
-    p.add_argument("--n1", type=int, required=True, help="negative twisting")
+    p.add_argument("--n1", required=True, help="negative twisting")
 
     p = add("floer", _cmd_floer, "contact class expansions on a sphere family member")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
     p.add_argument("--index", help="single class 'i,j'")
 
     p = add("theta", _cmd_theta, "plane field invariant from a framed link file")

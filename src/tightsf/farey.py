@@ -19,20 +19,11 @@ from .slopes import Slope
 FRONT = "front"
 BACK = "back"
 
-# bypass_oracle scans about dividing.den + ruling.den neighbours per doubling
-# of its bound, so a larger starting bound is refused before any is scanned.
+# bypass_oracle walks once over at most den(dividing) / 2 + 1 denominators,
+# then scans about 2 bound / den(dividing) Farey neighbours per doubling of its
+# bound (2 bound for an integer or infinite dividing slope).  Its starting
+# bound, den(dividing) + den(ruling), is refused above this before any scan.
 MAX_ORACLE_DEN = 10**6
-
-
-def _cross(p: tuple[int, int], q: tuple[int, int]) -> int:
-    return p[0] * q[1] - q[0] * p[1]
-
-
-def _ccw(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> bool:
-    # Strictly counterclockwise triple: starting at a and moving in the
-    # increasing direction we meet b before c.  Vectors are (den, num) with
-    # den >= 0, so the sign test below realizes the stated cyclic order.
-    return _cross(a, b) * _cross(b, c) * _cross(c, a) < 0
 
 
 def bypass_attach(dividing: Slope, ruling: Slope, side: str = FRONT) -> Slope:
@@ -73,66 +64,85 @@ def bypass_oracle(dividing: Slope, ruling: Slope, side: str = FRONT) -> Slope:
     position, and doubles the bound until the winner survives one further
     doubling.  The starting bound, den(dividing) + den(ruling), may be at most
     MAX_ORACLE_DEN.
+
+    Enumeration: a neighbor c = (b, a) of d = (xs, ys) has cross(c, d) =
+    b ys - a xs = eps with eps = +-1, so a = (b ys - eps) / xs and b ys = eps
+    (mod xs).  The denominators of each sign thus form one residue class mod
+    xs, and as b ys = eps gives (xs - b) ys = -eps, the class of the other
+    sign is that of -b (the same class when xs <= 2).  A walk over b = 1, 2,
+    ... meets the first neighbor within xs / 2 + 1 steps; each pass then
+    steps through both classes by xs, meeting exactly the neighbors that
+    testing every b would meet.  den 0 lies in a class only when xs = 1, where it
+    gives inf, the neighbor of every integer.  The neighbors of inf are the
+    integers (1, a), all of sign 1, bounded by |a - center| instead of by b.
+
+    Ranking: c lies strictly inside the arc when cross(r, c) cross(c, d)
+    cross(d, r) is negative (front) or positive (back): the triple (r, c, d)
+    or (d, c, r) is strictly counterclockwise.  The map c -> cross(d, c) /
+    cross(r, c) is projective with its pole at r and its zero at d, so on the
+    open arc between them it is monotone and of one sign, and its absolute
+    value falls from infinity at r to 0 at d.  On a neighbor that value is
+    1 / |cross(r, c)|, so the in-arc neighbor closest to r is the one with the
+    least |cross(r, c)|, and no two in-arc neighbors tie.  The order being
+    strict, the best up to 2 bound is the better of the best up to bound and
+    the best in (bound, 2 bound], so each doubling scans only the new range.
+    A ruling that is itself a neighbor (|cross(d, r)| = 1) ends the arc and
+    wins at every bound.
     """
     if side not in (FRONT, BACK):
         raise ValueError(f"unknown side {side!r}")
     if dividing == ruling:
         raise ValueError("dividing and ruling slopes must differ")
     xs, ys = dividing.vec()
-    rvec = ruling.vec()
-    dvec = (xs, ys)
-
-    def in_arc(c: tuple[int, int]) -> bool:
-        if c == rvec:
-            return True
-        if side == FRONT:
-            return _ccw(rvec, c, dvec)
-        return _ccw(dvec, c, rvec)
-
-    def better(c: tuple[int, int], best: tuple[int, int] | None) -> bool:
-        if best is None:
-            return True
-        if side == FRONT:
-            return _ccw(rvec, c, best)
-        return _ccw(best, c, rvec)
-
-    def best_upto(bound: int) -> tuple[int, int] | None:
-        best = None
-        if xs == 1:
-            # the infinite slope is a neighbor of any integer slope
-            c = (0, 1)
-            if in_arc(c) and better(c, best):
-                best = c
-        if xs == 0:
-            # neighbors of inf are the integers; scan those near the ruling
-            center = rvec[1] // rvec[0] if rvec[0] else 0
-            for a in range(center - bound, center + bound + 1):
-                c = (1, a)
-                if c == rvec:
-                    return c
-                if in_arc(c) and better(c, best):
-                    best = c
-            return best
-        for b in range(1, bound + 1):
-            base = b * ys
-            for eps in (1, -1):
-                t = base - eps
-                if t % xs == 0:
-                    c = (b, t // xs)
-                    if c == rvec:
-                        return c
-                    if in_arc(c) and better(c, best):
-                        best = c
-        return best
-
-    bound = max(1, dividing.den + ruling.den)
+    rx, ry = ruling.vec()
+    bound = max(1, xs + rx)
     if bound > MAX_ORACLE_DEN:
         raise ValueError(f"oracle bound {bound} is more than the limit {MAX_ORACLE_DEN}")
-    prev = best_upto(bound)
+    turn = xs * ry - rx * ys  # cross(d, r)
+    if turn in (1, -1):
+        return ruling
+    # rank of a neighbor c of sign eps: cross(r, c) eps orient, which is
+    # |cross(r, c)| inside the arc and negative outside it
+    orient = 1 if (turn > 0) == (side == BACK) else -1
+
+    if xs:
+        plus, minus = 1 % xs, -1 % xs  # b ys mod xs on the neighbors of sign +1 and -1
+        for b in range(1, xs + 1):
+            m = b * ys % xs
+            if m == plus or m == minus:
+                break
+        sign = 1 if m == plus else -1
+        classes = {b: (1, -1)} if plus == minus else {b: (sign,), xs - b: (-sign,)}
+
+        def scan(lo: int, hi: int, best: tuple[int, int, int] | None) -> tuple[int, int, int] | None:
+            """Best (rank, num, den) of best and the in-arc neighbors with lo <= den <= hi."""
+            for first, signs in classes.items():
+                for b in range(lo + (first - lo) % xs, hi + 1, xs):
+                    for eps in signs:
+                        a = (b * ys - eps) // xs
+                        y = (rx * a - ry * b) * eps * orient
+                        if y > 0 and (best is None or y < best[0]):
+                            best = (y, a, b)
+            return best
+    else:
+        center = ry // rx
+
+        def scan(lo: int, hi: int, best: tuple[int, int, int] | None) -> tuple[int, int, int] | None:
+            """Best (rank, num, den) of best and the in-arc integers a, lo <= |a - center| <= hi."""
+            flanks = ((range(center - hi, center + hi + 1),) if lo == 0 else
+                      (range(center - hi, center - lo + 1), range(center + lo, center + hi + 1)))
+            for values in flanks:
+                for a in values:
+                    y = (rx * a - ry) * orient
+                    if y > 0 and (best is None or y < best[0]):
+                        best = (y, a, 1)
+            return best
+
+    best = scan(0, bound, None)
     for _ in range(40):
+        cur = scan(bound + 1, 2 * bound, best)
         bound *= 2
-        cur = best_upto(bound)
-        if cur is not None and cur == prev:
-            return Slope(cur[1], cur[0])
-        prev = cur
+        if cur is not None and cur is best:
+            return Slope(cur[1], cur[2])
+        best = cur
     raise ArithmeticError("bypass oracle failed to stabilize")

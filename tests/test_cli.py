@@ -303,19 +303,21 @@ def test_integers_past_the_interpreter_limit_print_whole(capsys):
 
 def test_input_integer_cap_is_one_line(tmp_path, capsys):
     # an integer of more than MAX_INPUT_DIGITS characters is refused at parse,
-    # in every command that reads one, with tightsf's limit named
+    # in every command that reads one (options included), with tightsf's limit
+    # named in one short line that does not echo the input
     for size in (MAX_INPUT_DIGITS + 1, 10**5):
         big = "9" * size
         diagram = tmp_path / "big.json"
         diagram.write_text('{"L": [[%s]], "rot": [0]}' % big)
         for argv in (("classify", f"-2;1/2,1/3,1/{big}"), ("classify", f"{big};1/2,1/3,1/5", "--json"),
                      ("seifert", f"1/2,1/3,{big}/7"), ("slopes", f"-2;1/2,1/3,{big}/7", "--n1", "-1"),
+                     ("slopes", "-2;1/2,2/3,7/8", "--n1", f"-{big}"), ("floer", "--n", big),
                      ("cf", f"-{big}/7"), ("bypass", "--dividing", big, "--ruling", "1/2"),
                      ("floer", "--n", "3", "--index", f"{big},0"), ("theta", "--diagram", str(diagram))):
             start = perf_counter()
             code, out, err = run(capsys, *argv)
             assert perf_counter() - start < 1.0
-            assert code == 1 and out == ""
+            assert code == 1 and out == "" and len(err.encode()) < 200
             assert len(err.splitlines()) == 1 and err.startswith("error: an input integer of ")
             assert err.endswith(f" characters is more than the limit {MAX_INPUT_DIGITS}\n")
     # at the cap the input is read
