@@ -14,18 +14,19 @@ isotopy classes of tight contact structures is:
   * unknown in the remaining gap, and for the higher-genus surface bundles
     with invariant sum exactly 2.
 
-Certificates carry the intermediate exact data (per-fiber counts, rounding
-coefficients, limits, per-k tables) that the dispatch rests on.
+A certificate is the dict a report prints: the regime's case, then the
+intermediate exact data (per-fiber counts, rounding coefficients, limits,
+per-k tables) that the dispatch rests on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 from typing import Any
 
 from . import seifert as sf
 from .contfrac import capped_count, shifted_product
-from .convex import max_twist_table, slope_coeffs, v3_slope_limit
+from .convex import max_twist_table, slope_coeffs, twist_count, v3_slope_limit
 from .seifert import SeifertData
 from .slopes import Slope
 
@@ -49,22 +50,12 @@ class Fillability:
 
 
 @dataclass(frozen=True)
-class Certificate:
-    case: str
-    data: dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class ClassificationResult:
     manifold: SeifertData
     status: str
     count: int | None
     fillability: Fillability
-    certificate: Certificate
-
-    @property
-    def reason(self) -> str | None:
-        return self.certificate.data.get("reason")
+    certificate: dict[str, Any]
 
 
 # The regimes where no count is known, each with the reason a report gives.
@@ -77,8 +68,9 @@ _UNKNOWN_REASONS = {
 _PRODUCT_KINDS = (sf.K_OVER_K1, sf.SUM_GE_9_4, sf.SUM_LT_2)
 
 
-def _fiber_certificate(sd: SeifertData) -> dict[str, Any]:
-    """Per-fiber counts plus the solid-torus shortcut data.
+def _fiber_certificate(sd: SeifertData, case: str) -> dict[str, Any]:
+    """The certificate of a product regime: its case, the per-fiber counts and
+    the solid-torus shortcut data.
 
     Each leg's expansion is the runs stored in sd at parse: its entry count
     is checked against MAX_EXPANSION, since the certificate prints every
@@ -95,7 +87,7 @@ def _fiber_certificate(sd: SeifertData) -> dict[str, Any]:
         t = shifted_product(leg)
         t_values.append(t)
         shortcut.append({"r": r, "entries": leg, "boundary": Slope(p - q, v - u), "count": t})
-    return {"t_values": tuple(t_values), "shortcut": tuple(shortcut)}
+    return {"case": case, "t_values": tuple(t_values), "shortcut": tuple(shortcut)}
 
 
 def classify(sd: SeifertData) -> ClassificationResult:
@@ -106,22 +98,20 @@ def classify(sd: SeifertData) -> ClassificationResult:
         return ClassificationResult(
             sd, INFINITE, None,
             Fillability(TORSION, stein_lower=1, note=note),
-            Certificate(family.kind, {"triple": sd.r}),
+            {"case": family.kind, "triple": sd.r},
         )
     if family.kind == sf.SPHERE_FAMILY:
         n = family.n
         table = max_twist_table(n)
-        count = n * (n + 1) // 2
-        if table.total != count:
-            raise ArithmeticError(f"max_twist_table rows sum to {table.total}, not n(n+1)/2 = {count}")
-        data: dict[str, Any] = {"n": n, "per_k": table}
+        count = twist_count(table)
+        data: dict[str, Any] = {"case": family.kind, "n": n, "per_k": table}
         if n == 1:  # also (1/2, 2/3, k/(k+1)) at k = 6, where the one structure is Stein
             data["also_k_over_k_plus_1"] = 6
         kind = ALL_STEIN if n == 1 else MIXED
         fill = Fillability(kind, stein_lower=n, non_stein_lower=n // 2, all_strong=True)
-        return ClassificationResult(sd, EXACT, count, fill, Certificate(family.kind, data))
+        return ClassificationResult(sd, EXACT, count, fill, data)
     if family.kind in _PRODUCT_KINDS:
-        data = _fiber_certificate(sd)
+        data = _fiber_certificate(sd, family.kind)
         count = prod(data["t_values"])
         if family.kind == sf.K_OVER_K1:
             data["k"] = family.k
@@ -136,8 +126,8 @@ def classify(sd: SeifertData) -> ClassificationResult:
             lhs = abs(q1 * n1 + v1)
             data["imbalance"] = {"n1": n1, "lhs": lhs, "rhs": q1 * q2, "ok": lhs > q1 * q2}
         fill = Fillability(ALL_STEIN, stein_lower=count, non_stein_lower=0, all_strong=True)
-        return ClassificationResult(sd, EXACT, count, fill, Certificate(family.kind, data))
-    data = {"reason": _UNKNOWN_REASONS[family.kind]}
+        return ClassificationResult(sd, EXACT, count, fill, data)
+    data = {"case": family.kind, "reason": _UNKNOWN_REASONS[family.kind]}
     if family.kind == sf.GAP_OTHER:
         data["sum"] = sd.invariant_sum
-    return ClassificationResult(sd, UNKNOWN, None, Fillability(NOT_APPLICABLE), Certificate(family.kind, data))
+    return ClassificationResult(sd, UNKNOWN, None, Fillability(NOT_APPLICABLE), data)

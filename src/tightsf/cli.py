@@ -8,12 +8,14 @@ import sys
 
 # let arguments like "-7/5" and "-2;1/2,2/3,-1/3" parse as values: no flag starts with -<digit>
 _VALUE_PATTERN = re.compile(r"^-\d")
+# an error line keeps at most this many UTF-8 bytes of its message, so an echoed input cannot make it long
+MAX_ERROR_BYTES = 150
 
 from . import report
 from .classify import EXACT, INFINITE, UNKNOWN, classify
 from .contfrac import capped_count, leg_of, read_leg, reverse_shift, shifted_product
 from .convex import limit_regime, measured_slope, slope_coeffs, v3_slope, v3_slope_limit
-from .farey import BACK, FRONT, bypass_attach, bypass_oracle
+from .farey import BACK, FRONT, bypass_attach, checked_bypass
 from .floer import ContactIndex, expansion, grid, index_set, laurent_image, pairwise_distinct, stein_obstructed
 from .seifert import detect_family, h1_order, linking_matrix, parse_manifold
 from .selftest import run_all
@@ -48,19 +50,14 @@ def _cmd_cf(args) -> int:
 def _cmd_bypass(args) -> int:
     dividing = Slope.parse(args.dividing)
     ruling = Slope.parse(args.ruling)
-    result = bypass_attach(dividing, ruling, args.side)
-    oracle = None
-    if args.oracle:
-        oracle = bypass_oracle(dividing, ruling, args.side)
-        if oracle != result:
-            raise ArithmeticError(f"oracle gives {oracle}, the fast path {result}")
+    result = (checked_bypass if args.oracle else bypass_attach)(dividing, ruling, args.side)
     if args.json:
         body = {"dividing": dividing, "ruling": ruling, "side": args.side, "result": result}
-        if oracle is not None:
-            body["oracle"] = oracle
+        if args.oracle:
+            body["oracle"] = result
         print(report.report("bypass", body))
     else:
-        print(result if oracle is None else f"{result} (oracle agrees)")
+        print(f"{result} (oracle agrees)" if args.oracle else result)
     return 0
 
 
@@ -187,7 +184,7 @@ def _cmd_classify(args) -> int:
         elif res.status == INFINITE:
             print("infinitely many tight contact structures")
         else:
-            print(f"unknown: {res.reason}")
+            print(f"unknown: {res.certificate['reason']}")
         fill = res.fillability
         bits = [fill.kind]
         if fill.stein_lower is not None:
@@ -197,7 +194,7 @@ def _cmd_classify(args) -> int:
         if fill.all_strong is not None:
             bits.append(f"all_strong={fill.all_strong}")
         print("fillability: " + "  ".join(bits))
-        print(f"certificate: {res.certificate.case}")
+        print(f"certificate: {res.certificate['case']}")
     if res.status == UNKNOWN:
         return 2
     return 0
@@ -282,7 +279,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help prints and exits 0
         return 1 if exc.code else 0
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = "\\n".join(str(exc).splitlines())  # one line, even for an argument holding a newline
+        head = message.encode("utf-8", "backslashreplace")
+        if len(head) > MAX_ERROR_BYTES:
+            message = f"{head[:MAX_ERROR_BYTES].decode('utf-8', 'ignore')}... ({len(message)} characters)"
+        print(f"error: {message}", file=sys.stderr)
         return 1
     finally:
         _set_digits(digits)

@@ -248,3 +248,12 @@ def max_twist_table(n: int) -> MaxTwistTable:
         if x == 0 or y != (k - n) * x:
             raise ArithmeticError(f"row k = {k}: V_3 boundary slope {Slope(y, x)} is not -n+k = {k - n}")
     return MaxTwistTable(n, range(n), range(0, -n, -1), range(1, 6 * n, 6), range(-n, 0), range(n, 0, -1))
+
+
+def twist_count(table: MaxTwistTable) -> int:
+    """The sphere-family count n(n+1)/2, checked against the table's counts."""
+    n = table.n
+    count = n * (n + 1) // 2
+    if table.total != count:
+        raise ArithmeticError(f"n = {n}: max_twist_table rows sum to {table.total}, not n(n+1)/2 = {count}")
+    return count

@@ -26,7 +26,7 @@ BACK = "back"
 MAX_ORACLE_DEN = 10**6
 
 
-def bypass_attach(dividing: Slope, ruling: Slope, side: str = FRONT) -> Slope:
+def bypass_attach(dividing: Slope, ruling: Slope, side: str) -> Slope:
     """Dividing slope after a bypass attachment along a ruling curve.
 
     Conjugates by the orientation-preserving unimodular matrix
@@ -56,7 +56,7 @@ def bypass_attach(dividing: Slope, ruling: Slope, side: str = FRONT) -> Slope:
     return Slope(ys * k - alpha, xs * k + beta)
 
 
-def bypass_oracle(dividing: Slope, ruling: Slope, side: str = FRONT) -> Slope:
+def bypass_oracle(dividing: Slope, ruling: Slope, side: str) -> Slope:
     """Brute-force bypass computation, independent of bypass_attach.
 
     Enumerates all Farey neighbors of the dividing slope with denominator at
@@ -146,3 +146,13 @@ def bypass_oracle(dividing: Slope, ruling: Slope, side: str = FRONT) -> Slope:
             return Slope(cur[1], cur[2])
         best = cur
     raise ArithmeticError("bypass oracle failed to stabilize")
+
+
+def checked_bypass(dividing: Slope, ruling: Slope, side: str) -> Slope:
+    """bypass_attach's slope, after checking that bypass_oracle agrees."""
+    result = bypass_attach(dividing, ruling, side)
+    oracle = bypass_oracle(dividing, ruling, side)
+    if oracle != result:
+        raise ArithmeticError(f"bypass on {dividing} along {ruling} ({side}): "
+                              f"the oracle gives {oracle}, the fast path {result}")
+    return result

@@ -69,7 +69,7 @@ def classification_json(res: ClassificationResult) -> dict[str, Any]:
     if res.count is not None:
         out["count"] = res.count
     out["fillability"] = res.fillability
-    out["certificate"] = {"case": res.certificate.case, **res.certificate.data}
+    out["certificate"] = res.certificate
     return out
 
 
@@ -323,8 +323,8 @@ def _template(shape: tuple, slots: int, splices: int) -> tuple[str, ...]:
     _write(_blank(iter(shape)), "", out)
     text = "".join(out)
     if text.count("\0") != slots or text.count("\1") != splices:
-        raise RuntimeError(f"a template of {text.count(chr(0))} slots and {text.count(chr(1))} splices "
-                           f"for {slots} leaves and {splices} splices")
+        raise ArithmeticError(f"a template of {text.count(chr(0))} slots and {text.count(chr(1))} splices "
+                              f"for {slots} leaves and {splices} splices")
     return tuple(text.replace("%", "%%").replace("\0", "%s").split("\1"))
 
 

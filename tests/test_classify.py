@@ -29,26 +29,26 @@ def test_sphere_family_example():
     assert res.fillability.stein_lower == 2
     assert res.fillability.non_stein_lower == 1
     assert res.fillability.all_strong
-    assert res.certificate.case == "sphere_family"
-    assert [count for *_, count in res.certificate.data["per_k"].tuples()] == [2, 1]
+    assert res.certificate["case"] == "sphere_family"
+    assert [count for *_, count in res.certificate["per_k"].tuples()] == [2, 1]
 
 
 def test_overlap_example():
     res = classify(parse_manifold("-2;1/2,2/3,6/7"))
     assert res.status == EXACT and res.count == 1
     assert res.fillability.kind == ALL_STEIN
-    assert res.certificate.data["also_k_over_k_plus_1"] == 6
+    assert res.certificate["also_k_over_k_plus_1"] == 6
 
 
 def test_product_count_examples():
     res = classify(parse_manifold("-2;1/2,2/3,9/11"))
     assert res.status == EXACT and res.count == 2
     assert res.fillability.kind == ALL_STEIN
-    assert res.certificate.case == "sum_lt_2"
+    assert res.certificate["case"] == "sum_lt_2"
     res2 = classify(parse_manifold("-2;7/9,7/9,7/9"))
     assert res2.status == EXACT and res2.count == 8
-    assert res2.certificate.case == "sum_ge_9_4"
-    assert res2.certificate.data["limit"].threshold_ok
+    assert res2.certificate["case"] == "sum_ge_9_4"
+    assert res2.certificate["limit"].threshold_ok
 
 
 def test_torus_bundle_example():
@@ -61,13 +61,13 @@ def test_torus_bundle_example():
 def test_unknown_examples():
     res = classify(parse_manifold("-2;1/2,3/4,4/5"))
     assert res.status == UNKNOWN
-    assert res.certificate.case == "gap_other"
+    assert res.certificate["case"] == "gap_other"
     res2 = classify(parse_manifold("-2;2/5,4/5,4/5"))
     assert res2.status == UNKNOWN
-    assert res2.certificate.case == "degenerate_sum_2"
+    assert res2.certificate["case"] == "degenerate_sum_2"
     res3 = classify(parse_manifold("0;1/2,2/3,6/7"))
     assert res3.status == UNKNOWN
-    assert res3.certificate.case == "wrong_e0"
+    assert res3.certificate["case"] == "wrong_e0"
 
 
 def test_three_counts_agree():
@@ -122,9 +122,9 @@ def test_each_leg_is_read_once(monkeypatch):
         res = classify(parse_manifold(text))
         report.report("classify", report.classification_json(res))
         assert len(calls) == 3, text
-        cases.add(res.certificate.case)
-        if "shortcut" in res.certificate.data:
-            assert [row["count"] for row in res.certificate.data["shortcut"]] == list(res.certificate.data["t_values"])
+        cases.add(res.certificate["case"])
+        if "shortcut" in res.certificate:
+            assert [row["count"] for row in res.certificate["shortcut"]] == list(res.certificate["t_values"])
     assert len(cases) == len(texts) - 1  # every regime, sum_lt_2 twice
 
 
@@ -143,7 +143,7 @@ def test_long_run_costs_one_step(monkeypatch):
 
     sd = parse_manifold(f"-2;1/3,2/5,{q - 1}/{q}")
     monkeypatch.setattr(classify_module, "shifted_product", counted_product)
-    legs = [row["entries"] for row in _fiber_certificate(sd)["shortcut"]]
+    legs = [row["entries"] for row in _fiber_certificate(sd, "sum_lt_2")["shortcut"]]
     assert [leg.entry_count() for leg in legs] == [1, 2, q - 1] and legs[2] == ((-2, q - 1),)
     assert len(handed) == 3 and all(n <= len(leg) for n, leg in zip(handed, legs))
     monkeypatch.undo()
@@ -188,7 +188,7 @@ def test_report_path_builds_only_the_printed_fractions(monkeypatch):
         built.append(0)
         res = classify(parse_manifold(text))
         report.report("classify", report.classification_json(res))
-        cases.append(res.certificate.case)
+        cases.append(res.certificate["case"])
     monkeypatch.undo()
     assert len(built) == 969 and max(built) <= 8
     assert built == [8 if case in ("sum_ge_9_4", "sum_lt_2") else 4 for case in cases]
@@ -205,8 +205,8 @@ def test_fiber_certificate_matches_expand_on_big_legs(drawn):
         want = [expand(-1 / r) for r in sd.r]
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
-            _fiber_certificate(sd)
+            _fiber_certificate(sd, "sum_lt_2")
         return
-    data = _fiber_certificate(sd)
+    data = _fiber_certificate(sd, "sum_lt_2")
     assert [row["entries"] for row in data["shortcut"]] == want
     assert list(data["t_values"]) == [shifted_product(e) for e in want]

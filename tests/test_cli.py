@@ -22,7 +22,7 @@ from tightsf.convex import (
 )
 from tightsf.floer import MAX_N, ContactIndex
 from tightsf.seifert import parse_manifold
-from tightsf.selftest import check_closed_form
+from tightsf.selftest import check_bypass_oracle, check_closed_form
 from tightsf.slopes import MAX_INPUT_DIGITS, Slope
 from test_floer import laurent_text, product_image
 
@@ -325,6 +325,22 @@ def test_input_integer_cap_is_one_line(tmp_path, capsys):
     assert code == 0 and err == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("floer", "--n", "3", "--index", "7" * 10**5),
+    ("c" * 10**5,),
+    ("bypass", "--dividing=-3", "--ruling=-1/2", "--side", "s" * 10**5),
+    ("theta", "--diagram", "d" * 10**5),
+    ("classify", "-2;1/2,2/3," + "9" * 3999 + "/0"),
+    ("classify", "-2;1/2,2/3,3/4", "a\nb"),
+], ids=["floer_index", "command", "bypass_side", "theta_path", "classify_zero_den", "newline_argument"])
+def test_error_line_is_bounded(capsys, argv):
+    # main cuts every error message, argparse's included, to one line of under
+    # 200 bytes that keeps the message's start and says how long it was
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and len(err.encode()) < 200
+
+
 def test_plumbing_cap(capsys):
     # 1 + 2 + 2 + 2999 vertices, over the cap; the expansions themselves are short
     code, out, err = run(capsys, "seifert", "-2;1/3,1/3,2999/3000")
@@ -362,10 +378,21 @@ def test_bypass_oracle_cap_and_disagreement(capsys, monkeypatch):
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out == "-1000000/999999\n"
     # an oracle that disagrees stops the command, with -O as without
-    monkeypatch.setattr(importlib.import_module("tightsf.cli"), "bypass_oracle", lambda d, r, side: Slope(0))
+    monkeypatch.setattr(importlib.import_module("tightsf.farey"), "bypass_oracle", lambda d, r, side: Slope(0))
     code, out, err = run(capsys, "bypass", "--dividing", "-5/2", "--ruling", "inf", "--oracle", "--json")
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "oracle" in err
+
+
+def test_bypass_check_has_one_home(capsys, monkeypatch):
+    # bypass --oracle and the selftest suite compare the fast path with the
+    # oracle in one function, so a wrong oracle fails both with one message
+    monkeypatch.setattr(importlib.import_module("tightsf.farey"), "bypass_oracle", lambda d, r, side: Slope(7))
+    code, out, err = run(capsys, "bypass", "--dividing", "inf", "--ruling", "0", "--side", "front", "--oracle")
+    assert code == 1 and out == ""
+    with pytest.raises(ArithmeticError) as failure:
+        check_bypass_oracle()
+    assert err == f"error: {failure.value}\n" and "oracle" in err
 
 
 def test_floer_rejects_bad_n_and_index(capsys):
