@@ -103,14 +103,13 @@ def v3_slope_stepwise(sd: SeifertData, n1: int, n2: int) -> Slope:
 
 
 def v3_slope(sd: SeifertData, n1: int, coeffs: SlopeCoeffs) -> Slope:
-    """Closed form ((A n_1 + F) q_3)/((C n_1 + D) v_3) for the dV_3 slope after rounding."""
+    """Closed form ((A n_1 + F) q_3)/((C n_1 + D) v_3) for the dV_3 slope after
+    rounding; at a pole of the form, where C n_1 + D = 0, the slope is inf."""
     if n1 >= 0:
         raise ValueError("twisting must be negative")
-    q3, v3 = sd.conv[2].q, sd.conv[2].v
-    den = (coeffs.C * n1 + coeffs.D) * v3
-    if den == 0:
-        raise ValueError("slope undefined at this twisting")
-    return Slope.from_fraction((coeffs.A * n1 + coeffs.F) * q3 / den)
+    num = (coeffs.A * n1 + coeffs.F) * sd.conv[2].q
+    den = (coeffs.C * n1 + coeffs.D) * sd.conv[2].v
+    return Slope(num.numerator * den.denominator, num.denominator * den.numerator)
 
 
 def limit_regime(coeffs: SlopeCoeffs) -> bool:

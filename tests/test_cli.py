@@ -238,10 +238,19 @@ def test_selftest_cli(capsys):
 def test_selftest_closed_form_accepts_the_pole():
     # seed 18 draws M(-2; 1/2, 5/7, 5/6) at n1 = -13, n2 = -4: a pole of the closed form
     sd = parse_manifold("-2;1/2,5/7,5/6")
-    with pytest.raises(ValueError, match="slope undefined"):
-        v3_slope(sd, -13, slope_coeffs(sd))
-    assert v3_slope_stepwise(sd, -13, -4).is_inf
+    assert v3_slope(sd, -13, slope_coeffs(sd)).is_inf
+    assert v3_slope(sd, -13, slope_coeffs(sd)) == v3_slope_stepwise(sd, -13, -4)
     assert check_closed_form(seed=18) == "200 random tuples, closed form = stepwise rounding"
+
+
+def test_slopes_cli_at_the_pole(capsys):
+    # the closed form's pole is the infinite slope, in text and in JSON
+    code, out, err = run(capsys, "slopes", "-2;1/2,5/7,5/6", "--n1", "-13")
+    assert code == 0 and err == ""
+    assert "v3 slope at n1=-13: inf\n" in out
+    code, out, err = run(capsys, "slopes", "-2;1/2,5/7,5/6", "--n1", "-13", "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["v3_slope"] == {"num": 1, "den": 0}
 
 
 def test_zero_denominator_is_one_line_error(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd
 from typing import Any
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -130,8 +131,8 @@ def dumped(command, result) -> str:
 @settings(max_examples=30, deadline=None)
 @given(st.dictionaries(st.text(max_size=8), values, max_size=3), st.text(max_size=8))
 def test_report_matches_json_dumps(result, command):
-    # from an empty shape cache, a document's first sighting is written
-    # directly and its second fills its shape's template
+    # from an empty shape cache, a document's first sighting builds and keeps
+    # its shape's template, and its second fills the kept template
     report._TEMPLATES.clear()
     want = dumped(command, result)
     assert report.report(command, result) == want
@@ -164,25 +165,31 @@ def test_cold_and_warm_paths_give_the_same_bytes(monkeypatch):
     assert sum(t is not None for t in report._TEMPLATES.values()) == 1
 
 
-def test_warm_report_makes_no_write_call(monkeypatch):
-    # counted work, not timing: a sum_lt_2 document's first sighting is
-    # written directly and builds nothing, its second builds the template,
-    # and then another sum_lt_2 document is that template filled, with no
-    # _write call
+def test_warm_report_builds_no_template(monkeypatch):
+    # counted work, not timing: a sum_lt_2 document's first sighting builds
+    # its shape's template and keeps it, and then that document again and
+    # another sum_lt_2 document are that template filled, with no build; with
+    # a full cache, each report of a new shape builds one template and keeps
+    # none
     monkeypatch.setattr(report, "_TEMPLATES", {})
-    first, other = (report.classification_json(classify(parse_manifold(text)))
-                    for text in ("-2;1/3,2/5,3/7", "-2;1/4,2/7,3/8"))
-    assert first["certificate"]["case"] == other["certificate"]["case"] == "sum_lt_2"
-    calls = []
-    write = report._write
-    monkeypatch.setattr(report, "_write", lambda *args: calls.append(args) or write(*args))
+    first, other, new = (report.classification_json(classify(parse_manifold(text)))
+                         for text in ("-2;1/3,2/5,3/7", "-2;1/4,2/7,3/8", "-2;1/2,2/3,6/7"))
+    assert first["certificate"]["case"] == other["certificate"]["case"] == "sum_lt_2" != new["certificate"]["case"]
+    built = []
+    template = report._template
+    monkeypatch.setattr(report, "_template", lambda *args: built.append(args[0]) or template(*args))
     assert report.report("classify", first) == dumped("classify", first)
-    assert calls and list(report._TEMPLATES.values()) == [None]
-    assert report.report("classify", first) == dumped("classify", first)
-    assert None not in report._TEMPLATES.values()
-    calls.clear()
-    assert report.report("classify", other) == dumped("classify", other)
-    assert calls == []
+    assert len(built) == 1 and list(report._TEMPLATES) == built
+    built.clear()
+    for doc in (first, other):
+        assert report.report("classify", doc) == dumped("classify", doc)
+    assert built == [] and len(report._TEMPLATES) == 1
+    monkeypatch.setattr(report, "_MAX_SHAPES", 1)
+    for _ in range(3):
+        built.clear()
+        assert report.report("classify", new) == dumped("classify", new)
+        assert len(built) == 1 and built[0] not in report._TEMPLATES
+    assert len(report._TEMPLATES) == 1
 
 
 def test_sweep_shapes_are_few(monkeypatch):
@@ -196,7 +203,8 @@ def test_sweep_shapes_are_few(monkeypatch):
 
 def test_shape_cache_is_bounded(monkeypatch):
     # 10^4 documents of distinct shapes (distinct key names): the cache stops
-    # at its bound, and later shapes are written directly
+    # at its bound, and each later shape's template is laid out and filled
+    # but not kept
     monkeypatch.setattr(report, "_TEMPLATES", {})
     for i in range(10**4):
         result = {f"key {i}": i, "r": Fraction(1, i + 2)}
@@ -205,6 +213,34 @@ def test_shape_cache_is_bounded(monkeypatch):
         assert report.report("bound", result) == want
     assert len(report._TEMPLATES) == report._MAX_SHAPES
     assert None not in report._TEMPLATES.values()
+
+
+# Dicts, lists and tuples of more than _MAX_ITEMS items, which are spliced
+# into a report item by item: mixed values, keys holding %, NUL, SOH and
+# non-ASCII text, and plain ints.
+long_containers = st.one_of(
+    st.lists(values, min_size=17, max_size=40),
+    st.lists(values, min_size=17, max_size=40).map(tuple),
+    st.dictionaries(st.text(st.sampled_from("%\0\1k\u00e9\u2713"), max_size=5), values, min_size=17, max_size=24),
+    st.lists(st.integers(min_value=-(10**400), max_value=10**400), min_size=17, max_size=40),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_containers)
+def test_long_containers_match_json_dumps(value):
+    # at each indentation, from an empty shape cache, then warm, and with a
+    # cache that keeps nothing, the text is json.dumps's
+    want = json.dumps(spelled(value), indent=2, default=oracle)
+    for max_shapes in (report._MAX_SHAPES, 0):
+        with mock.patch.object(report, "_TEMPLATES", {}), mock.patch.object(report, "_MAX_SHAPES", max_shapes):
+            for _ in range(2):
+                for pad in ("", "  ", "      "):
+                    out = []
+                    report._write(value, pad, out)
+                    assert "".join(out) == want.replace("\n", "\n" + pad)
+                assert report.report("long", value) == dumped("long", value)
+            assert len(report._TEMPLATES) <= max_shapes
 
 
 def test_classification_report_matches_json_dumps():
