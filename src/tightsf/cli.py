@@ -70,7 +70,7 @@ def _cmd_seifert(args) -> int:
         body = report.manifold_json(sd)
         body["family"] = str(family)
         body["h1"] = h1
-        body["matrix"] = [list(row) for row in matrix]
+        body["matrix"] = matrix
         print(report.report("seifert", body))
     else:
         print(sd)
@@ -186,13 +186,8 @@ def _cmd_classify(args) -> int:
         else:
             print(f"unknown: {res.certificate['reason']}")
         fill = res.fillability
-        bits = [fill.kind]
-        if fill.stein_lower is not None:
-            bits.append(f"stein_lower={fill.stein_lower}")
-        if fill.non_stein_lower is not None:
-            bits.append(f"non_stein_lower={fill.non_stein_lower}")
-        if fill.all_strong is not None:
-            bits.append(f"all_strong={fill.all_strong}")
+        bits = [fill.kind] + [f"{name}={bound}" for name in ("stein_lower", "non_stein_lower", "all_strong")
+                              if (bound := getattr(fill, name)) is not None]
         print("fillability: " + "  ".join(bits))
         print(f"certificate: {res.certificate['case']}")
     if res.status == UNKNOWN:

@@ -230,9 +230,7 @@ def max_twist_table(n: int) -> MaxTwistTable:
     if n > MAX_TWIST_ROWS:
         raise ValueError(f"the table has {n} rows, more than the limit {MAX_TWIST_ROWS}")
     (p1, q1, u1, v1), (p2, q2, u2, v2), conv3 = _family_convergents(n)
-    m = fiber3_matrix(conv3)  # raises ValueError unless unimodular
-    s = m.det  # +-1, so the inverse is the adjugate signed by s, as UniMat.inverse builds it
-    a, b, c, d = s * m.d, -s * m.b, -s * m.c, s * m.a
+    inv = fiber3_matrix(conv3).inverse()  # fiber3_matrix raises ValueError unless unimodular
     for k in (0, 1, 2):
         n1, n2 = -3 * k - 1, -2 * k - 1
         delta = q1 * n1 + v1
@@ -242,8 +240,8 @@ def max_twist_table(n: int) -> MaxTwistTable:
         num = (-p1 * n1 - u1) + ((q2 - p2) * n2 + (v2 - u2)) - 1
         if num != k or delta != -6 * k - 1:
             raise ArithmeticError(f"row k = {k}: rounded slope {num}/{delta} is not -k/(6k+1)")
-        x = a * delta - b * num
-        y = c * delta - d * num
+        x = inv.a * delta - inv.b * num
+        y = inv.c * delta - inv.d * num
         if x == 0 or y != (k - n) * x:
             raise ArithmeticError(f"row k = {k}: V_3 boundary slope {Slope(y, x)} is not -n+k = {k - n}")
     return MaxTwistTable(n, range(n), range(0, -n, -1), range(1, 6 * n, 6), range(-n, 0), range(n, 0, -1))

@@ -15,8 +15,8 @@ it.  _walk is the one dispatch on value types: str, int, bool, None, `Slope`,
 is any other type with `__dataclass_fields__`; any other value raises
 TypeError.  Other subclasses of the plain types are not accepted, so no value
 pays for an isinstance test (against `Fraction` that is an ABC check).  A
-record type's field names are read once and kept in a module dict keyed by
-the type.  _layout is the one place that knows the JSON layout.
+record's fields are read from its type's `__dataclass_fields__`.  _layout is
+the one place that knows the JSON layout.
 
 A leaf is one %s slot: an escaped str, an int, a bool, the num or the den of
 a slope or fraction, an int of a short list of ints, the joined ints of a
@@ -24,12 +24,14 @@ longer one, or the entries of an `Expansion` of at most _MAX_ITEMS entries
 (its entry count, not its number of runs, decides).  A splice is text
 written between two stretches of a template by its own writer, never
 formatted through %: a longer `Expansion` run by run, a `MaxTwistTable` from
-one row template, and any other dict, list or tuple of more than _MAX_ITEMS
-items (floer's classes, a large seifert matrix) item by item, each item
-walked and filled in turn, so item shapes are templated too.  The 16,215 classify reports of the q_i <= 12 sweep come in 6
-shapes.  A template is kept while the cache holds fewer than _MAX_SHAPES
-shapes; past that, a new shape's template serves its one document and is
-dropped.  Nothing is cached by value.
+one row template, which _layout writes from the row's shape key like any
+other, and any other dict, list or tuple of more than _MAX_ITEMS items
+(floer's classes, a large seifert matrix) item by item, each item walked and
+filled in turn, so item shapes are templated too.  The 16,215 classify
+reports of the q_i <= 12 sweep come in 6 document shapes; a sphere-family
+report adds its row shape.  A template is kept while the cache holds fewer
+than _MAX_SHAPES shapes; past that, a new shape's template serves its one
+document and is dropped.  Nothing is cached by value.
 """
 from __future__ import annotations
 
@@ -66,19 +68,6 @@ def classification_json(res: ClassificationResult) -> dict[str, Any]:
     return out
 
 
-# The field names of each record type met so far, in declaration order.
-_FIELDS: dict[type, tuple[str, ...]] = {}
-
-
-def _record_fields(t: type) -> tuple[str, ...] | None:
-    """The field names of record type t, read once into _FIELDS; None if t
-    is not a dataclass."""
-    fields = _FIELDS.get(t)
-    if fields is None and hasattr(t, "__dataclass_fields__"):
-        fields = _FIELDS[t] = tuple(t.__dataclass_fields__)
-    return fields
-
-
 def _write_expansion(value: Expansion, pad: str, out: list[str]) -> None:
     """Append the JSON list of an expansion's entries, as _write does for a
     tuple of ints, from its runs.  The single entries between long runs are
@@ -113,21 +102,6 @@ def _write_expansion(value: Expansion, pad: str, out: list[str]) -> None:
 def _entries_text(value: Expansion, sep: str) -> str:
     """The entries of a short expansion joined by sep, from its runs."""
     return sep.join([text for a, m in value for text in (int.__repr__(a),) * m])
-
-
-def _write_max_twist_table(value: MaxTwistTable, pad: str, out: list[str]) -> None:
-    """Append the JSON list of a sphere-family table's rows, each the object
-    {"k", "rounded", "boundary", "count"}, from one %-template filled from a
-    zip of the table's columns.  The boundary's "den" is the literal 1, since
-    max_twist_table checks that the V_3 image is proportional to (1, -n+k).
-    """
-    inner = pad + "  "
-    i2 = inner + "  "
-    i3 = i2 + "  "
-    tmpl = (f'{{\n{i2}"k": %d,\n{i2}"rounded": {{\n{i3}"num": %d,\n{i3}"den": %d\n{i2}}},'
-            f'\n{i2}"boundary": {{\n{i3}"num": %d,\n{i3}"den": 1\n{i2}}},\n{i2}"count": %d\n{inner}}}')
-    rows = (",\n" + inner).join(map(tmpl.__mod__, value.tuples()))
-    out.append("[\n" + inner + rows + "\n" + pad + "]" if rows else "[]")
 
 
 # A dict, list or tuple of more items than this, or a longer Expansion, is a
@@ -217,7 +191,7 @@ def _walk(values: Iterable, pad: str, key: list, leaves: list, splices: list) ->
             key.append("\1")
             continue
         else:
-            fields = _FIELDS.get(t) or _record_fields(t)
+            fields = getattr(t, "__dataclass_fields__", None)
             if fields is None:
                 raise TypeError(f"cannot write {t.__name__} into a report")
             key.append(t)
@@ -241,7 +215,8 @@ def _layout(tokens: Iterator, pad: str) -> str:
     if type(tok) is tuple:
         items = [encode_basestring_ascii(k) + ": " + _layout(tokens, inner) for k in tok]
     else:
-        items = [encode_basestring_ascii(k) + ": " + v for k in _FIELDS[tok] if (v := _layout(tokens, inner)) != "null"]
+        items = [encode_basestring_ascii(k) + ": " + v
+                 for k in tok.__dataclass_fields__ if (v := _layout(tokens, inner)) != "null"]
     return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}" if items else "{}"
 
 
@@ -303,6 +278,20 @@ def _write_items(value: dict | list | tuple, pad: str, out: list[str]) -> None:
             _write(v, inner, out)
             head = sep
         out.append("\n" + pad + "]")
+
+
+def _write_max_twist_table(value: MaxTwistTable, pad: str, out: list[str]) -> None:
+    """Append the JSON list of a sphere-family table's rows, each the object
+    {"k", "rounded", "boundary", "count"}, from one row template filled from
+    a zip of the table's columns.  The row's shape key gives the boundary's
+    "den" as the literal token "1", since max_twist_table checks that the V_3
+    image is proportional to (1, -n+k).
+    """
+    inner = pad + "  "
+    shape = (inner, ("k", "rounded", "boundary", "count"), "\0", *_NUM_DEN, ("num", "den"), "\0", "1", "\0")
+    row, = _TEMPLATES.get(shape) or _template(shape, 5, 0)
+    rows = (",\n" + inner).join(map(row.__mod__, value.tuples()))
+    out.append("[\n" + inner + rows + "\n" + pad + "]" if rows else "[]")
 
 
 def report(command: str, result: Any) -> str:

@@ -102,17 +102,11 @@ def _parse_fraction(text: str) -> tuple[int, int]:
 def h1_order(sd: SeifertData) -> int:
     """Order of the first homology; 0 for the degenerate surface bundle case.
 
-    The sum e0 + r1 + r2 + r3 vanishes exactly for the surface bundles, and
-    otherwise |q1 q2 q3 (e0 + r1 + r2 + r3)| is the order of H_1.
+    |H_1| = |q1 q2 q3 (e0 + r1 + r2 + r3)|, in integers from _sum_ratio's
+    unreduced sum; it vanishes exactly for the surface bundles.
     """
-    total = sd.e0 + sd.invariant_sum
-    if total == 0:
-        return 0
-    q1, q2, q3 = (c.q for c in sd.conv)
-    val = q1 * q2 * q3 * total
-    if val.denominator != 1:
-        raise ArithmeticError(f"q1 q2 q3 (e0 + r1 + r2 + r3) = {val} is not an integer")
-    return abs(val.numerator)
+    num, den = _sum_ratio(sd.conv)
+    return abs(sd.e0 * den + num)
 
 
 # The linking matrix has n^2 entries for n vertices, so the plumbing size

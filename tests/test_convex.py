@@ -409,8 +409,9 @@ def test_sphere_family_work_per_table_is_constant(monkeypatch):
         tracemalloc.stop()
     assert table.n == MAX_TWIST_ROWS and peak < 16 * 1024
 
-    # with a shape cache that keeps nothing, every report builds its shape's
-    # template; once the shape's template is kept, its reports build none
+    # with a shape cache that keeps nothing, every report builds two
+    # templates, its document's and its table's row; once both are kept,
+    # its reports build none
     monkeypatch.setattr(report, "_template", counted("_template", report._template))
     monkeypatch.setattr(report, "_TEMPLATES", {})
     docs = [report.classification_json(classify(sphere_family(n))) for n in (10, 1000)]
@@ -419,27 +420,26 @@ def test_sphere_family_work_per_table_is_constant(monkeypatch):
         if max_shapes:
             calls["_template"] = 0
             report.report("classify", docs[0])
-            assert calls["_template"] == len(report._TEMPLATES) == 1
+            assert calls["_template"] == len(report._TEMPLATES) == 2
         templated = []
         for n, doc in zip((10, 1000), docs):
             calls["_template"] = 0
             assert len(report.report("classify", doc)) > 100 * n
             templated.append(calls["_template"])
-        assert templated == ([0, 0] if max_shapes else [1, 1])
-        assert len(report._TEMPLATES) == (max_shapes > 0)
+        assert templated == ([0, 0] if max_shapes else [2, 2])
+        assert len(report._TEMPLATES) == (2 if max_shapes else 0)
 
 
 def test_max_twist_table_builds_one_transfer_matrix(monkeypatch):
-    # the inverse V_3 transfer is read off the signed adjugate of the one
-    # attaching matrix, whose constructor keeps the unimodularity check
+    # the inverse V_3 transfer is UniMat.inverse of the one attaching matrix,
+    # whose constructor keeps the unimodularity check: two builds per table
     built = []
     init = UniMat.__init__
     monkeypatch.setattr(UniMat, "__init__", lambda self, *abcd: built.append(abcd) or init(self, *abcd))
-    monkeypatch.setattr(UniMat, "inverse", None)
     for n in (1, 2, 7, 800):
         built.clear()
         assert max_twist_table(n).total == n * (n + 1) // 2
-        assert len(built) == 1
+        assert len(built) == 2
 
     def skewed(n):
         conv1, conv2, conv3 = family_convergents(n)

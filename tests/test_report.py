@@ -168,9 +168,11 @@ def test_cold_and_warm_paths_give_the_same_bytes(monkeypatch):
 def test_warm_report_builds_no_template(monkeypatch):
     # counted work, not timing: a sum_lt_2 document's first sighting builds
     # its shape's template and keeps it, and then that document again and
-    # another sum_lt_2 document are that template filled, with no build; with
-    # a full cache, each report of a new shape builds one template and keeps
-    # none
+    # another sum_lt_2 document are that template filled, with no build; a
+    # sphere-family document's first sighting builds and keeps two templates,
+    # the document's and its table's row, and warm it builds none; with a
+    # cache that keeps nothing, each sphere-family report builds both and
+    # keeps neither
     monkeypatch.setattr(report, "_TEMPLATES", {})
     first, other, new = (report.classification_json(classify(parse_manifold(text)))
                          for text in ("-2;1/3,2/5,3/7", "-2;1/4,2/7,3/8", "-2;1/2,2/3,6/7"))
@@ -184,12 +186,15 @@ def test_warm_report_builds_no_template(monkeypatch):
     for doc in (first, other):
         assert report.report("classify", doc) == dumped("classify", doc)
     assert built == [] and len(report._TEMPLATES) == 1
-    monkeypatch.setattr(report, "_MAX_SHAPES", 1)
+    for _ in range(2):
+        assert report.report("classify", new) == dumped("classify", new)
+    assert len(built) == 2 and list(report._TEMPLATES)[1:] == built
+    monkeypatch.setattr(report, "_TEMPLATES", {})
+    monkeypatch.setattr(report, "_MAX_SHAPES", 0)
     for _ in range(3):
         built.clear()
         assert report.report("classify", new) == dumped("classify", new)
-        assert len(built) == 1 and built[0] not in report._TEMPLATES
-    assert len(report._TEMPLATES) == 1
+        assert len(built) == 2 and report._TEMPLATES == {}
 
 
 def test_sweep_shapes_are_few(monkeypatch):
@@ -294,7 +299,7 @@ def test_expansion_writer_matches_json_dumps():
     assert written({"e": Expansion([])}) == json.dumps({"e": []}, indent=2)
 
 
-def test_max_twist_table_writer_matches_json_dumps():
+def test_max_twist_table_writer_matches_json_dumps(monkeypatch):
     # a table is written from one row template; at any nesting depth the text
     # is json.dumps of its row objects
     for n in [*range(1, 41), 799, 800, 10**4]:
@@ -307,6 +312,13 @@ def test_max_twist_table_writer_matches_json_dumps():
             report._write(table, pad, out)
             assert "".join(out) == want.replace("\n", "\n" + pad)
     assert written(MaxTwistTable(0, *[range(0)] * 5)) == "[]"
+    # the row template is the layout of the row's shape key, the boundary's
+    # den the literal token "1", and it is kept in the one shape cache
+    for pad in ("", "  ", "      "):
+        monkeypatch.setattr(report, "_TEMPLATES", {})
+        report._write_max_twist_table(max_twist_table(3), pad, [])
+        assert list(report._TEMPLATES) == [(pad + "  ", ("k", "rounded", "boundary", "count"), "\0",
+                                            ("num", "den"), "\0", "\0", ("num", "den"), "\0", "1", "\0")]
 
 
 def test_writer_int_tuples_and_fractions():

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from math import floor
+from math import floor, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +88,38 @@ def test_h1_examples():
         sd = parse_manifold(f"-2;1/2,2/3,{5 * n + 1}/{6 * n + 1}")
         assert h1_order(sd) == 1
     assert h1_order(parse_manifold("-2;1/2,1/2,1/2")) == 4
+
+
+def test_h1_order_builds_no_fraction(monkeypatch):
+    # |H_1| is read off _sum_ratio's integers: with Fraction made to raise
+    # once every manifold is parsed, h1_order still gives each value, and on
+    # three 4,000-digit legs the value of |q1 q2 q3 (e0 + r1 + r2 + r3)| in
+    # Fractions
+    zeros = [parse_manifold(f"-2;{triple}") for triple in ("1/2,3/4,3/4", "1/2,2/3,5/6", "2/3,2/3,2/3",
+                                                           "2/5,4/5,4/5", "1/3,5/6,5/6")]
+    spheres = [parse_manifold(f"-2;1/2,2/3,{5 * n + 1}/{6 * n + 1}") for n in (1, 2, 7, 800, 10**5)]
+    four = parse_manifold("-2;1/2,1/2,1/2")
+    rng = random.Random(23)
+    big = []
+    for e0 in (-2, -1, -7):
+        legs = []
+        while len(legs) < 3:
+            q = rng.randrange(10**3999, 10**4000)
+            p = rng.randrange(1, q)
+            if gcd(p, q) == 1:
+                legs.append(f"{p}/{q}")
+        big.append(parse_manifold(f"{e0};" + ",".join(legs)))
+    want = [abs(sd.conv[0].q * sd.conv[1].q * sd.conv[2].q * (sd.e0 + sum(sd.r))) for sd in big]
+    assert all(len(str(c.q)) == 4000 for sd in big for c in sd.conv) and 0 not in want
+
+    def no_fraction(*args):
+        raise AssertionError("h1_order built a Fraction")
+
+    monkeypatch.setattr(seifert, "Fraction", no_fraction)
+    assert [h1_order(sd) for sd in zeros] == [0] * 5
+    assert [h1_order(sd) for sd in spheres] == [1] * 5
+    assert h1_order(four) == 4
+    assert [h1_order(sd) for sd in big] == want
 
 
 def test_linking_matrix_examples():
