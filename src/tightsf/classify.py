@@ -87,7 +87,7 @@ def _fiber_certificate(sd: SeifertData, case: str) -> dict[str, Any]:
         t = shifted_product(leg)
         t_values.append(t)
         shortcut.append({"r": r, "entries": leg, "boundary": Slope(p - q, v - u), "count": t})
-    return {"case": case, "t_values": tuple(t_values), "shortcut": tuple(shortcut)}
+    return {"case": case, "t_values": t_values, "shortcut": shortcut}
 
 
 def classify(sd: SeifertData) -> ClassificationResult:

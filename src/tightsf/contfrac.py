@@ -198,19 +198,12 @@ def solid_torus_count(s: Slope | Fraction) -> int:
     """Number of tight contact structures on a solid torus with boundary slope s.
 
     For rational s <= -1 with expansion [b_0, ..., b_m] the count is
-    |(b_0 + 1) ... (b_{m-1} + 1) * b_m| (last factor unshifted).  An integer
-    slope -m has the expansion [-m] and the count m, read off in O(1); m = 1
-    is a standard neighborhood.  Otherwise, dropping one b_m = -2 from the
-    runs drops a factor -1, so every run head but the last gives the shifted
+    |(b_0 + 1) ... (b_{m-1} + 1) * b_m| (last factor unshifted); s = -1 is a
+    standard neighborhood, with count 1.  Dropping one b_m = -2 from the runs
+    drops a factor -1, so every run head but the last gives the shifted
     factors.
     """
-    if isinstance(s, Slope):
-        f = s.num if s.den == 1 else s.as_fraction()
-    else:
-        f = Fraction(s)
-    if f > -1:
-        raise ValueError("boundary slope must be <= -1 in these coordinates")
-    if f.denominator == 1:
-        return -f.numerator
-    runs = read_leg(f.denominator, -f.numerator)[0]
+    if s == -1:
+        return 1
+    runs = read_leg(*leg_of(s))[0]
     return abs(runs[-1][0]) * shifted_product(runs[:-1])

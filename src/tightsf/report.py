@@ -25,13 +25,14 @@ longer one, or the entries of an `Expansion` of at most _MAX_ITEMS entries
 written between two stretches of a template by its own writer, never
 formatted through %: a longer `Expansion` run by run, a `MaxTwistTable` from
 one row template, which _layout writes from the row's shape key like any
-other, and any other dict, list or tuple of more than _MAX_ITEMS items
-(floer's classes, a large seifert matrix) item by item, each item walked and
-filled in turn, so item shapes are templated too.  The 16,215 classify
-reports of the q_i <= 12 sweep come in 6 document shapes; a sphere-family
-report adds its row shape.  A template is kept while the cache holds fewer
-than _MAX_SHAPES shapes; past that, a new shape's template serves its one
-document and is dropped.  Nothing is cached by value.
+other, and any other list or tuple of more than _MAX_ITEMS items (floer's
+classes, a large seifert matrix) item by item, each item walked and filled in
+turn, so item shapes are templated too.  A dict of any size is laid out in its
+document's shape.  The 16,215 classify reports of the q_i <= 12 sweep come in
+6 document shapes; a sphere-family report adds its row shape.  A template is
+kept while the cache holds fewer than _MAX_SHAPES shapes; past that, a new
+shape's template serves its one document and is dropped.  Nothing is cached
+by value.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ SCHEMA = "tightsf/1"
 
 
 def manifold_json(sd: SeifertData) -> dict[str, Any]:
-    p, q, u, v = map(list, zip(*sd.conv))
+    p, q, u, v = zip(*sd.conv)
     return {"e0": sd.e0, "r": sd.r, "p": p, "q": q, "u": u, "v": v}
 
 
@@ -104,8 +105,8 @@ def _entries_text(value: Expansion, sep: str) -> str:
     return sep.join([text for a, m in value for text in (int.__repr__(a),) * m])
 
 
-# A dict, list or tuple of more items than this, or a longer Expansion, is a
-# splice, not walked into its document's shape.
+# A list or tuple of more items than this, or a longer Expansion, is a splice,
+# not walked into its document's shape.
 _MAX_ITEMS = 16
 # The number of document shapes whose templates are kept.
 _MAX_SHAPES = 64
@@ -126,8 +127,8 @@ def _walk(values: Iterable, pad: str, key: list, leaves: list, splices: list) ->
     at most _MAX_ITEMS plain ints is one leaf per int, and a longer one, or
     a non-empty Expansion of at most _MAX_ITEMS entries (counted from its
     runs), one leaf, the text of its entries.  A longer Expansion, a
-    MaxTwistTable and any other dict, list or tuple of more than _MAX_ITEMS
-    items is a splice: splices gets (the number of leaves before it, its
+    MaxTwistTable and any other list or tuple of more than _MAX_ITEMS items
+    is a splice: splices gets (the number of leaves before it, its
     writer, value, pad).
 
     Tokens: "\0" for a leaf, "\1" for a splice and "null" for None; a
@@ -157,9 +158,13 @@ def _walk(values: Iterable, pad: str, key: list, leaves: list, splices: list) ->
         elif value is None:
             key.append("null")
             continue
-        elif t is dict or t is list or t is tuple:
+        elif t is dict:
+            key.append(tuple(value))
+            _walk(value.values(), pad + "  ", key, leaves, splices)
+            continue
+        elif t is list or t is tuple:
             n = len(value)
-            if t is not dict and n and set(map(type, value)) == {int}:
+            if n and set(map(type, value)) == {int}:
                 if n > _MAX_ITEMS:
                     leaves.append((",\n" + pad + "  ").join(map(int.__repr__, value)))
                     key.append(-1)
@@ -169,9 +174,6 @@ def _walk(values: Iterable, pad: str, key: list, leaves: list, splices: list) ->
             elif n > _MAX_ITEMS:
                 splices.append((len(leaves), _write_items, value, pad))
                 key.append("\1")
-            elif t is dict:
-                key.append(tuple(value))
-                _walk(value.values(), pad + "  ", key, leaves, splices)
             else:
                 key.append(n)
                 _walk(value, pad + "  ", key, leaves, splices)
@@ -258,26 +260,18 @@ def _write(value: Any, pad: str, out: list[str]) -> None:
     out.append(template[-1] % tuple(leaves[start:]))
 
 
-def _write_items(value: dict | list | tuple, pad: str, out: list[str]) -> None:
-    """Append the JSON text of a dict, list or tuple of more than _MAX_ITEMS
-    items that are not all plain ints, each item written by _write at the
-    inner indentation."""
+def _write_items(value: list | tuple, pad: str, out: list[str]) -> None:
+    """Append the JSON list of a list or tuple of more than _MAX_ITEMS items
+    that are not all plain ints, each item written by _write at the inner
+    indentation."""
     inner = pad + "  "
     sep = ",\n" + inner
-    if type(value) is dict:
-        head = "{\n" + inner
-        for k, v in value.items():
-            out.append(head + encode_basestring_ascii(k) + ": ")
-            _write(v, inner, out)
-            head = sep
-        out.append("\n" + pad + "}")
-    else:
-        head = "[\n" + inner
-        for v in value:
-            out.append(head)
-            _write(v, inner, out)
-            head = sep
-        out.append("\n" + pad + "]")
+    head = "[\n" + inner
+    for v in value:
+        out.append(head)
+        _write(v, inner, out)
+        head = sep
+    out.append("\n" + pad + "]")
 
 
 def _write_max_twist_table(value: MaxTwistTable, pad: str, out: list[str]) -> None:
@@ -291,7 +285,8 @@ def _write_max_twist_table(value: MaxTwistTable, pad: str, out: list[str]) -> No
     shape = (inner, ("k", "rounded", "boundary", "count"), "\0", *_NUM_DEN, ("num", "den"), "\0", "1", "\0")
     row, = _TEMPLATES.get(shape) or _template(shape, 5, 0)
     rows = (",\n" + inner).join(map(row.__mod__, value.tuples()))
-    out.append("[\n" + inner + rows + "\n" + pad + "]" if rows else "[]")
+    # three pieces, so the joined rows are not copied into a fourth
+    out.extend(("[\n" + inner, rows, "\n" + pad + "]") if rows else ("[]",))
 
 
 def report(command: str, result: Any) -> str:

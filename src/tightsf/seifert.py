@@ -185,7 +185,8 @@ def detect_family(sd: SeifertData) -> Family:
 
     Overlapping tags are resolved in this order: torus bundle, the
     (5n+1)/(6n+1) sphere family, the k/(k+1) integer surgery family, sum at
-    least 9/4, sum below 2, degenerate sum 2, and the remaining gap.
+    least 9/4, sum below 2, degenerate sum 2, and the remaining gap.  The sum
+    is the cached invariant_sum that the report prints, so it is derived once.
     """
     if sd.e0 != -2:
         return Family(WRONG_E0)
@@ -197,7 +198,7 @@ def detect_family(sd: SeifertData) -> Family:
             return Family(SPHERE_FAMILY, n=q3 // 6)
         if q3 == p3 + 1 and p3 >= 6:
             return Family(K_OVER_K1, k=p3)
-    num, den = _sum_ratio(sd.conv)
+    num, den = sd.invariant_sum.as_integer_ratio()
     if 4 * num >= 9 * den:
         return Family(SUM_GE_9_4)
     if num < 2 * den:

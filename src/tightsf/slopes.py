@@ -11,6 +11,7 @@ Everything here is arbitrary-precision integer arithmetic; no floats.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -106,21 +107,18 @@ class Slope:
 INF = Slope(1, 0)
 
 
+@dataclass(frozen=True, slots=True)
 class UniMat:
     """Integer 2x2 matrix [[a, b], [c, d]] with determinant +1 or -1."""
 
-    __slots__ = ("a", "b", "c", "d")
+    a: int
+    b: int
+    c: int
+    d: int
 
-    def __init__(self, a: int, b: int, c: int, d: int):
-        if a * d - b * c not in (1, -1):
-            raise ValueError(f"matrix [[{a},{b}],[{c},{d}]] is not unimodular")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniMat is immutable")
+    def __post_init__(self):
+        if self.det not in (1, -1):
+            raise ValueError(f"matrix [[{self.a},{self.b}],[{self.c},{self.d}]] is not unimodular")
 
     @property
     def det(self) -> int:
@@ -138,6 +136,3 @@ class UniMat:
         if x == 0 and y == 0:
             raise ArithmeticError(f"{self!r} kills the line of {s}, but a unimodular matrix kills none")
         return Slope(y, x)
-
-    def __repr__(self) -> str:
-        return f"UniMat({self.a}, {self.b}, {self.c}, {self.d})"

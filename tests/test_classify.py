@@ -194,6 +194,22 @@ def test_report_path_builds_only_the_printed_fractions(monkeypatch):
     assert built == [8 if case in ("sum_ge_9_4", "sum_lt_2") else 4 for case in cases]
 
 
+def test_report_path_sums_the_invariants_once(monkeypatch):
+    # detect_family reads the cached invariant_sum that the report prints, so
+    # text -> parse -> classify -> JSON -> report derives the sum once, in a
+    # product regime (sum below 2 and at least 9/4) and in the gap
+    sum_ratio, calls = seifert._sum_ratio, []
+    monkeypatch.setattr(seifert, "_sum_ratio", lambda conv: calls.append(conv) or sum_ratio(conv))
+    for text, case in (("-2;1/2,1/3,1/5", "sum_lt_2"), ("-2;3/4,4/5,5/6", "sum_ge_9_4"),
+                       ("-2;2/3,3/4,4/5", "gap_other")):
+        calls.clear()
+        res = classify(parse_manifold(text))
+        doc = report.classification_json(res)
+        report.report("classify", doc)
+        assert res.certificate["case"] == case and len(calls) == 1, text
+        assert doc["sum"] == sum(res.manifold.r)
+
+
 @settings(max_examples=200, deadline=None)
 @given(big_invariants())
 def test_fiber_certificate_matches_expand_on_big_legs(drawn):

@@ -248,6 +248,16 @@ def test_long_containers_match_json_dumps(value):
             assert len(report._TEMPLATES) <= max_shapes
 
 
+def test_long_dict_is_laid_out_in_its_shape():
+    # a dict of more than _MAX_ITEMS keys is walked like any other dict: its
+    # int values are leaves of the document's one template, not splices
+    doc = {f"k{i}": i for i in range(17)}
+    with mock.patch.object(report, "_TEMPLATES", {}):
+        assert report.report("x", doc) == json.dumps(
+            {"schema": report.SCHEMA, "exact": True, "command": "x", "result": doc}, indent=2)
+        assert len(report._TEMPLATES) == 1
+
+
 def test_classification_report_matches_json_dumps():
     for text in ("-2;1/2,2/3,6/7", "-2;1/2,2/3,11/13", "-2;7/9,7/9,7/9", "-2;1/2,2/3,5/6", "-2;1/2,3/4,4/5",
                  "-2;1/3,1/3,99/100", "-2;1/2,2/3,7/8"):
@@ -319,6 +329,17 @@ def test_max_twist_table_writer_matches_json_dumps(monkeypatch):
         report._write_max_twist_table(max_twist_table(3), pad, [])
         assert list(report._TEMPLATES) == [(pad + "  ", ("k", "rounded", "boundary", "count"), "\0",
                                             ("num", "den"), "\0", "\0", ("num", "den"), "\0", "1", "\0")]
+
+
+def test_max_twist_table_rows_are_one_piece():
+    # a non-empty table appends its opening, its joined rows and its closing
+    # as three pieces, so the rows' text is not copied into a fourth
+    for n in (1, 2, 800):
+        for pad in ("", "    "):
+            out = []
+            report._write_max_twist_table(max_twist_table(n), pad, out)
+            assert out[0] == "[\n" + pad + "  " and out[2] == "\n" + pad + "]" and len(out) == 3
+            assert out[1].count('"k": ') == n and "".join(out).replace("\n" + pad, "\n") == written(max_twist_table(n))
 
 
 def test_writer_int_tuples_and_fractions():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -74,3 +75,18 @@ def test_unimodular_validation():
     with pytest.raises(ValueError):
         UniMat(2, 0, 0, 2)
     assert UniMat(0, 1, 1, 0).det == -1
+
+
+def test_unimat_is_a_value():
+    # equal matrices compare and hash equal, a matrix cannot be changed in
+    # place, and the constructor keeps its unimodularity check
+    m = UniMat(3, 2, 1, 1)
+    assert m == UniMat(3, 2, 1, 1) and hash(m) == hash(UniMat(3, 2, 1, 1))
+    assert m != UniMat(1, 0, 0, 1) and m.inverse() != m
+    assert m.inverse().inverse() == m
+    for field in ("a", "b", "c", "d"):
+        with pytest.raises(AttributeError):
+            setattr(m, field, 0)
+    assert m == UniMat(3, 2, 1, 1)
+    with pytest.raises(ValueError, match=re.escape("matrix [[2,0],[0,2]] is not unimodular")):
+        UniMat(2, 0, 0, 2)
