@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import seifert as sf
-from .contfrac import capped_count, shifted_product
+from .contfrac import Convergents, Expansion, capped_count, shifted_product
 from .convex import max_twist_table, slope_coeffs, twist_count, v3_slope_limit
 from .seifert import SeifertData
-from .slopes import Slope
 
 EXACT = "exact"
 INFINITE = "infinite"
@@ -68,9 +67,14 @@ _UNKNOWN_REASONS = {
 _PRODUCT_KINDS = (sf.K_OVER_K1, sf.SUM_GE_9_4, sf.SUM_LT_2)
 
 
+# A leg's solid-torus shortcut in a product certificate: its convergents
+# (p, q, u, v), its expansion and its count T.
+Shortcut = NamedTuple("Shortcut", [("conv", Convergents), ("entries", Expansion), ("count", int)])
+
+
 def _fiber_certificate(sd: SeifertData, case: str) -> dict[str, Any]:
     """The certificate of a product regime: its case, the per-fiber counts and
-    the solid-torus shortcut data.
+    the solid-torus shortcut of each leg.
 
     Each leg's expansion is the runs stored in sd at parse: its entry count
     is checked against MAX_EXPANSION, since the certificate prints every
@@ -82,11 +86,11 @@ def _fiber_certificate(sd: SeifertData, case: str) -> dict[str, Any]:
     """
     t_values = []
     shortcut = []
-    for r, (p, q, u, v), leg in zip(sd.r, sd.conv, sd.legs):
+    for conv, leg in zip(sd.conv, sd.legs):
         capped_count(leg)
         t = shifted_product(leg)
         t_values.append(t)
-        shortcut.append({"r": r, "entries": leg, "boundary": Slope(p - q, v - u), "count": t})
+        shortcut.append(Shortcut(conv, leg, t))
     return {"case": case, "t_values": t_values, "shortcut": shortcut}
 
 

@@ -67,11 +67,9 @@ def _cmd_seifert(args) -> int:
     h1 = h1_order(sd)
     matrix = linking_matrix(sd)
     if args.json:
-        body = report.manifold_json(sd)
-        body["family"] = str(family)
-        body["h1"] = h1
-        body["matrix"] = matrix
-        print(report.report("seifert", body))
+        p, q, u, v = zip(*sd.conv)
+        print(report.report("seifert", {"e0": sd.e0, "r": sd.r, "p": p, "q": q, "u": u, "v": v,
+                                        "family": str(family), "h1": h1, "matrix": matrix}))
     else:
         print(sd)
         print(f"family: {family}")
@@ -94,13 +92,7 @@ def _cmd_slopes(args) -> int:
     if limit_regime(coeffs):
         limit = v3_slope_limit(sd, coeffs)
     if args.json:
-        body = {
-            "manifold": report.manifold_json(sd),
-            "n1": n1,
-            "measured": measured,
-            "coeffs": coeffs,
-            "v3_slope": closed,
-        }
+        body = {"manifold": sd, "n1": n1, "measured": measured, "coeffs": coeffs, "v3_slope": closed}
         if limit is not None:
             body["limit"] = limit
         print(report.report("slopes", body))
@@ -176,7 +168,7 @@ def _cmd_classify(args) -> int:
     sd = parse_manifold(args.manifold)
     res = classify(sd)
     if args.json:
-        print(report.report("classify", report.classification_json(res)))
+        print(report.report("classify", res))
     else:
         print(res.manifold)
         if res.status == EXACT:

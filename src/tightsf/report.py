@@ -2,71 +2,43 @@
 
 The writer renders library values itself: a `Slope` or `Fraction` is a
 {"num", "den"} pair (the infinite slope is {"num": 1, "den": 0}), and a record,
-a dataclass such as `SlopeCoeffs`, `LimitInfo` or `Fillability`, is an object
-of its fields in declaration order, leaving out fields that are None.  Callers
-pass these values into a report unchanged.  Field order is fixed at
-construction time and json round-trips byte for byte; no value in a report is
-ever a float.
+a dataclass such as `Fillability`, is an object of its fields in order, leaving
+out fields that are None.  A classify report is written from the
+`ClassificationResult` itself, with no document built in between.
 
-Every document takes one path: _walk reads its shape key and its leaves,
-_layout writes the shape's %-template from the key alone, and the leaves fill
-it.  _walk is the one dispatch on value types: str, int, bool, None, `Slope`,
-`Fraction`, dict, `Expansion`, list and tuple, `MaxTwistTable`, and a record
-is any other type with `__dataclass_fields__`; any other value raises
-TypeError.  Other subclasses of the plain types are not accepted, so no value
-pays for an isinstance test (against `Fraction` that is an ABC check).  A
-record's fields are read from its type's `__dataclass_fields__`.  _layout is
-the one place that knows the JSON layout.
-
-A leaf is one %s slot: an escaped str, an int, a bool, the num or the den of
-a slope or fraction, an int of a short list of ints, the joined ints of a
-longer one, or the entries of an `Expansion` of at most _MAX_ITEMS entries
-(its entry count, not its number of runs, decides).  A splice is text
-written between two stretches of a template by its own writer, never
-formatted through %: a longer `Expansion` run by run, a `MaxTwistTable` from
-one row template, which _layout writes from the row's shape key like any
-other, and any other list or tuple of more than _MAX_ITEMS items (floer's
-classes, a large seifert matrix) item by item, each item walked and filled in
-turn, so item shapes are templated too.  A dict of any size is laid out in its
-document's shape.  The 16,215 classify reports of the q_i <= 12 sweep come in
-6 document shapes; a sphere-family report adds its row shape.  A template is
-kept while the cache holds fewer than _MAX_SHAPES shapes; past that, a new
-shape's template serves its one document and is dropped.  Nothing is cached
-by value.
+Every document takes one path: _walk, the one dispatch on exact value types,
+reads its shape key and its leaves, _layout, the one place that knows the JSON
+layout, writes the shape's %-template from the key alone, and the leaves fill
+it.  A value whose type fixes its shape (a slope, a fraction, a manifold's
+normalized form, `SlopeCoeffs`, `LimitInfo`) is one step: its type alone goes
+into the key, and one function gives its leaves.  A `Shortcut` row is one step
+around its entries.  A leaf is one %s slot: an escaped str, an int, a bool's
+JSON word, a num or a den, an int of a short list of ints, the joined ints of a
+longer one, or the entries of an `Expansion` of at most _MAX_ITEMS entries.  A
+splice is text its own writer puts between two stretches of a template: a
+longer `Expansion`, a `MaxTwistTable` from one row template, and any other list
+or tuple of more than _MAX_ITEMS items, item by item.  At most _MAX_SHAPES
+templates are kept (the q_i <= 12 sweep needs 6); nothing is cached by value.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Any, Iterable, Iterator
 
-from .classify import ClassificationResult
+from .classify import ClassificationResult, Shortcut
 from .contfrac import Expansion
-from .convex import MaxTwistTable
+from .convex import LimitInfo, MaxTwistTable, SlopeCoeffs
 from .seifert import SeifertData
 from .slopes import Slope
 
 SCHEMA = "tightsf/1"
 
 
-def manifold_json(sd: SeifertData) -> dict[str, Any]:
-    p, q, u, v = zip(*sd.conv)
-    return {"e0": sd.e0, "r": sd.r, "p": p, "q": q, "u": u, "v": v}
-
-
-def classification_json(res: ClassificationResult) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "input": str(res.manifold),
-        "normalized": manifold_json(res.manifold),
-        "e0": res.manifold.e0,
-        "sum": res.manifold.invariant_sum,
-        "status": res.status,
-    }
-    if res.count is not None:
-        out["count"] = res.count
-    out["fillability"] = res.fillability
-    out["certificate"] = res.certificate
-    return out
+def classification_json(res: ClassificationResult) -> ClassificationResult:
+    """The classify document: the result itself, which the report walks."""
+    return res
 
 
 def _write_expansion(value: Expansion, pad: str, out: list[str]) -> None:
@@ -100,11 +72,6 @@ def _write_expansion(value: Expansion, pad: str, out: list[str]) -> None:
     out.append("\n" + pad + "]")
 
 
-def _entries_text(value: Expansion, sep: str) -> str:
-    """The entries of a short expansion joined by sep, from its runs."""
-    return sep.join([text for a, m in value for text in (int.__repr__(a),) * m])
-
-
 # A list or tuple of more items than this, or a longer Expansion, is a splice,
 # not walked into its document's shape.
 _MAX_ITEMS = 16
@@ -116,47 +83,76 @@ _MAX_SHAPES = 64
 _TEMPLATES: dict[tuple, tuple[str, ...]] = {}
 # The shape tokens of a slope or fraction: the object {"num", "den"} of two leaves.
 _NUM_DEN = (("num", "den"), "\0", "\0")
+_WORDS = {False: "false", True: "true"}
+
+
+def _manifold_leaves(sd: SeifertData) -> tuple[int, ...]:
+    """e0, each r_i = p_i/q_i as num and den, then the p_i, q_i, u_i and v_i."""
+    (p1, q1, u1, v1), (p2, q2, u2, v2), (p3, q3, u3, v3) = sd.conv
+    return sd.e0, p1, q1, p2, q2, p3, q3, p1, p2, p3, q1, q2, q3, u1, u2, u3, v1, v2, v3
+
+
+# Each type whose shape it fixes: the shape tokens _layout reads for it, and
+# the function that gives its leaves.
+_FIXED = {
+    Slope: (_NUM_DEN, attrgetter("num", "den")),
+    Fraction: (_NUM_DEN, Fraction.as_integer_ratio),
+    SeifertData: ((("e0", "r", "p", "q", "u", "v"), "\0", 3, Fraction, Fraction, Fraction, -3, -3, -3, -3),
+                  _manifold_leaves),
+    SlopeCoeffs: ((("A", "C", "F", "D"), Fraction, Fraction, Fraction, Fraction),
+                  lambda c: (*c.A.as_integer_ratio(), *c.C.as_integer_ratio(),
+                             *c.F.as_integer_ratio(), *c.D.as_integer_ratio())),
+    LimitInfo: ((("limit", "increasing", "threshold_ok"), Slope, "\0", "\0"),
+                lambda lim: (lim.limit.num, lim.limit.den, _WORDS[lim.increasing], _WORDS[lim.threshold_ok])),
+}
+# Each record type's report field names and the getter of their values: a
+# classify result's manifold text, normalized form, e0 and sum, then its own.
+_RECORDS: dict[type, tuple[tuple[str, ...], Any]] = {ClassificationResult: (
+    ("input", "normalized", "e0", "sum", "status", "count", "fillability", "certificate"),
+    lambda res: (str(res.manifold), res.manifold, res.manifold.e0, res.manifold.invariant_sum,
+                 res.status, res.count, res.fillability, res.certificate))}
+
+
+def _record(t: type) -> tuple[tuple[str, ...], Any]:
+    """The _RECORDS entry of dataclass t, its fields; TypeError if none."""
+    fields = getattr(t, "__dataclass_fields__", None)
+    if fields is None:
+        raise TypeError(f"cannot write {t.__name__} into a report")
+    get = attrgetter(*fields) if len(fields) > 1 else lambda value: tuple(map(value.__getattribute__, fields))
+    _RECORDS[t] = record = tuple(fields), get
+    return record
+
+
+def _expansion(value: Expansion, pad: str, key: list, leaves: list, splices: list) -> None:
+    """An Expansion's walk step: a leaf, its entries' text, or else a splice."""
+    n = value.entry_count()
+    if n > _MAX_ITEMS:
+        splices.append((len(leaves), _write_expansion, value, pad))
+        key.append("\1")
+    elif n:
+        sep = ",\n" + pad + "  "
+        leaves.append(sep.join([int.__repr__(a) if m == 1 else sep.join((int.__repr__(a),) * m) for a, m in value]))
+        key.append(-1)
+    else:
+        key.append(0)
 
 
 def _walk(values: Iterable, pad: str, key: list, leaves: list, splices: list) -> None:
-    """Append the shape tokens and the leaves of each of values, written at
-    indentation pad, to key and leaves, in the order _layout visits them.
-
-    Leaves: a str is its escaped text, an int the int and a bool its JSON
-    word; a slope or fraction is two leaves, num and den; a list or tuple of
-    at most _MAX_ITEMS plain ints is one leaf per int, and a longer one, or
-    a non-empty Expansion of at most _MAX_ITEMS entries (counted from its
-    runs), one leaf, the text of its entries.  A longer Expansion, a
-    MaxTwistTable and any other list or tuple of more than _MAX_ITEMS items
-    is a splice: splices gets (the number of leaves before it, its
-    writer, value, pad).
-
-    Tokens: "\0" for a leaf, "\1" for a splice and "null" for None; a
-    dict's keys as a tuple, then its values (a slope or fraction is the dict
-    _NUM_DEN); a record's type, then each field, None included; a list's or
-    tuple's length n, then its items, or -n for n plain ints, or -1 for a
-    one-leaf list of ints or Expansion (0 for an empty one).  Raises
-    TypeError on any other type.
-    """
+    """Append the shape tokens and leaves of values at indentation pad, in the
+    order _layout visits them, and each splice as (leaves before it, writer,
+    value, pad).  Tokens: "\0" a leaf, "\1" a splice, "null" None; a dict's
+    keys, then its values; a _FIXED type alone; a record's type, then its
+    fields; a list's length n, then its items, or -n for n plain ints, or -1
+    for one leaf of ints or entries."""
     for value in values:
         t = type(value)
-        if t is str:
-            leaves.append(encode_basestring_ascii(value))
-        elif t is int:
+        if t is int:
             leaves.append(value)
-        elif t is Slope:
-            leaves.append(value.num)
-            leaves.append(value.den)
-            key += _NUM_DEN
-            continue
-        elif t is Fraction:
-            leaves.extend(value.as_integer_ratio())
-            key += _NUM_DEN
-            continue
-        elif t is bool:
-            leaves.append("true" if value else "false")
-        elif value is None:
-            key.append("null")
+        elif t is str:
+            leaves.append(encode_basestring_ascii(value))
+        elif t in _FIXED:
+            key.append(t)
+            leaves += _FIXED[t][1](value)
             continue
         elif t is dict:
             key.append(tuple(value))
@@ -178,26 +174,31 @@ def _walk(values: Iterable, pad: str, key: list, leaves: list, splices: list) ->
                 key.append(n)
                 _walk(value, pad + "  ", key, leaves, splices)
             continue
+        elif t is bool:
+            leaves.append(_WORDS[value])
+        elif value is None:
+            key.append("null")
+            continue
         elif t is Expansion:
-            n = value.entry_count()
-            if n > _MAX_ITEMS:
-                splices.append((len(leaves), _write_expansion, value, pad))
-                key.append("\1")
-            else:
-                if n:
-                    leaves.append(_entries_text(value, ",\n" + pad + "  "))
-                key.append(-1 if n else 0)
+            _expansion(value, pad, key, leaves, splices)
+            continue
+        elif t is Shortcut:
+            # {"r", "entries", "boundary", "count"}: r = p/q and the boundary (p - q)/(v - u)
+            # are in lowest terms, since (p - q) v + (v - u) q = p v - q u = 1 and v > u
+            p, q, u, v = value.conv
+            key += (("r", "entries", "boundary", "count"), Fraction)
+            leaves += (p, q)
+            _expansion(value.entries, pad + "  ", key, leaves, splices)
+            key += (Slope, "\0")
+            leaves += (p - q, v - u, value.count)
             continue
         elif t is MaxTwistTable:
             splices.append((len(leaves), _write_max_twist_table, value, pad))
             key.append("\1")
             continue
         else:
-            fields = getattr(t, "__dataclass_fields__", None)
-            if fields is None:
-                raise TypeError(f"cannot write {t.__name__} into a report")
             key.append(t)
-            _walk(map(value.__getattribute__, fields), pad + "  ", key, leaves, splices)
+            _walk((_RECORDS.get(t) or _record(t))[1](value), pad + "  ", key, leaves, splices)
             continue
         key.append("\0")
 
@@ -216,9 +217,11 @@ def _layout(tokens: Iterator, pad: str) -> str:
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]" if items else "[]"
     if type(tok) is tuple:
         items = [encode_basestring_ascii(k) + ": " + _layout(tokens, inner) for k in tok]
+    elif tok in _FIXED:
+        return _layout(iter(_FIXED[tok][0]), pad)
     else:
         items = [encode_basestring_ascii(k) + ": " + v
-                 for k in tok.__dataclass_fields__ if (v := _layout(tokens, inner)) != "null"]
+                 for k in _RECORDS[tok][0] if (v := _layout(tokens, inner)) != "null"]
     return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}" if items else "{}"
 
 

@@ -21,17 +21,18 @@ from .slopes import parse_int
 @dataclass(frozen=True)
 class SeifertData:
     e0: int
-    r: tuple[Fraction, Fraction, Fraction]
     conv: tuple[Convergents, Convergents, Convergents]
     # the expansion of -1/ri, as runs, for each leg: derived from conv's (p, q)
     legs: tuple[Expansion, Expansion, Expansion] = field(compare=False, repr=False)
+    # the invariants ri = pi/qi, built from conv when first read
+    r = cached_property(lambda self: tuple(Fraction(p, q) for p, q, _, _ in self.conv))
 
     @cached_property
     def invariant_sum(self) -> Fraction:
         return Fraction(*_sum_ratio(self.conv))
 
     def __str__(self) -> str:
-        return f"M({self.e0}; {', '.join(str(x) for x in self.r)})"
+        return "M(%d; %d/%d, %d/%d, %d/%d)" % (self.e0, *self.conv[0][:2], *self.conv[1][:2], *self.conv[2][:2])
 
 
 def _sum_ratio(conv) -> tuple[int, int]:
@@ -71,7 +72,7 @@ def _normalize(pairs, e0_raw: int) -> SeifertData:
     scale = legs[0][1] * legs[1][1] * legs[2][1]
     legs.sort(key=lambda leg: leg[0] * (scale // leg[1]))
     expansions, conv = zip(*[read_leg(p, q) for p, q in legs])
-    return SeifertData(e0, tuple(Fraction(p, q) for p, q in legs), conv, expansions)
+    return SeifertData(e0, conv, expansions)
 
 
 def parse_manifold(text: str) -> SeifertData:

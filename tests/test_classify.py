@@ -124,7 +124,7 @@ def test_each_leg_is_read_once(monkeypatch):
         assert len(calls) == 3, text
         cases.add(res.certificate["case"])
         if "shortcut" in res.certificate:
-            assert [row["count"] for row in res.certificate["shortcut"]] == list(res.certificate["t_values"])
+            assert [row.count for row in res.certificate["shortcut"]] == list(res.certificate["t_values"])
     assert len(cases) == len(texts) - 1  # every regime, sum_lt_2 twice
 
 
@@ -143,7 +143,7 @@ def test_long_run_costs_one_step(monkeypatch):
 
     sd = parse_manifold(f"-2;1/3,2/5,{q - 1}/{q}")
     monkeypatch.setattr(classify_module, "shifted_product", counted_product)
-    legs = [row["entries"] for row in _fiber_certificate(sd, "sum_lt_2")["shortcut"]]
+    legs = [row.entries for row in _fiber_certificate(sd, "sum_lt_2")["shortcut"]]
     assert [leg.entry_count() for leg in legs] == [1, 2, q - 1] and legs[2] == ((-2, q - 1),)
     assert len(handed) == 3 and all(n <= len(leg) for n, leg in zip(handed, legs))
     monkeypatch.undo()
@@ -173,8 +173,10 @@ def test_long_run_costs_one_step(monkeypatch):
 
 def test_report_path_builds_only_the_printed_fractions(monkeypatch):
     # text -> parse -> classify -> JSON -> report over every triple with
-    # q_i <= 7 builds a Fraction only for a printed value: the three r and the
-    # sum, plus the four coefficients where the limit regimes print them
+    # q_i <= 7 builds a Fraction only for a printed value: the sum, plus the
+    # four coefficients where the limit regimes print them and the three r
+    # where a torus bundle's certificate prints its triple; the report reads
+    # each r = p/q off the convergents
     texts = [f"-2;{a},{b},{c}" for a, b, c in sorted_triples(7)]
     new, built = Fraction.__new__, []
 
@@ -190,8 +192,9 @@ def test_report_path_builds_only_the_printed_fractions(monkeypatch):
         report.report("classify", report.classification_json(res))
         cases.append(res.certificate["case"])
     monkeypatch.undo()
-    assert len(built) == 969 and max(built) <= 8
-    assert built == [8 if case in ("sum_ge_9_4", "sum_lt_2") else 4 for case in cases]
+    assert len(built) == 969 and max(built) <= 5
+    want = {"sum_ge_9_4": 5, "sum_lt_2": 5, "torus_bundle": 4}
+    assert built == [want.get(case, 1) for case in cases]
 
 
 def test_report_path_sums_the_invariants_once(monkeypatch):
@@ -204,10 +207,10 @@ def test_report_path_sums_the_invariants_once(monkeypatch):
                        ("-2;2/3,3/4,4/5", "gap_other")):
         calls.clear()
         res = classify(parse_manifold(text))
-        doc = report.classification_json(res)
-        report.report("classify", doc)
+        doc = json.loads(report.report("classify", report.classification_json(res)))
         assert res.certificate["case"] == case and len(calls) == 1, text
-        assert doc["sum"] == sum(res.manifold.r)
+        total = sum(res.manifold.r)
+        assert doc["result"]["sum"] == {"num": total.numerator, "den": total.denominator}
 
 
 @settings(max_examples=200, deadline=None)
@@ -224,5 +227,5 @@ def test_fiber_certificate_matches_expand_on_big_legs(drawn):
             _fiber_certificate(sd, "sum_lt_2")
         return
     data = _fiber_certificate(sd, "sum_lt_2")
-    assert [row["entries"] for row in data["shortcut"]] == want
+    assert [row.entries for row in data["shortcut"]] == want
     assert list(data["t_values"]) == [shifted_product(e) for e in want]

@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tightsf import report
-from tightsf.classify import Fillability, classify
-from tightsf.contfrac import Expansion, read_leg
+from tightsf.classify import ClassificationResult, Fillability, classify
+from tightsf.contfrac import MAX_EXPANSION, Expansion, read_leg
 from tightsf.convex import LimitInfo, MaxTwistTable, SlopeCoeffs, max_twist_table
-from tightsf.seifert import parse_manifold
+from tightsf.seifert import SeifertData, parse_manifold
 from tightsf.slopes import INF, Slope
-from triples import sorted_triples
+from triples import FAMILY_TRIPLES, big_invariants, sorted_triples
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,38 @@ class Retagged:
     value: Any
 
 
+def manifold_doc(sd):
+    """The normalized form of a manifold as the seed's report.manifold_json
+    built it: e0, the invariants, and the convergents transposed into lists."""
+    return {"e0": sd.e0, "r": list(sd.r), "p": [c.p for c in sd.conv], "q": [c.q for c in sd.conv],
+            "u": [c.u for c in sd.conv], "v": [c.v for c in sd.conv]}
+
+
+def classification_doc(res):
+    """The classify document as the seed's report.classification_json built
+    it, a plain dict, with each shortcut row the dict the seed's classify
+    built; the input text, the sum and each r come from the invariants."""
+    sd = res.manifold
+    out = {"input": f"M({sd.e0}; {', '.join(str(x) for x in sd.r)})", "normalized": manifold_doc(sd),
+           "e0": sd.e0, "sum": sum(sd.r, Fraction(0)), "status": res.status}
+    if res.count is not None:
+        out["count"] = res.count
+    out["fillability"] = res.fillability
+    out["certificate"] = dict(res.certificate)
+    if "shortcut" in res.certificate:
+        out["certificate"]["shortcut"] = [
+            {"r": r, "entries": row.entries, "boundary": Slope(p - q, v - u), "count": row.count}
+            for r, row, (p, q, u, v) in zip(sd.r, res.certificate["shortcut"], sd.conv)]
+    return out
+
+
 def oracle(value):
     """json.dumps default: the JSON form of one library value, as the seed's
     report.rat and report.encode, classify and classification_json built it."""
+    if isinstance(value, ClassificationResult):
+        return spelled(classification_doc(value))
+    if isinstance(value, SeifertData):
+        return manifold_doc(value)
     if isinstance(value, Slope):
         return {"num": value.num, "den": value.den}
     if isinstance(value, Fraction):
@@ -176,7 +205,7 @@ def test_warm_report_builds_no_template(monkeypatch):
     monkeypatch.setattr(report, "_TEMPLATES", {})
     first, other, new = (report.classification_json(classify(parse_manifold(text)))
                          for text in ("-2;1/3,2/5,3/7", "-2;1/4,2/7,3/8", "-2;1/2,2/3,6/7"))
-    assert first["certificate"]["case"] == other["certificate"]["case"] == "sum_lt_2" != new["certificate"]["case"]
+    assert first.certificate["case"] == other.certificate["case"] == "sum_lt_2" != new.certificate["case"]
     built = []
     template = report._template
     monkeypatch.setattr(report, "_template", lambda *args: built.append(args[0]) or template(*args))
@@ -266,6 +295,67 @@ def test_classification_report_matches_json_dumps():
             {"schema": report.SCHEMA, "exact": True, "command": "classify", "result": spelled(doc)},
             indent=2, default=oracle,
         )
+
+
+def manifold_text(e0, legs):
+    return f"{e0};" + ",".join(f"{p}/{q}" for p, q in legs)
+
+
+def test_classify_reports_match_the_seed_builder(monkeypatch):
+    # report.report writes a ClassificationResult straight from its fields,
+    # and classification_json hands it the result itself; byte for byte the
+    # text is json.dumps of the seed's plain-dict document, on every 10th
+    # triple with q_i <= 12 and on each family triple, cold and warm
+    monkeypatch.setattr(report, "_TEMPLATES", {})
+    texts = ["-2;" + ",".join(map(str, triple)) for triple in islice(sorted_triples(12), 0, None, 10)]
+    texts += [manifold_text(-2, legs) for legs in FAMILY_TRIPLES]
+    cases = set()
+    for text in texts:
+        res = classify(parse_manifold(text))
+        want = dumped("classify", res)
+        assert report.report("classify", res) == want
+        assert report.report("classify", report.classification_json(res)) == want
+        cases.add(res.certificate["case"])
+    assert len(texts) == 1633 and len(cases) == 7
+
+
+@settings(max_examples=60, deadline=None)
+@given(big_invariants())
+def test_big_leg_reports_match_the_seed_builder(drawn):
+    # 64-512-bit legs, parsed from text, classified and reported: short and
+    # long expansions, every regime the draws reach
+    sd = parse_manifold(manifold_text(*drawn))
+    try:
+        res = classify(sd)
+    except ValueError:
+        assert max(leg.entry_count() for leg in sd.legs) > MAX_EXPANSION
+        return
+    assert report.report("classify", res) == dumped("classify", res)
+
+
+def test_fixed_shape_values_are_one_walk_step(monkeypatch):
+    # counted work, not timing: a sum_lt_2 report makes 7 walks (the
+    # document, its envelope, the result, its fillability, the certificate,
+    # the shortcut list and the imbalance) over a shape key of 44 tokens, for
+    # 70 leaves; the manifold, the coefficients, the limit and each slope and
+    # fraction are one step that puts its type alone in the key, so no
+    # {"num", "den"} object is spelled out in it, and each shortcut row is one
+    # step around one expansion step
+    monkeypatch.setattr(report, "_TEMPLATES", {})
+    res = classify(parse_manifold("-2;1/3,2/5,3/7"))
+    assert res.certificate["case"] == "sum_lt_2"
+    calls = {"_walk": 0, "_expansion": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(report, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(report, name, counted)
+    text = report.report("classify", res)
+    (shape, template), = report._TEMPLATES.items()
+    assert calls == {"_walk": 7, "_expansion": 3}
+    assert len(shape) == 44 and template[0].count("%s") == 70
+    assert {SeifertData, SlopeCoeffs, LimitInfo, Fraction, Slope} <= set(shape) and ("num", "den") not in shape
+    assert text == dumped("classify", res)
 
 
 def _fib(k):
