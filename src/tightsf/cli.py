@@ -100,7 +100,7 @@ def _cmd_slopes(args) -> int:
         print(sd)
         for i, s in enumerate(measured, start=1):
             print(f"s_{i}(n={n1}) = {s}")
-        print(f"coeffs: A={coeffs.A} C={coeffs.C} F={coeffs.F} D={coeffs.D}")
+        print("coeffs: " + " ".join(f"{name}={Slope(*pair)}" for name, pair in zip("ACFD", coeffs)))
         print(f"v3 slope at n1={n1}: {closed}")
         if limit is not None:
             print(f"limit: {limit.limit}  increasing={limit.increasing}  "

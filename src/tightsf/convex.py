@@ -18,8 +18,8 @@ with the four rational coefficients computed by slope_coeffs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence
+from math import gcd
+from typing import Iterator, NamedTuple, Sequence
 
 from .contfrac import Convergents
 from .seifert import SeifertData
@@ -53,12 +53,17 @@ def rounded_slope(s_a: Slope, s_b: Slope, delta: int) -> Slope:
     return Slope(s_a.num * (delta // s_a.den) + s_b.num * (delta // s_b.den) - 1, delta)
 
 
-@dataclass(frozen=True)
-class SlopeCoeffs:
-    A: Fraction
-    C: Fraction
-    F: Fraction
-    D: Fraction
+class SlopeCoeffs(NamedTuple):  # each coefficient a reduced integer pair (num, den) with den > 0
+    A: tuple[int, int]
+    C: tuple[int, int]
+    F: tuple[int, int]
+    D: tuple[int, int]
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms, for den > 0."""
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def slope_coeffs(sd: SeifertData) -> SlopeCoeffs:
@@ -72,10 +77,10 @@ def slope_coeffs(sd: SeifertData) -> SlopeCoeffs:
     e = u1 * q2 + q2 - 1
     s12 = p1 * q2 + p2 * q1 - 2 * q12  # q12 (r_1 + r_2 - 2)
     return SlopeCoeffs(
-        Fraction(s12 * q3 + p3 * q12, q12 * q3),
-        Fraction(-s12 * v3 - u3 * q12, q12 * v3),
-        Fraction((p3 * q2 + p2 * q3 - 2 * q2 * q3) * v1 + e * q3, q12 * q3),
-        Fraction(((2 * q2 - p2) * v3 - u3 * q2) * v1 - e * v3, q12 * v3),
+        _reduced(s12 * q3 + p3 * q12, q12 * q3),
+        _reduced(-s12 * v3 - u3 * q12, q12 * v3),
+        _reduced((p3 * q2 + p2 * q3 - 2 * q2 * q3) * v1 + e * q3, q12 * q3),
+        _reduced(((2 * q2 - p2) * v3 - u3 * q2) * v1 - e * v3, q12 * v3),
     )
 
 
@@ -104,22 +109,22 @@ def v3_slope_stepwise(sd: SeifertData, n1: int, n2: int) -> Slope:
 
 def v3_slope(sd: SeifertData, n1: int, coeffs: SlopeCoeffs) -> Slope:
     """Closed form ((A n_1 + F) q_3)/((C n_1 + D) v_3) for the dV_3 slope after
-    rounding; at a pole of the form, where C n_1 + D = 0, the slope is inf."""
+    rounding, cross-multiplied from the integer pairs; at a pole of the form,
+    where C n_1 + D = 0, the slope is inf."""
     if n1 >= 0:
         raise ValueError("twisting must be negative")
-    num = (coeffs.A * n1 + coeffs.F) * sd.conv[2].q
-    den = (coeffs.C * n1 + coeffs.D) * sd.conv[2].v
-    return Slope(num.numerator * den.denominator, num.denominator * den.numerator)
+    (an, ad), (cn, cd), (fn, fd), (dn, dd) = coeffs
+    _, q3, _, v3 = sd.conv[2]
+    return Slope((an * fd * n1 + fn * ad) * q3 * cd * dd, (cn * dd * n1 + dn * cd) * v3 * ad * fd)
 
 
 def limit_regime(coeffs: SlopeCoeffs) -> bool:
     """A >= 1/4 or A < 0: the two finite-count regimes, where v3_slope_limit applies."""
-    a = coeffs.A
-    return 4 * a.numerator >= a.denominator or a.numerator < 0
+    an, ad = coeffs.A
+    return 4 * an >= ad or an < 0
 
 
-@dataclass(frozen=True)
-class LimitInfo:
+class LimitInfo(NamedTuple):
     limit: Slope
     increasing: bool
     threshold_ok: bool
@@ -151,24 +156,18 @@ def v3_slope_limit(sd: SeifertData, coeffs: SlopeCoeffs) -> LimitInfo:
     -2 and -1 puts n_1 = -1 on the far branch.  The tail toward -infinity is
     monotone in every case.
 
-    Every comparison cross-multiplies the numerators and denominators of
-    A, C, F and D, whose denominators are positive, so no rational arithmetic
-    is done; threshold_ok uses v_3 > u_3.
+    A, C, F and D come as integer pairs with positive denominators, so each
+    comparison cross-multiplies ints (threshold_ok uses v_3 > u_3) and the
+    limit's Slope is the one rational built.
     """
     if not limit_regime(coeffs):
         raise ValueError("gap region")
-    an, ad = coeffs.A.numerator, coeffs.A.denominator
-    cn, cd = coeffs.C.numerator, coeffs.C.denominator
-    fn, fd = coeffs.F.numerator, coeffs.F.denominator
-    dn, dd = coeffs.D.numerator, coeffs.D.denominator
+    (an, ad), (cn, cd), (fn, fd), (dn, dd) = coeffs
     if cn == 0:
         raise ArithmeticError("coefficient C vanishes outside the gap region")
     p3, q3, u3, v3 = sd.conv[2]
     limit = Slope(an * q3 * cd, ad * cn * v3)
-    # -D/C = -pole_num/pole_den with pole_den > 0
-    pole_num, pole_den = dn * cd, dd * cn
-    if pole_den < 0:
-        pole_num, pole_den = -pole_num, -pole_den
+    pole_num, pole_den = (dn * cd, dd * cn) if cn > 0 else (-dn * cd, -dd * cn)  # = D/C, pole_den > 0
     increasing = an * dn * fd * cd < fn * cn * ad * dd and not pole_den <= pole_num <= RISING_DEPTH * pole_den
     threshold_ok = limit.num * (v3 - u3) <= (p3 - q3) * limit.den
     return LimitInfo(limit, increasing, threshold_ok)

@@ -1,24 +1,24 @@
 """Canonical JSON reports, each its document's shape template filled with its leaves.
 
-The writer renders library values itself: a `Slope` or `Fraction` is a
-{"num", "den"} pair (the infinite slope is {"num": 1, "den": 0}), and a record,
-a dataclass such as `Fillability`, is an object of its fields in order, leaving
-out fields that are None.  A classify report is written from the
-`ClassificationResult` itself, with no document built in between.
+The writer renders library values itself: a `Slope`, a `Fraction` and each
+integer pair (num, den) of `SlopeCoeffs` is a {"num", "den"} object (the
+infinite slope is {"num": 1, "den": 0}), and a record, a dataclass such as
+`Fillability`, is an object of its fields in order, leaving out fields that
+are None.  A classify report is written from the `ClassificationResult` itself.
 
 Every document takes one path: _walk, the one dispatch on exact value types,
 reads its shape key and its leaves, _layout, the one place that knows the JSON
 layout, writes the shape's %-template from the key alone, and the leaves fill
 it.  A value whose type fixes its shape (a slope, a fraction, a manifold's
-normalized form, `SlopeCoeffs`, `LimitInfo`) is one step: its type alone goes
-into the key, and one function gives its leaves.  A `Shortcut` row is one step
-around its entries.  A leaf is one %s slot: an escaped str, an int, a bool's
-JSON word, a num or a den, an int of a short list of ints, the joined ints of a
-longer one, or the entries of an `Expansion` of at most _MAX_ITEMS entries.  A
-splice is text its own writer puts between two stretches of a template: a
-longer `Expansion`, a `MaxTwistTable` from one row template, and any other list
-or tuple of more than _MAX_ITEMS items, item by item.  At most _MAX_SHAPES
-templates are kept (the q_i <= 12 sweep needs 6); nothing is cached by value.
+normalized form, the named tuples `SlopeCoeffs` and `LimitInfo`) is one step:
+its type alone goes into the key, and one function gives its leaves.  A
+`Shortcut` row is one step around its entries.  A leaf is one %s slot: an
+escaped str, an int, a bool's JSON word, a num or a den, an int of a short list
+of ints, the joined ints of a longer one, or the entries of an `Expansion` of at
+most _MAX_ITEMS entries.  A splice is text its own writer puts between two
+stretches of a template: a longer `Expansion`, a `MaxTwistTable` from one row
+template, and any other list or tuple of more than _MAX_ITEMS items, item by
+item.  At most _MAX_SHAPES templates are kept; nothing is cached by value.
 """
 from __future__ import annotations
 
@@ -92,16 +92,14 @@ def _manifold_leaves(sd: SeifertData) -> tuple[int, ...]:
     return sd.e0, p1, q1, p2, q2, p3, q3, p1, p2, p3, q1, q2, q3, u1, u2, u3, v1, v2, v3
 
 
-# Each type whose shape it fixes: the shape tokens _layout reads for it, and
-# the function that gives its leaves.
+# Each type whose shape it fixes: the shape tokens _layout reads for it, and the function
+# that gives its leaves.  _walk looks here before it tests for a tuple, so no named tuple here is a list.
 _FIXED = {
     Slope: (_NUM_DEN, attrgetter("num", "den")),
     Fraction: (_NUM_DEN, Fraction.as_integer_ratio),
     SeifertData: ((("e0", "r", "p", "q", "u", "v"), "\0", 3, Fraction, Fraction, Fraction, -3, -3, -3, -3),
                   _manifold_leaves),
-    SlopeCoeffs: ((("A", "C", "F", "D"), Fraction, Fraction, Fraction, Fraction),
-                  lambda c: (*c.A.as_integer_ratio(), *c.C.as_integer_ratio(),
-                             *c.F.as_integer_ratio(), *c.D.as_integer_ratio())),
+    SlopeCoeffs: ((("A", "C", "F", "D"), Slope, Slope, Slope, Slope), lambda c: (*c.A, *c.C, *c.F, *c.D)),
     LimitInfo: ((("limit", "increasing", "threshold_ok"), Slope, "\0", "\0"),
                 lambda lim: (lim.limit.num, lim.limit.den, _WORDS[lim.increasing], _WORDS[lim.threshold_ok])),
 }

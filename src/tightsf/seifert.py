@@ -15,7 +15,7 @@ from functools import cached_property
 from math import gcd
 
 from .contfrac import Convergents, Expansion, capped_count, read_leg
-from .slopes import parse_int
+from .slopes import Slope, parse_int
 
 
 @dataclass(frozen=True)
@@ -24,12 +24,9 @@ class SeifertData:
     conv: tuple[Convergents, Convergents, Convergents]
     # the expansion of -1/ri, as runs, for each leg: derived from conv's (p, q)
     legs: tuple[Expansion, Expansion, Expansion] = field(compare=False, repr=False)
+    invariant_sum: Slope = field(compare=False, repr=False)  # r_1 + r_2 + r_3, reduced once at parse
     # the invariants ri = pi/qi, built from conv when first read
     r = cached_property(lambda self: tuple(Fraction(p, q) for p, q, _, _ in self.conv))
-
-    @cached_property
-    def invariant_sum(self) -> Fraction:
-        return Fraction(*_sum_ratio(self.conv))
 
     def __str__(self) -> str:
         return "M(%d; %d/%d, %d/%d, %d/%d)" % (self.e0, *self.conv[0][:2], *self.conv[1][:2], *self.conv[2][:2])
@@ -72,7 +69,7 @@ def _normalize(pairs, e0_raw: int) -> SeifertData:
     scale = legs[0][1] * legs[1][1] * legs[2][1]
     legs.sort(key=lambda leg: leg[0] * (scale // leg[1]))
     expansions, conv = zip(*[read_leg(p, q) for p, q in legs])
-    return SeifertData(e0, conv, expansions)
+    return SeifertData(e0, conv, expansions, Slope(*_sum_ratio(conv)))
 
 
 def parse_manifold(text: str) -> SeifertData:
@@ -181,29 +178,34 @@ class Family:
         return self.kind + extra
 
 
+# the families that carry no parameter, one instance each
+_WRONG_E0, _TORUS_BUNDLE, _SUM_GE_9_4, _SUM_LT_2, _DEGENERATE_SUM_2, _GAP_OTHER = map(Family, (
+    WRONG_E0, TORUS_BUNDLE, SUM_GE_9_4, SUM_LT_2, DEGENERATE_SUM_2, GAP_OTHER))
+
+
 def detect_family(sd: SeifertData) -> Family:
     """Which classification regime the (sorted) invariants fall into.
 
     Overlapping tags are resolved in this order: torus bundle, the
     (5n+1)/(6n+1) sphere family, the k/(k+1) integer surgery family, sum at
     least 9/4, sum below 2, degenerate sum 2, and the remaining gap.  The sum
-    is the cached invariant_sum that the report prints, so it is derived once.
+    is compared as the two ints of the invariant_sum that parse stored.
     """
     if sd.e0 != -2:
-        return Family(WRONG_E0)
+        return _WRONG_E0
     (p1, q1, _, _), (p2, q2, _, _), (p3, q3, _, _) = sd.conv
     if ((p1, q1), (p2, q2), (p3, q3)) in TORUS_BUNDLE_LEGS:
-        return Family(TORUS_BUNDLE)
+        return _TORUS_BUNDLE
     if (p1, q1, p2, q2) == (1, 2, 2, 3):
         if q3 % 6 == 1 and p3 == 5 * (q3 // 6) + 1 and q3 // 6 >= 1:
             return Family(SPHERE_FAMILY, n=q3 // 6)
         if q3 == p3 + 1 and p3 >= 6:
             return Family(K_OVER_K1, k=p3)
-    num, den = sd.invariant_sum.as_integer_ratio()
+    num, den = sd.invariant_sum.num, sd.invariant_sum.den
     if 4 * num >= 9 * den:
-        return Family(SUM_GE_9_4)
+        return _SUM_GE_9_4
     if num < 2 * den:
-        return Family(SUM_LT_2)
+        return _SUM_LT_2
     if num == 2 * den:
-        return Family(DEGENERATE_SUM_2)
-    return Family(GAP_OTHER)
+        return _DEGENERATE_SUM_2
+    return _GAP_OTHER

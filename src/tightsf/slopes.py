@@ -43,7 +43,7 @@ class Slope:
         else:
             if den < 0:
                 num, den = -num, -den
-            g = gcd(abs(num), den)
+            g = gcd(num, den)
             num //= g
             den //= g
         object.__setattr__(self, "num", num)

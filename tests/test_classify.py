@@ -19,6 +19,7 @@ from tightsf.contfrac import expand, shifted_product
 from tightsf.convex import max_twist_table
 from tightsf.floer import index_set
 from tightsf.seifert import normalize, parse_manifold
+from tightsf.slopes import Slope
 from triples import big_invariants, sorted_triples
 
 
@@ -173,10 +174,10 @@ def test_long_run_costs_one_step(monkeypatch):
 
 def test_report_path_builds_only_the_printed_fractions(monkeypatch):
     # text -> parse -> classify -> JSON -> report over every triple with
-    # q_i <= 7 builds a Fraction only for a printed value: the sum, plus the
-    # four coefficients where the limit regimes print them and the three r
-    # where a torus bundle's certificate prints its triple; the report reads
-    # each r = p/q off the convergents
+    # q_i <= 7 builds a Fraction only for the three r that a torus bundle's
+    # certificate prints as its triple: the sum and the four coefficients are
+    # reduced integer pairs, and the report reads each r = p/q off the
+    # convergents
     texts = [f"-2;{a},{b},{c}" for a, b, c in sorted_triples(7)]
     new, built = Fraction.__new__, []
 
@@ -192,15 +193,15 @@ def test_report_path_builds_only_the_printed_fractions(monkeypatch):
         report.report("classify", report.classification_json(res))
         cases.append(res.certificate["case"])
     monkeypatch.undo()
-    assert len(built) == 969 and max(built) <= 5
-    want = {"sum_ge_9_4": 5, "sum_lt_2": 5, "torus_bundle": 4}
-    assert built == [want.get(case, 1) for case in cases]
+    assert len(built) == 969 and {"sum_lt_2", "sum_ge_9_4", "gap_other", "sphere_family"} <= set(cases)
+    assert built == [3 if case == "torus_bundle" else 0 for case in cases]
 
 
 def test_report_path_sums_the_invariants_once(monkeypatch):
-    # detect_family reads the cached invariant_sum that the report prints, so
-    # text -> parse -> classify -> JSON -> report derives the sum once, in a
-    # product regime (sum below 2 and at least 9/4) and in the gap
+    # parse stores the reduced invariant_sum that detect_family reads and the
+    # report prints, so text -> parse -> classify -> JSON -> report derives
+    # the sum once, in a product regime (sum below 2 and at least 9/4) and in
+    # the gap
     sum_ratio, calls = seifert._sum_ratio, []
     monkeypatch.setattr(seifert, "_sum_ratio", lambda conv: calls.append(conv) or sum_ratio(conv))
     for text, case in (("-2;1/2,1/3,1/5", "sum_lt_2"), ("-2;3/4,4/5,5/6", "sum_ge_9_4"),
@@ -211,6 +212,7 @@ def test_report_path_sums_the_invariants_once(monkeypatch):
         assert res.certificate["case"] == case and len(calls) == 1, text
         total = sum(res.manifold.r)
         assert doc["result"]["sum"] == {"num": total.numerator, "den": total.denominator}
+        assert res.manifold.invariant_sum == Slope(total.numerator, total.denominator)
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,6 +5,7 @@ from math import floor, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tightsf import report
 import tightsf.contfrac as contfrac
@@ -27,7 +28,7 @@ from tightsf.convex import (
 )
 from tightsf.seifert import normalize, parse_manifold
 from tightsf.selftest import random_invariant, rounded_slope_fraction
-from tightsf.slopes import Slope, UniMat
+from tightsf.slopes import INF, Slope, UniMat
 from triples import big_invariants, sorted_triples
 
 
@@ -74,7 +75,8 @@ def test_rounded_slope_matches_fraction_sum():
 
 
 def slope_coeffs_fraction_sum(sd):
-    # oracle: the coefficients as sums of Fractions, term by term
+    # oracle: the coefficients as sums of Fractions, term by term, each
+    # written as its (numerator, denominator) pair
     r1, r2, r3 = sd.r
     (p1, q1, u1, v1), (p2, q2, u2, v2), (p3, q3, u3, v3) = sd.conv
     a = r1 + r2 + r3 - 2
@@ -82,14 +84,20 @@ def slope_coeffs_fraction_sum(sd):
     edge_term = Fraction(u1 * q2 + q2 - 1, q1 * q2)
     f = (r3 + r2 - 2) * Fraction(v1, q1) + edge_term
     d = (2 - r2 - Fraction(u3, v3)) * Fraction(v1, q1) - edge_term
-    return SlopeCoeffs(a, c, f, d)
+    return SlopeCoeffs(*(x.as_integer_ratio() for x in (a, c, f, d)))
+
+
+def fractions_of(coeffs):
+    # A, C, F and D as Fractions, from their integer pairs
+    return tuple(Fraction(*pair) for pair in coeffs)
 
 
 def integer_form(sd, coeffs):
     # integers (a, f, c, d) with the closed form equal to (a n + f)/(c n + d),
     # over the lcm of the denominators of A q3, F q3, C v3 and D v3
     q3, v3 = sd.conv[2].q, sd.conv[2].v
-    parts = (coeffs.A * q3, coeffs.F * q3, coeffs.C * v3, coeffs.D * v3)
+    A, C, F, D = fractions_of(coeffs)
+    parts = (A * q3, F * q3, C * v3, D * v3)
     scale = lcm(*(x.denominator for x in parts))
     return tuple(x.numerator * (scale // x.denominator) for x in parts)
 
@@ -102,7 +110,8 @@ def test_slope_coeffs_matches_fraction_sum_sweep():
         sd = normalize(triple, -2)
         c = slope_coeffs(sd)
         assert c == slope_coeffs_fraction_sum(sd)
-        assert all(type(x) is Fraction for x in (c.A, c.C, c.F, c.D))
+        assert type(c) is SlopeCoeffs
+        assert all(type(pair) is tuple and set(map(type, pair)) == {int} for pair in c)
         checked += 1
     assert checked == 16215
 
@@ -110,10 +119,7 @@ def test_slope_coeffs_matches_fraction_sum_sweep():
 def test_slope_coeffs_example():
     sd = parse_manifold("-2;1/2,2/3,7/8")
     c = slope_coeffs(sd)
-    assert c.A == Fraction(1, 24)
-    assert c.C == Fraction(-1, 42)
-    assert c.F == Fraction(5, 48)
-    assert c.D == Fraction(-2, 21)
+    assert (c.A, c.C, c.F, c.D) == ((1, 24), (-1, 42), (5, 48), (-2, 21))
 
 
 def test_coeff_sum_identity():
@@ -122,10 +128,10 @@ def test_coeff_sum_identity():
     for _ in range(200):
         rs = sorted(random_invariant(rng) for _ in range(3))
         sd = normalize(rs, -2)
-        c = slope_coeffs(sd)
+        A, C, _, _ = fractions_of(slope_coeffs(sd))
         q3, v3 = sd.conv[2].q, sd.conv[2].v
-        assert c.A + c.C == Fraction(1, q3 * v3)
-        assert c.A == sd.invariant_sum - 2
+        assert A + C == Fraction(1, q3 * v3)
+        assert A == sd.invariant_sum.as_fraction() - 2
 
 
 def test_v3_slope_k_family():
@@ -201,7 +207,7 @@ def test_threshold_equivalence_exhaustive():
         if not limit_regime(c):
             continue
         info = v3_slope_limit(sd, c)
-        rhs = sd.r[0] + sd.r[1] <= 1 or (c.A > 0 and c.C < 0)
+        rhs = sd.r[0] + sd.r[1] <= 1 or (c.A[0] > 0 and c.C[0] < 0)
         assert info.threshold_ok == rhs
         _check_tail_monotone(sd, c, info)
 
@@ -284,11 +290,12 @@ def test_increasing_matches_stepwise_windows_and_big_legs():
 # cross-multiplied numerators and denominators, kept as their oracle.
 
 def limit_regime_fraction(coeffs):
-    return coeffs.A >= Fraction(1, 4) or coeffs.A < 0
+    A = Fraction(*coeffs.A)
+    return A >= Fraction(1, 4) or A < 0
 
 
 def v3_slope_limit_fraction(sd, coeffs):
-    A, C, F, D = coeffs.A, coeffs.C, coeffs.F, coeffs.D
+    A, C, F, D = fractions_of(coeffs)
     p3, q3, u3, v3 = sd.conv[2]
     limit = A * q3 / (C * v3)
     increasing = A * D < F * C and not -RISING_DEPTH <= -D / C <= -1
@@ -296,14 +303,32 @@ def v3_slope_limit_fraction(sd, coeffs):
     return LimitInfo(Slope.from_fraction(limit), increasing, threshold_ok)
 
 
+def v3_slope_fraction(sd, n1, coeffs):
+    # the closed form ((A n1 + F) q3)/((C n1 + D) v3) in Fractions, inf at a pole
+    A, C, F, D = fractions_of(coeffs)
+    _, q3, _, v3 = sd.conv[2]
+    den = (C * n1 + D) * v3
+    return INF if den == 0 else Slope.from_fraction((A * n1 + F) * q3 / den)
+
+
 @settings(max_examples=300, deadline=None)
-@given(big_invariants())
-def test_limit_matches_fraction_oracle_on_big_legs(drawn):
-    # 64-512-bit legs, random legs and scaled family triples alike
+@given(big_invariants(), st.integers(-(2**80), -3))
+def test_limit_matches_fraction_oracle_on_big_legs(drawn, n1):
+    # 64-512-bit legs, random legs and scaled family triples alike; the
+    # coefficients, the regime, the limit and the closed form at n1 = -1, -2,
+    # a drawn n1 and the pole -D/C where that is a negative integer
     _, legs = drawn
     sd = normalize([Fraction(p, q) for p, q in legs], -2)
     c = slope_coeffs(sd)
+    assert c == slope_coeffs_fraction_sum(sd)
     assert limit_regime(c) == limit_regime_fraction(c)
+    _, C, _, D = fractions_of(c)
+    twists = [-1, -2, n1]
+    if C and (-D / C).denominator == 1 and -D / C < 0:
+        twists.append(int(-D / C))
+        assert v3_slope(sd, twists[-1], c) == INF
+    for n in twists:
+        assert v3_slope(sd, n, c) == v3_slope_fraction(sd, n, c), n
     if limit_regime(c):
         info = v3_slope_limit(sd, c)
         assert info == v3_slope_limit_fraction(sd, c) and type(info.limit) is Slope

@@ -76,6 +76,42 @@ def test_checks_raise_arithmetic_error():
     assert {name: checks for name, checks in found.items() if checks} == {}
 
 
+def float_uses(source):
+    """(function, line, what) of each float or complex constant, call of float
+    or round, and true division / or /= in source; function is the name of
+    the innermost def around it, or None at module level."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Constant) and type(child.value) in (float, complex):
+                found.append((function, child.lineno, repr(child.value)))
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id in ("float", "round"):
+                found.append((function, child.lineno, child.func.id + "()"))
+            elif isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+                found.append((function, child.lineno, "/"))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else function)
+
+    visit(ast.parse(source), None)
+    return sorted(found, key=lambda use: use[1:])
+
+
+def test_float_scan_sees_strays():
+    stray = "x = 1 / 2\ndef f(a):\n    a /= 3\n    return float(a) + round(a, 1) + 0.5 + 2j\ny = 7 // 2\n"
+    assert float_uses(stray) == [(None, 1, "/"), ("f", 3, "/"), ("f", 4, "0.5"), ("f", 4, "2j"),
+                                 ("f", 4, "float()"), ("f", 4, "round()")]
+
+
+def test_no_floats_in_src():
+    # the library is exact: its one float is selftest's 5% draw of the
+    # infinite slope, and its one true division runs on theta's Fraction pivots
+    found = {path.stem: {(function, what) for function, _, what in float_uses(path.read_text(encoding="utf-8"))}
+             for path in PACKAGE_DIR.glob("*.py")}
+    assert {name: uses for name, uses in found.items() if uses} == {
+        "selftest": {("random_slope", "0.05")}, "theta": {("congruence", "/")}}
+
+
 def _overridden(tree):
     """(class, method) pairs that a base class from outside the package
     defines: the base calls them, as argparse calls ArgumentParser.error."""

@@ -68,10 +68,6 @@ def oracle(value):
         return {"num": value.num, "den": value.den}
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
-    if isinstance(value, SlopeCoeffs):
-        return {"A": value.A, "C": value.C, "F": value.F, "D": value.D}
-    if isinstance(value, LimitInfo):
-        return {"limit": value.limit, "increasing": value.increasing, "threshold_ok": value.threshold_ok}
     if isinstance(value, MaxTwistTable):
         return [{"k": k, "rounded": Slope(num, den), "boundary": Slope(boundary), "count": count}
                 for k, num, den, boundary, count in value.tuples()]
@@ -95,11 +91,16 @@ def oracle(value):
 
 def spelled(value):
     """value with each Expansion, at any depth, replaced by the list of its
-    entries: json.dumps writes a tuple subclass as the list of its items,
-    which for an Expansion are its runs, without asking the oracle."""
+    entries, and each SlopeCoeffs and LimitInfo by its dict: json.dumps writes
+    a tuple subclass as the list of its items, which for an Expansion are its
+    runs, without asking the oracle."""
     t = type(value)
     if t is Expansion:
         return list(value.entries())
+    if t is SlopeCoeffs:
+        return {name: Fraction(*pair) for name, pair in zip("ACFD", value)}
+    if t is LimitInfo:
+        return {"limit": value.limit, "increasing": value.increasing, "threshold_ok": value.threshold_ok}
     if t is dict:
         return {k: spelled(v) for k, v in value.items()}
     if t is list or t is tuple:

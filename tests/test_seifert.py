@@ -26,6 +26,7 @@ from tightsf.seifert import (
     normalize,
     parse_manifold,
 )
+from tightsf.slopes import Slope
 from triples import big_invariants
 
 
@@ -154,11 +155,23 @@ def test_detect_family_examples():
     assert detect_family(parse_manifold("0;1/2,2/3,6/7")).kind == WRONG_E0
 
 
+def test_families_without_a_parameter_are_shared():
+    # the six kinds that carry no n or k are one Family each, built at import
+    for kind, texts in ((TORUS_BUNDLE, ("-2;1/2,3/4,3/4", "-2;2/3,2/3,2/3")),
+                        (GAP_OTHER, ("-2;1/2,3/4,4/5", "-2;2/3,3/4,4/5")),
+                        (SUM_GE_9_4, ("-2;7/9,7/9,7/9", "-2;3/4,3/4,3/4")),
+                        (SUM_LT_2, ("-2;1/2,2/3,9/11", "-2;1/3,1/3,1/3")),
+                        (DEGENERATE_SUM_2, ("-2;2/5,4/5,4/5", "-2;1/3,5/6,5/6")),
+                        (WRONG_E0, ("0;1/2,2/3,6/7", "-1;1/3,1/3,1/3"))):
+        first, second = (detect_family(parse_manifold(text)) for text in texts)
+        assert first is second and first == Family(kind), kind
+
+
 def test_sphere_family_sits_in_gap():
     for n in range(1, 51):
         sd = parse_manifold(f"-2;1/2,2/3,{5 * n + 1}/{6 * n + 1}")
         assert detect_family(sd).kind == SPHERE_FAMILY
-        assert 2 < sd.invariant_sum < Fraction(9, 4)
+        assert 2 < sd.invariant_sum.as_fraction() < Fraction(9, 4)
 
 
 def test_zero_denominator_is_a_value_error():
@@ -217,7 +230,9 @@ def test_integer_route_matches_fraction_oracle_on_big_legs(drawn):
         for x, (p, q, u, v) in zip(r, sd.conv):
             # v is the inverse of p modulo q in (0, q), which fixes u
             assert (p, q) == (x.numerator, x.denominator) and p * v - q * u == 1 and 0 < v < q
-        assert sd.invariant_sum == sum(r, Fraction(0)) and type(sd.invariant_sum) is Fraction
+        total = sum(r, Fraction(0))
+        assert (sd.invariant_sum.num, sd.invariant_sum.den) == total.as_integer_ratio()
+        assert type(sd.invariant_sum) is Slope
         assert detect_family(sd) == detect_family_fraction(e0, r)
 
 
