@@ -20,7 +20,6 @@ per-k tables) that the dispatch rests on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from typing import Any, NamedTuple
 
@@ -39,8 +38,7 @@ TORSION = "torsion"
 NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass(frozen=True)
-class Fillability:
+class Fillability(NamedTuple):
     kind: str
     stein_lower: int | None = None
     non_stein_lower: int | None = None
@@ -48,8 +46,7 @@ class Fillability:
     note: str | None = None
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     manifold: SeifertData
     status: str
     count: int | None

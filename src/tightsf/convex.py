@@ -17,7 +17,6 @@ with the four rational coefficients computed by slope_coeffs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, NamedTuple, Sequence
 
@@ -178,8 +177,7 @@ def v3_slope_limit(sd: SeifertData, coeffs: SlopeCoeffs) -> LimitInfo:
 MAX_TWIST_ROWS = 10**5
 
 
-@dataclass(slots=True)  # not frozen: a frozen __init__ pays a setattr call per field
-class MaxTwistTable:
+class MaxTwistTable(NamedTuple):
     """A sphere-family table as five columns, which max_twist_table makes
     ranges; tuples() zips them into the rows (k, rounded_num, rounded_den,
     boundary, count)."""

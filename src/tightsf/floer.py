@@ -24,7 +24,7 @@ i-fold product of Laurent polynomials is kept only as the test oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 # The table holds n(n+1)/2 classes of n coefficients, and its text grows about
@@ -39,20 +39,19 @@ def _check_table_size(n: int) -> None:
         raise ValueError(f"n = {n} is more than the limit {MAX_N}")
 
 
-@dataclass(frozen=True)
-class ContactIndex:
-    n: int
-    i: int
-    j: int
+class ContactIndex(NamedTuple("ContactIndex", [("n", int), ("i", int), ("j", int)])):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace runs the check too
 
-    def __post_init__(self):
-        _check_table_size(self.n)
-        if not 0 <= self.i <= self.n - 1:
+    def __new__(cls, n: int, i: int, j: int) -> "ContactIndex":
+        _check_table_size(n)
+        if not 0 <= i <= n - 1:
             raise ValueError("index i out of range")
-        if abs(self.j) > self.n - self.i - 1:
+        if abs(j) > n - i - 1:
             raise ValueError("index j out of range")
-        if (self.j - (self.n + 1 - self.i)) % 2:
+        if (j - (n + 1 - i)) % 2:
             raise ValueError("index j has the wrong parity")
+        return tuple.__new__(cls, (n, i, j))
 
 
 def index_set(n: int) -> list[ContactIndex]:
@@ -71,16 +70,16 @@ def grid(n: int) -> tuple[int, ...]:
     return tuple(range(-n + 1, n, 2))
 
 
-@dataclass(frozen=True)
-class ExpansionVector:
+class ExpansionVector(NamedTuple("ExpansionVector", [("n", int), ("coeffs", tuple[int, ...])])):
     """Coordinates of a contact class in the i = 0 basis, indexed by grid(n)."""
 
-    n: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace runs the check too
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.n:
+    def __new__(cls, n: int, coeffs: tuple[int, ...]) -> "ExpansionVector":
+        if len(coeffs) != n:
             raise ValueError("coefficient vector has wrong length")
+        return tuple.__new__(cls, (n, coeffs))
 
 
 def _binomial_row(i: int) -> list[int]:

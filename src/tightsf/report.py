@@ -2,9 +2,10 @@
 
 The writer renders library values itself: a `Slope`, a `Fraction` and each
 integer pair (num, den) of `SlopeCoeffs` is a {"num", "den"} object (the
-infinite slope is {"num": 1, "den": 0}), and a record, a dataclass such as
-`Fillability`, is an object of its fields in order, leaving out fields that
-are None.  A classify report is written from the `ClassificationResult` itself.
+infinite slope is {"num": 1, "den": 0}), and a record, any other named tuple
+such as `Fillability`, is an object of its `_fields` in order, leaving out
+fields that are None.  A classify report is written from the
+`ClassificationResult` itself, whose report fields lead with its manifold's.
 
 Every document takes one path: _walk, the one dispatch on exact value types,
 reads its shape key and its leaves, _layout, the one place that knows the JSON
@@ -93,7 +94,7 @@ def _manifold_leaves(sd: SeifertData) -> tuple[int, ...]:
 
 
 # Each type whose shape it fixes: the shape tokens _layout reads for it, and the function
-# that gives its leaves.  _walk looks here before it tests for a tuple, so no named tuple here is a list.
+# that gives its leaves.  _walk looks here first, so no named tuple here is a list or a record.
 _FIXED = {
     Slope: (_NUM_DEN, attrgetter("num", "den")),
     Fraction: (_NUM_DEN, Fraction.as_integer_ratio),
@@ -103,22 +104,10 @@ _FIXED = {
     LimitInfo: ((("limit", "increasing", "threshold_ok"), Slope, "\0", "\0"),
                 lambda lim: (lim.limit.num, lim.limit.den, _WORDS[lim.increasing], _WORDS[lim.threshold_ok])),
 }
-# Each record type's report field names and the getter of their values: a
-# classify result's manifold text, normalized form, e0 and sum, then its own.
-_RECORDS: dict[type, tuple[tuple[str, ...], Any]] = {ClassificationResult: (
-    ("input", "normalized", "e0", "sum", "status", "count", "fillability", "certificate"),
-    lambda res: (str(res.manifold), res.manifold, res.manifold.e0, res.manifold.invariant_sum,
-                 res.status, res.count, res.fillability, res.certificate))}
-
-
-def _record(t: type) -> tuple[tuple[str, ...], Any]:
-    """The _RECORDS entry of dataclass t, its fields; TypeError if none."""
-    fields = getattr(t, "__dataclass_fields__", None)
-    if fields is None:
-        raise TypeError(f"cannot write {t.__name__} into a report")
-    get = attrgetter(*fields) if len(fields) > 1 else lambda value: tuple(map(value.__getattribute__, fields))
-    _RECORDS[t] = record = tuple(fields), get
-    return record
+# The report field names of each record type whose fields are not its own
+# _fields: a classify result's manifold text, normalized form, e0 and sum,
+# then its own fields after the manifold.
+_RECORDS = {ClassificationResult: ("input", "normalized", "e0", "sum", "status", "count", "fillability", "certificate")}
 
 
 def _expansion(value: Expansion, pad: str, key: list, leaves: list, splices: list) -> None:
@@ -194,10 +183,17 @@ def _walk(values: Iterable, pad: str, key: list, leaves: list, splices: list) ->
             splices.append((len(leaves), _write_max_twist_table, value, pad))
             key.append("\1")
             continue
-        else:
+        elif t is ClassificationResult:
+            sd = value.manifold
             key.append(t)
-            _walk((_RECORDS.get(t) or _record(t))[1](value), pad + "  ", key, leaves, splices)
+            _walk((str(sd), sd, sd.e0, sd.invariant_sum, *value[1:]), pad + "  ", key, leaves, splices)
             continue
+        elif isinstance(value, tuple) and hasattr(t, "_fields"):
+            key.append(t)
+            _walk(value, pad + "  ", key, leaves, splices)
+            continue
+        else:
+            raise TypeError(f"cannot write {t.__name__} into a report")
         key.append("\0")
 
 
@@ -219,7 +215,7 @@ def _layout(tokens: Iterator, pad: str) -> str:
         return _layout(iter(_FIXED[tok][0]), pad)
     else:
         items = [encode_basestring_ascii(k) + ": " + v
-                 for k in _RECORDS[tok][0] if (v := _layout(tokens, inner)) != "null"]
+                 for k in _RECORDS.get(tok, tok._fields) if (v := _layout(tokens, inner)) != "null"]
     return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}" if items else "{}"
 
 

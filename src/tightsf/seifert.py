@@ -9,24 +9,25 @@ invariants are unordered.  Each invariant ri = pi/qi carries its convergents
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from .contfrac import Convergents, Expansion, capped_count, read_leg
 from .slopes import Slope, parse_int
 
 
-@dataclass(frozen=True)
-class SeifertData:
+class SeifertData(NamedTuple):
     e0: int
     conv: tuple[Convergents, Convergents, Convergents]
     # the expansion of -1/ri, as runs, for each leg: derived from conv's (p, q)
-    legs: tuple[Expansion, Expansion, Expansion] = field(compare=False, repr=False)
-    invariant_sum: Slope = field(compare=False, repr=False)  # r_1 + r_2 + r_3, reduced once at parse
-    # the invariants ri = pi/qi, built from conv when first read
-    r = cached_property(lambda self: tuple(Fraction(p, q) for p, q, _, _ in self.conv))
+    legs: tuple[Expansion, Expansion, Expansion]
+    invariant_sum: Slope  # r_1 + r_2 + r_3, reduced once at parse
+
+    @property
+    def r(self) -> tuple[Fraction, Fraction, Fraction]:
+        """The invariants ri = pi/qi, built from conv."""
+        return tuple(Fraction(p, q) for p, q, _, _ in self.conv)
 
     def __str__(self) -> str:
         return "M(%d; %d/%d, %d/%d, %d/%d)" % (self.e0, *self.conv[0][:2], *self.conv[1][:2], *self.conv[2][:2])
@@ -163,8 +164,7 @@ TORUS_BUNDLE_LEGS = (
 )
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     kind: str
     n: int | None = None  # sphere family parameter
     k: int | None = None  # integer surgery parameter

@@ -11,9 +11,9 @@ Everything here is arbitrary-precision integer arithmetic; no floats.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 # An input integer is read from a text of at most this many characters.  int()
 # takes time quadratic in the length of the text, and outside theta every
@@ -91,7 +91,8 @@ class Slope:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a finite slope hashes as the int or Fraction it equals; inf keeps a hash of its own
+        return hash(Fraction(self.num, self.den)) if self.den else hash((1, 0))
 
     def __str__(self) -> str:
         if self.den == 0:
@@ -107,18 +108,16 @@ class Slope:
 INF = Slope(1, 0)
 
 
-@dataclass(frozen=True, slots=True)
-class UniMat:
+class UniMat(NamedTuple("UniMat", [("a", int), ("b", int), ("c", int), ("d", int)])):
     """Integer 2x2 matrix [[a, b], [c, d]] with determinant +1 or -1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace runs the check too
 
-    def __post_init__(self):
-        if self.det not in (1, -1):
-            raise ValueError(f"matrix [[{self.a},{self.b}],[{self.c},{self.d}]] is not unimodular")
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "UniMat":
+        if a * d - b * c not in (1, -1):
+            raise ValueError(f"matrix [[{a},{b}],[{c},{d}]] is not unimodular")
+        return tuple.__new__(cls, (a, b, c, d))
 
     @property
     def det(self) -> int:

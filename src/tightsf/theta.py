@@ -22,28 +22,29 @@ exactly when y_k = 0 on that block.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from typing import NamedTuple
 
 
 def _int_list(xs) -> bool:
     return isinstance(xs, (list, tuple)) and set(map(type, xs)) <= {int}
 
 
-@dataclass(frozen=True)
-class SurgeryDiagram:
-    linking: tuple[tuple[int, ...], ...]
-    rot: tuple[int, ...]
+class SurgeryDiagram(NamedTuple("SurgeryDiagram", [("linking", tuple[tuple[int, ...], ...]),
+                                                   ("rot", tuple[int, ...])])):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace runs the check too
 
-    def __post_init__(self):
-        m = len(self.linking)
-        if any(len(row) != m for row in self.linking):
+    def __new__(cls, linking: tuple[tuple[int, ...], ...], rot: tuple[int, ...]) -> "SurgeryDiagram":
+        m = len(linking)
+        if any(len(row) != m for row in linking):
             raise ValueError("linking matrix must be square")
-        if list(map(tuple, self.linking)) != list(zip(*self.linking)):
+        if list(map(tuple, linking)) != list(zip(*linking)):
             raise ValueError("linking matrix must be symmetric")
-        if len(self.rot) != m:
+        if len(rot) != m:
             raise ValueError("rotation vector length must match the matrix")
+        return tuple.__new__(cls, (linking, rot))
 
     @classmethod
     def from_lists(cls, linking, rot) -> "SurgeryDiagram":
@@ -118,8 +119,7 @@ def c1_squared(diagram: SurgeryDiagram) -> Fraction:
     return congruence(diagram)[1]
 
 
-@dataclass(frozen=True)
-class ThetaParts:
+class ThetaParts(NamedTuple):
     c1sq: Fraction
     sigma: int
     chi: int

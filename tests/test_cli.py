@@ -7,7 +7,6 @@ import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from math import prod
 from pathlib import Path
 from time import perf_counter
@@ -486,7 +485,7 @@ def test_broken_table_identity_is_one_line_error(capsys, monkeypatch):
     # the count column loses its last row
     def short_table(n):
         table = max_twist_table(n)
-        return replace(table, count=table.count[:-1])
+        return table._replace(count=table.count[:-1])
 
     # the package exports the function classify under the submodule's name
     monkeypatch.setattr(importlib.import_module("tightsf.classify"), "max_twist_table", short_table)
@@ -497,7 +496,6 @@ def test_broken_table_identity_is_one_line_error(capsys, monkeypatch):
 
 SABOTAGED_SELFTEST = """
 import sys
-from dataclasses import replace
 import tightsf.selftest as selftest
 from tightsf.cli import main
 from tightsf.convex import max_twist_table
@@ -505,7 +503,7 @@ from tightsf.convex import max_twist_table
 def sabotaged(n):
     # the last row counts 2, not 1, so the counts sum to n(n+1)/2 + 1
     table = max_twist_table(n)
-    return replace(table, count=(*table.count[:-1], 2))
+    return table._replace(count=(*table.count[:-1], 2))
 
 if sys.argv[1] == "sabotage":
     selftest.max_twist_table = sabotaged

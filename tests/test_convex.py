@@ -459,8 +459,8 @@ def test_max_twist_table_builds_one_transfer_matrix(monkeypatch):
     # the inverse V_3 transfer is UniMat.inverse of the one attaching matrix,
     # whose constructor keeps the unimodularity check: two builds per table
     built = []
-    init = UniMat.__init__
-    monkeypatch.setattr(UniMat, "__init__", lambda self, *abcd: built.append(abcd) or init(self, *abcd))
+    new = UniMat.__new__
+    monkeypatch.setattr(UniMat, "__new__", lambda cls, *abcd: built.append(abcd) or new(cls, *abcd))
     for n in (1, 2, 7, 800):
         built.clear()
         assert max_twist_table(n).total == n * (n + 1) // 2

@@ -58,6 +58,8 @@ def test_index_validation():
         ContactIndex(2, 0, 0)  # wrong parity
     with pytest.raises(ValueError):
         ContactIndex(2, 0, 3)  # out of range
+    with pytest.raises(ValueError, match="parity"):
+        ContactIndex(2, 1, 0)._replace(i=0)
     for n, message in ((0, "n must be positive"), (MAX_N + 1, "limit")):
         with pytest.raises(ValueError, match=message):
             ContactIndex(n, 0, n - 1)  # refused before expansion builds n coefficients
@@ -223,3 +225,5 @@ def test_stein_obstruction():
 def test_vector_guards():
     with pytest.raises(ValueError):
         ExpansionVector(3, (1, 0))
+    with pytest.raises(ValueError):
+        ExpansionVector(2, (1, 0))._replace(n=3)

@@ -2,7 +2,10 @@
 each definition has a consumer."""
 import ast
 import importlib
+import json
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -219,3 +222,23 @@ def test_every_definition_has_a_consumer():
     consumed = {name for _, name in benchmark_imports() if name is not None}
     consumed |= {stage.partition(".")[2] for stage in benchmark_stages()}
     assert unused_definitions(sources, consumed) == {}
+
+
+# Run with the package directory's parent as argv[1]: classify one manifold and
+# print, to stderr, the record modules then loaded and main's exit code.
+CLASSIFY_IMPORTS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from tightsf.cli import main
+code = main(["classify", "-2;1/3,2/5,3/7", "--json"])
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)), code, file=sys.stderr)
+"""
+
+
+def test_classify_loads_neither_dataclasses_nor_inspect():
+    # every library record is a named tuple; -S keeps a .pth hook of site
+    # from loading either module before the package does
+    proc = subprocess.run([sys.executable, "-S", "-c", CLASSIFY_IMPORTS, str(PACKAGE_DIR.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.stderr, proc.returncode) == ("[] 0\n", 0)
+    assert json.loads(proc.stdout)["result"]["status"] == "exact"

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd
-from typing import Any
+from typing import Any, NamedTuple
 from unittest import mock
 
 import pytest
@@ -20,15 +20,18 @@ from tightsf.slopes import INF, Slope
 from triples import FAMILY_TRIPLES, big_invariants, sorted_triples
 
 
-@dataclass(frozen=True)
-class Tagged:
+class Tagged(NamedTuple):
     value: Any
     tag: str | None = None
 
 
-@dataclass(frozen=True)
-class Retagged:
+class Retagged(NamedTuple):
     tag: str | None
+    value: Any
+
+
+@dataclass(frozen=True)
+class Untagged:
     value: Any
 
 
@@ -91,9 +94,10 @@ def oracle(value):
 
 def spelled(value):
     """value with each Expansion, at any depth, replaced by the list of its
-    entries, and each SlopeCoeffs and LimitInfo by its dict: json.dumps writes
-    a tuple subclass as the list of its items, which for an Expansion are its
-    runs, without asking the oracle."""
+    entries, each SlopeCoeffs and LimitInfo by its dict, and each other named
+    tuple by the oracle's form: json.dumps writes a tuple subclass as the list
+    of its items, which for an Expansion are its runs, without asking the
+    oracle."""
     t = type(value)
     if t is Expansion:
         return list(value.entries())
@@ -105,8 +109,8 @@ def spelled(value):
         return {k: spelled(v) for k, v in value.items()}
     if t is list or t is tuple:
         return t(map(spelled, value))
-    if t is Tagged or t is Retagged:
-        return t(**{k: spelled(v) for k, v in vars(value).items()})
+    if isinstance(value, tuple) and hasattr(t, "_fields"):
+        return spelled(oracle(value))
     return value
 
 
@@ -441,9 +445,9 @@ def test_writer_int_tuples_and_fractions():
     # two record types with the same field names in different orders, in one
     # list: each keeps its own declaration order
     pair = [Tagged(1, "a"), Retagged("b", 2), Tagged(Fraction(1, 3)), Retagged(None, INF)]
-    assert written(pair) == json.dumps(pair, indent=2, default=oracle)
+    assert written(pair) == json.dumps(spelled(pair), indent=2, default=oracle)
     assert [list(record) for record in json.loads(written(pair))] == [
         ["value", "tag"], ["tag", "value"], ["value"], ["value"]]
-    for value in (1.5, object(), Tagged, {1: 2}, Tagged(1.5), [Retagged("t", [2.5])]):
+    for value in (1.5, object(), Tagged, {1: 2}, Tagged(1.5), [Retagged("t", [2.5])], Untagged(1)):
         with pytest.raises(TypeError):
             written(value)

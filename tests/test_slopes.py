@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,20 @@ def test_reduction_and_normal_form():
 @given(st.integers(-200, 200), st.integers(1, 200), st.integers(1, 30))
 def test_reduction_idempotent(p, q, k):
     assert Slope(k * p, k * q) == Slope(p, q)
+
+
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+def test_finite_slope_hashes_as_the_number_it_equals(p, q):
+    # a slope equal to an int or a Fraction is found by it in a set, and finds it
+    s, f = Slope(p, q), Fraction(p, q)
+    assert s == f and hash(s) == hash(f)
+    assert f in {s} and s in {f}
+    assert Slope(p) == p and hash(Slope(p)) == hash(p) and p in {Slope(p)} and Slope(p) in {p}
+
+
+def test_slope_set_membership():
+    assert 1 in {Slope(1)} and Fraction(1, 2) in {Slope(1, 2)} and Slope(-3, 6) in {Fraction(-1, 2)}
+    assert INF in {Slope(5, 0)} and INF not in {1, Fraction(1, 2), Slope(1), Slope(0)}
 
 
 def test_slope_vec():
@@ -90,3 +105,5 @@ def test_unimat_is_a_value():
     assert m == UniMat(3, 2, 1, 1)
     with pytest.raises(ValueError, match=re.escape("matrix [[2,0],[0,2]] is not unimodular")):
         UniMat(2, 0, 0, 2)
+    with pytest.raises(ValueError, match=re.escape("matrix [[0,2],[1,1]] is not unimodular")):
+        m._replace(a=0)

@@ -331,6 +331,8 @@ def test_signature_rejects_asymmetric_matrix():
         signature(((0, 1), (2, 0)))
     with pytest.raises(ValueError):
         signature(((0, 1),))
+    with pytest.raises(ValueError, match="symmetric"):
+        SurgeryDiagram(((0, 1), (1, 0)), (0, 0))._replace(linking=((0, 1), (2, 0)))
 
 
 def test_from_lists_rejects_malformed_input():
@@ -347,18 +349,18 @@ def test_from_lists_rejects_malformed_input():
 def counted(monkeypatch):
     """Counts eliminations and square/symmetric checks from here on."""
     calls = Counter()
-    eliminate, check = theta_module.congruence, SurgeryDiagram.__post_init__
+    eliminate, check = theta_module.congruence, SurgeryDiagram.__new__
 
     def counted_congruence(diagram):
         calls["elimination"] += 1
         return eliminate(diagram)
 
-    def counted_check(self):
+    def counted_check(cls, *args):
         calls["check"] += 1
-        check(self)
+        return check(cls, *args)
 
     monkeypatch.setattr(theta_module, "congruence", counted_congruence)
-    monkeypatch.setattr(SurgeryDiagram, "__post_init__", counted_check)
+    monkeypatch.setattr(SurgeryDiagram, "__new__", counted_check)
     return calls
 
 
