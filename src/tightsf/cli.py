@@ -152,7 +152,7 @@ def _cmd_theta(args) -> int:
     for key in ("L", "rot"):
         if key not in data:
             raise ValueError(f"diagram has no key {key!r}")
-    diagram = SurgeryDiagram.from_lists(data["L"], data["rot"])
+    diagram = SurgeryDiagram(data["L"], data["rot"])
     parts = theta_parts(diagram)
     if args.json:
         print(report.report("theta", parts))

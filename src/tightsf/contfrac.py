@@ -27,7 +27,7 @@ from math import prod
 from operator import itemgetter
 from typing import NamedTuple
 
-from .slopes import INF, Slope
+from .slopes import Slope
 
 
 class Convergents(NamedTuple):
@@ -149,16 +149,11 @@ def shifted_product(runs) -> int:
 def ncf_eval(entries) -> Slope:
     """Right-to-left evaluation of a sequence of entries (an Expansion's
     entries()); the empty sequence gives the infinite slope."""
-    n = d = None
+    n, d = 1, 0  # the infinite slope: a first entry a gives (a, 1)
     for a in reversed(tuple(entries)):
-        if n is None:
-            n, d = a, 1
-        else:
-            if n == 0:
-                raise ValueError("intermediate zero denominator in evaluation")
-            n, d = a * n - d, n
-    if n is None:
-        return INF
+        if n == 0:
+            raise ValueError("intermediate zero denominator in evaluation")
+        n, d = a * n - d, n
     return Slope(n, d)
 
 

@@ -79,7 +79,7 @@ class ExpansionVector(NamedTuple("ExpansionVector", [("n", int), ("coeffs", tupl
     def __new__(cls, n: int, coeffs: tuple[int, ...]) -> "ExpansionVector":
         if len(coeffs) != n:
             raise ValueError("coefficient vector has wrong length")
-        return tuple.__new__(cls, (n, coeffs))
+        return tuple.__new__(cls, (n, tuple(coeffs)))
 
 
 def _binomial_row(i: int) -> list[int]:

@@ -43,15 +43,12 @@ def classification_json(res: ClassificationResult) -> ClassificationResult:
 
 
 def _write_expansion(value: Expansion, pad: str, out: list[str]) -> None:
-    """Append the JSON list of an expansion's entries, as _write does for a
+    """Append the JSON list of a long expansion's entries, as _write does for a
     tuple of ints, from its runs.  The single entries between long runs are
     one join, and a run of m >= 2 entries is its first entry plus one string
     repetition of the rest, appended on its own, so the Python steps are
     O(runs) and each long run's text is copied once.
     """
-    if not value:
-        out.append("[]")
-        return
     inner = pad + "  "
     sep = ",\n" + inner
     head = "[\n" + inner  # what comes before the next entry

@@ -114,35 +114,27 @@ MAX_PLUMBING_VERTICES = 1000
 
 
 def linking_matrix(sd: SeifertData) -> tuple[tuple[int, ...], ...]:
-    """Star-shaped plumbing matrix: central vertex framed e0, one leg per
-    fiber carrying the expansion of -1/ri, consecutive vertices linked once.
+    """Star-shaped plumbing matrix: central vertex 0 framed e0, one leg per
+    fiber carrying the entries of -1/ri, consecutive vertices linked once.
 
     Each leg's entry count is checked against MAX_EXPANSION, then the vertex
-    count against MAX_PLUMBING_VERTICES; the rows are then built one by one
-    from the runs stored in sd.
+    count against MAX_PLUMBING_VERTICES; then a zero matrix is filled one
+    vertex at a time, numbered from the centre outwards: its entry on the
+    diagonal and a 1 on each side of the edge to the vertex before it.
     """
-    counts = [capped_count(leg) for leg in sd.legs]
-    n = 1 + sum(counts)
+    n = 1 + sum(capped_count(leg) for leg in sd.legs)
     if n > MAX_PLUMBING_VERTICES:
         raise ValueError(f"plumbing has {n} vertices, more than the limit {MAX_PLUMBING_VERTICES}")
-    center = [0] * n
-    center[0] = sd.e0
-    rows = [center]
-    idx = 1
-    for leg, count in zip(sd.legs, counts):
-        center[idx] = 1
-        last = idx + count - 1
+    rows = [[0] * n for _ in range(n)]
+    rows[0][0] = sd.e0
+    v = 0
+    for leg in sd.legs:
         prev = 0
-        for a, m in leg:
-            for _ in range(m):
-                row = [0] * n
-                row[prev] = 1
-                row[idx] = a
-                if idx < last:
-                    row[idx + 1] = 1
-                rows.append(row)
-                prev = idx
-                idx += 1
+        for a in leg.entries():
+            v += 1
+            rows[v][v] = a
+            rows[prev][v] = rows[v][prev] = 1
+            prev = v
     return tuple(map(tuple, rows))
 
 

@@ -96,8 +96,6 @@ def check_closed_form(samples: int = 200, seed: int = 11, min_n1: int = -40) -> 
         if (delta - v2) % q2:
             continue
         n2 = (delta - v2) // q2
-        if n2 >= 0:
-            continue
         _check(v3_slope(sd, n1, slope_coeffs(sd)) == v3_slope_stepwise(sd, n1, n2),
                f"closed form differs from stepwise rounding at {sd.r}, n1 = {n1}")
         done += 1

@@ -33,27 +33,28 @@ def _int_list(xs) -> bool:
 
 class SurgeryDiagram(NamedTuple("SurgeryDiagram", [("linking", tuple[tuple[int, ...], ...]),
                                                    ("rot", tuple[int, ...])])):
+    """A framed link's linking matrix and rotation vector, from lists (such as
+    parsed JSON) or tuples.  The one check of a diagram: every entry an int,
+    the matrix square and symmetric, rot as long; it is kept as tuples.
+    """
+
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # so that _replace runs the check too
 
-    def __new__(cls, linking: tuple[tuple[int, ...], ...], rot: tuple[int, ...]) -> "SurgeryDiagram":
-        m = len(linking)
-        if any(len(row) != m for row in linking):
-            raise ValueError("linking matrix must be square")
-        if list(map(tuple, linking)) != list(zip(*linking)):
-            raise ValueError("linking matrix must be symmetric")
-        if len(rot) != m:
-            raise ValueError("rotation vector length must match the matrix")
-        return tuple.__new__(cls, (linking, rot))
-
-    @classmethod
-    def from_lists(cls, linking, rot) -> "SurgeryDiagram":
-        """Diagram from nested lists such as parsed JSON; every entry must be an int."""
+    def __new__(cls, linking, rot) -> "SurgeryDiagram":
         if not isinstance(linking, (list, tuple)) or not all(map(_int_list, linking)):
             raise ValueError("linking matrix must be a list of integer lists")
         if not _int_list(rot):
             raise ValueError("rotation vector must be a list of integers")
-        return cls(tuple(map(tuple, linking)), tuple(rot))
+        rows = tuple(map(tuple, linking))
+        m = len(rows)
+        if any(len(row) != m for row in rows):
+            raise ValueError("linking matrix must be square")
+        if rows != tuple(zip(*rows)):
+            raise ValueError("linking matrix must be symmetric")
+        if len(rot) != m:
+            raise ValueError("rotation vector length must match the matrix")
+        return tuple.__new__(cls, (rows, tuple(rot)))
 
 
 def congruence(diagram: SurgeryDiagram) -> tuple[int, Fraction]:
@@ -111,7 +112,7 @@ def congruence(diagram: SurgeryDiagram) -> tuple[int, Fraction]:
 
 def signature(linking) -> int:
     """Signature of a symmetric matrix: the sign count of its congruence pivots."""
-    return congruence(SurgeryDiagram(tuple(map(tuple, linking)), (0,) * len(linking)))[0]
+    return congruence(SurgeryDiagram(linking, (0,) * len(linking)))[0]
 
 
 def c1_squared(diagram: SurgeryDiagram) -> Fraction:

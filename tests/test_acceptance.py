@@ -90,7 +90,7 @@ def test_criterion_8_contact_class_model():
 def test_criterion_9_theta_calculator():
     assert theta(SurgeryDiagram((), ())) == -2
     e8 = linking_matrix(parse_manifold("-2;1/2,2/3,4/5"))
-    assert theta(SurgeryDiagram.from_lists(e8, [0] * 8)) == 6
+    assert theta(SurgeryDiagram(e8, [0] * 8)) == 6
     rng = random.Random(7)
     for _ in range(100):
         m = rng.randint(1, 6)

@@ -162,6 +162,15 @@ def test_seifert_cli(capsys):
     assert matrix[0][0] == -2 and len(matrix) == len(matrix[0])
 
 
+def test_seifert_cli_prints_the_k_over_k_plus_1_family(capsys):
+    code, out, _ = run(capsys, "seifert", "-2;1/2,2/3,7/8")
+    assert code == 0
+    assert out.splitlines()[:3] == ["M(-2; 1/2, 2/3, 7/8)", "family: k_over_k_plus_1(k=7)", "|H_1| = 2"]
+    code, out, _ = run(capsys, "seifert", "-2;1/2,2/3,7/8", "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["family"] == "k_over_k_plus_1(k=7)"
+
+
 def test_slopes_cli(capsys):
     code, out, _ = run(capsys, "slopes", "-2;1/2,2/3,7/8", "--n1", "-1", "--json")
     assert code == 0

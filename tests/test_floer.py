@@ -227,3 +227,10 @@ def test_vector_guards():
         ExpansionVector(3, (1, 0))
     with pytest.raises(ValueError):
         ExpansionVector(2, (1, 0))._replace(n=3)
+    # the vector keeps a tuple, so its length stays the one it was checked at
+    coeffs = [1, 2, 3]
+    vector = ExpansionVector(3, coeffs)
+    coeffs.append(4)
+    assert vector.coeffs == (1, 2, 3)
+    with pytest.raises(AttributeError):
+        vector.coeffs.append(4)

@@ -167,6 +167,20 @@ def test_families_without_a_parameter_are_shared():
         assert first is second and first == Family(kind), kind
 
 
+def test_family_str_names_kind_and_parameter():
+    for text, want in (("-2;1/2,2/3,7/8", "k_over_k_plus_1(k=7)"),
+                       ("-2;1/2,2/3,11/13", "sphere_family(n=2)"),
+                       ("-2;1/2,3/4,3/4", "torus_bundle"),
+                       ("-2;1/2,3/4,4/5", "gap_other"),
+                       ("-2;7/9,7/9,7/9", "sum_ge_9_4"),
+                       ("-2;1/2,2/3,9/11", "sum_lt_2"),
+                       ("-2;2/5,4/5,4/5", "degenerate_sum_2"),
+                       ("0;1/2,2/3,6/7", "wrong_e0")):
+        assert str(detect_family(parse_manifold(text))) == want, text
+    assert str(Family(K_OVER_K1, k=6)) == "k_over_k_plus_1(k=6)"
+    assert str(Family(SPHERE_FAMILY, n=1)) == "sphere_family(n=1)"
+
+
 def test_sphere_family_sits_in_gap():
     for n in range(1, 51):
         sd = parse_manifold(f"-2;1/2,2/3,{5 * n + 1}/{6 * n + 1}")

@@ -33,13 +33,13 @@ def test_e8_is_the_245_plumbing():
     # the linking matrix of M(-2; 1/2, 2/3, 4/5) is the same star-shaped tree
     m = linking_matrix(parse_manifold("-2;1/2,2/3,4/5"))
     assert signature(m) == -8
-    assert theta(SurgeryDiagram.from_lists(m, [0] * 8)) == 6
+    assert theta(SurgeryDiagram(m, [0] * 8)) == 6
 
 
 def test_c1_squared_examples():
     assert c1_squared(SurgeryDiagram((), ())) == 0
     assert c1_squared(SurgeryDiagram(((-2,),), (2,))) == -2
-    assert c1_squared(SurgeryDiagram.from_lists(E8, [0] * 8)) == 0
+    assert c1_squared(SurgeryDiagram(E8, [0] * 8)) == 0
 
 
 def test_c1_not_liftable():
@@ -49,7 +49,7 @@ def test_c1_not_liftable():
 
 def test_theta_examples():
     assert theta(SurgeryDiagram((), ())) == -2
-    assert theta(SurgeryDiagram.from_lists(E8, [0] * 8)) == 6
+    assert theta(SurgeryDiagram(E8, [0] * 8)) == 6
     assert theta(SurgeryDiagram(((-2,),), (0,))) == -1
 
 
@@ -100,12 +100,12 @@ def test_theta_block_additivity():
         rot_a = [2 * rng.randint(-2, 2) for _ in range(m1)]
         rot_b = [2 * rng.randint(-2, 2) for _ in range(m2)]
         try:
-            ta = theta(SurgeryDiagram.from_lists(a, rot_a))
-            tb = theta(SurgeryDiagram.from_lists(b, rot_b))
+            ta = theta(SurgeryDiagram(a, rot_a))
+            tb = theta(SurgeryDiagram(b, rot_b))
         except ValueError:
             continue  # rot outside the span, no filling to compare
         block = [list(row) + [0] * m2 for row in a] + [[0] * m1 + list(row) for row in b]
-        t_both = theta(SurgeryDiagram.from_lists(block, rot_a + rot_b))
+        t_both = theta(SurgeryDiagram(block, rot_a + rot_b))
         assert t_both == ta + tb + 2
 
 
@@ -122,7 +122,7 @@ def test_c1_squared_solution_independent():
         x = [rng.randint(-3, 3) for _ in range(m)]
         rot = [sum(a[i][j] * x[j] for j in range(m)) for i in range(m)]
         direct = sum(rot[i] * x[i] for i in range(m))
-        assert c1_squared(SurgeryDiagram.from_lists(a, rot)) == Fraction(direct)
+        assert c1_squared(SurgeryDiagram(a, rot)) == Fraction(direct)
 
 
 def test_diagram_validation():
@@ -218,7 +218,7 @@ def _c1_or_none(c1, linking, rot):
 
 
 def _sparse_c1_squared(linking, rot):
-    return c1_squared(SurgeryDiagram.from_lists(linking, rot))
+    return c1_squared(SurgeryDiagram(linking, rot))
 
 
 def assert_matches_dense(linking, rot):
@@ -317,7 +317,7 @@ def test_congruence_matches_sympy():
         if mat.det() != 0:
             v = sympy.Matrix(rot)
             want = (v.T * mat.inv() * v)[0, 0]
-            assert c1_squared(SurgeryDiagram.from_lists(a, rot)) == Fraction(int(want.p), int(want.q))
+            assert c1_squared(SurgeryDiagram(a, rot)) == Fraction(int(want.p), int(want.q))
             inverted += 1
         _, d = mat.LDLdecomposition(hermitian=False)
         pivots = [d[i, i] for i in range(m)]
@@ -335,11 +335,41 @@ def test_signature_rejects_asymmetric_matrix():
         SurgeryDiagram(((0, 1), (1, 0)), (0, 0))._replace(linking=((0, 1), (2, 0)))
 
 
-def test_from_lists_rejects_malformed_input():
+def test_diagram_rejects_malformed_input():
     for linking, rot in ((5, [1]), ([[1.5]], [0]), ([["1"]], [0]), ([[-2]], 0), ([[-2]], [True]),
                          ([5], [1]), (None, [])):
         with pytest.raises(ValueError):
-            SurgeryDiagram.from_lists(linking, rot)
+            SurgeryDiagram(linking, rot)
+
+
+def test_diagram_rejects_float_and_bool_entries():
+    for linking, rot, message in ((((1.5,),), (0.5,), "linking matrix must be a list of integer lists"),
+                                  (((True,),), (0,), "linking matrix must be a list of integer lists"),
+                                  (((-2, 1), (1, 2.0)), (0, 0), "linking matrix must be a list of integer lists"),
+                                  (((-2,),), (1.0,), "rotation vector must be a list of integers"),
+                                  (((-2,),), (False,), "rotation vector must be a list of integers")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SurgeryDiagram(linking, rot)
+    diagram = SurgeryDiagram(((-2,),), (0,))
+    with pytest.raises(ValueError, match="^linking matrix must be a list of integer lists$"):
+        diagram._replace(linking=[[1.5]])
+    with pytest.raises(ValueError, match="^rotation vector must be a list of integers$"):
+        diagram._replace(rot=[0.5])
+    with pytest.raises(ValueError, match="^linking matrix must be a list of integer lists$"):
+        signature([[2.5]])
+
+
+def test_diagram_built_from_lists_keeps_tuples():
+    linking, rot = [[-2, 1], [1, -2]], [1, 0]
+    diagram = SurgeryDiagram(linking, rot)
+    assert diagram == (((-2, 1), (1, -2)), (1, 0))
+    assert type(diagram.linking) is tuple and set(map(type, diagram.linking)) == {tuple}
+    assert type(diagram.rot) is tuple
+    linking[0][1] = 3  # the caller's lists are copied, not kept
+    rot.append(0)
+    assert diagram == (((-2, 1), (1, -2)), (1, 0))
+    with pytest.raises(TypeError):
+        diagram.linking[0][1] = 3
 
 
 # ------------------------------------------------------------- computed once
@@ -366,7 +396,7 @@ def counted(monkeypatch):
 
 def test_each_call_eliminates_once_and_checks_once(counted):
     m = linking_matrix(parse_manifold("-2;1/2,2/3,40/41"))
-    diagram = SurgeryDiagram.from_lists(m, [m[i][i] + 2 for i in range(len(m))])
+    diagram = SurgeryDiagram(m, [m[i][i] + 2 for i in range(len(m))])
     assert (counted["elimination"], counted["check"]) == (0, 1)
     for fn, arg, checks in ((theta, diagram, 0), (c1_squared, diagram, 0), (signature, m, 1)):
         counted.clear()
