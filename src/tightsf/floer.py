@@ -18,12 +18,17 @@ Distinctness, conjugation symmetry, and the mod-2 fillability obstruction do
 not depend on that overall choice.
 
 Both expansion and laurent_image read that signed binomial row, built in i
-steps of one multiply and one exact division each, so a class costs O(i):
-laurent_image writes the class's Laurent text straight from the row.  The
-i-fold product of Laurent polynomials is kept only as the test oracle.
+steps of one multiply and one exact division each.  Each row is built once
+per process, on first use, together with the text each entry puts before its
+power of t; at most MAX_N rows of at most MAX_N entries are kept.  So a class
+costs one slice of its row: expansion pads it with zeros, and laurent_image
+interleaves the row's texts with a slice of one table of power texts, also
+built on first use.  The i-fold product of Laurent polynomials is kept only
+as the test oracle.
 """
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 
@@ -92,13 +97,26 @@ def _binomial_row(i: int) -> list[int]:
     return row
 
 
+@cache
+def _row(i: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """The signed binomial row i as a tuple, and the text each entry puts before
+    its power of t: a bare sign for +-1, else the signed coefficient and "*".
+    A ContactIndex has i < MAX_N, so at most MAX_N rows are kept."""
+    row = tuple(_binomial_row(i))
+    return row, tuple("+" if c == 1 else "-" if c == -1 else "%+d*" % c for c in row)
+
+
+@cache
+def _powers() -> tuple[str, ...]:
+    """The text of t^(e/2) at index e + MAX_N, for |e| <= MAX_N, built on first use."""
+    return tuple("t^(%d/2)" % e if e % 2 else "t^%d" % (e // 2) for e in range(-MAX_N, MAX_N + 1))
+
+
 def expansion(idx: ContactIndex) -> ExpansionVector:
     """Basis coordinates: (-1)^k binom(i, k) at j' = j + i - 2k, k = 0..i."""
     n, i = idx.n, idx.i
     low = (idx.j - i + n - 1) // 2  # the position of j' = j - i, where k = i
-    row = _binomial_row(i)
-    row.reverse()
-    return ExpansionVector(n, (0,) * low + tuple(row) + (0,) * (n - 1 - low - i))
+    return ExpansionVector(n, (0,) * low + _row(i)[0][::-1] + (0,) * (n - 1 - low - i))
 
 
 def laurent_image(idx: ContactIndex) -> str:
@@ -106,20 +124,23 @@ def laurent_image(idx: ContactIndex) -> str:
     text: (-1)^k binom(i, k) t^((j+i-2k)/2) for k = 0..i, highest power first.
 
     The exponents j+i, j+i-2, ... descend and share a parity, and no entry of
-    the row is 0, so each term is written in the row's order.  A coefficient
-    of +-1 is a bare sign, the constant term is its signed coefficient, and
-    the leading "+" of the first term (whose coefficient is 1) is dropped.
+    the row is 0, so the text is the row's prefixes interleaved with a slice
+    of _powers() (|j| + i <= n - 1 < MAX_N keeps the slice inside), joined
+    once.  The constant term is its signed coefficient alone, and the leading
+    "+" of the first term (whose coefficient is 1) is dropped.
     """
     i, j = idx.i, idx.j
-    odd = (j + i) % 2
-    terms = []
-    for e, c in zip(range(j + i, j - i - 1, -2), _binomial_row(i)):
-        if e == 0:
-            terms.append("%+d" % c)
-            continue
-        power = "t^(%d/2)" % e if odd else "t^%d" % (e // 2)
-        terms.append(("+" if c == 1 else "-" if c == -1 else "%+d*" % c) + power)
-    return "".join(terms)[1:]
+    row, prefixes = _row(i)
+    top = j + i + MAX_N  # the index of the highest power, t^((j+i)/2)
+    parts = [""] * (2 * i + 2)
+    parts[::2] = prefixes
+    parts[1::2] = _powers()[top:top - 2 * i - 1:-2]
+    if -i <= j <= i and (j + i) % 2 == 0:
+        k = (j + i) // 2  # the constant term
+        parts[2 * k] = "%+d" % row[k]
+        parts[2 * k + 1] = ""
+    parts[0] = parts[0][1:]
+    return "".join(parts)
 
 
 def stein_obstructed(idx: ContactIndex) -> bool:

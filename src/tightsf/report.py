@@ -17,9 +17,11 @@ its type alone goes into the key, and one function gives its leaves.  A
 escaped str, an int, a bool's JSON word, a num or a den, an int of a short list
 of ints, the joined ints of a longer one, or the entries of an `Expansion` of at
 most _MAX_ITEMS entries.  A splice is text its own writer puts between two
-stretches of a template: a longer `Expansion`, a `MaxTwistTable` from one row
-template, and any other list or tuple of more than _MAX_ITEMS items, item by
-item.  At most _MAX_SHAPES templates are kept; nothing is cached by value.
+stretches of a template: a longer `Expansion`, a `MaxTwistTable` as the pieces
+of one row template around its columns' digits, each value converted once for
+the whole table, and any other list or tuple of more than _MAX_ITEMS items,
+item by item.  At most _MAX_SHAPES templates are kept; nothing is cached by
+value.
 """
 from __future__ import annotations
 
@@ -270,17 +272,42 @@ def _write_items(value: list | tuple, pad: str, out: list[str]) -> None:
 
 def _write_max_twist_table(value: MaxTwistTable, pad: str, out: list[str]) -> None:
     """Append the JSON list of a sphere-family table's rows, each the object
-    {"k", "rounded", "boundary", "count"}, from one row template filled from
-    a zip of the table's columns.  The row's shape key gives the boundary's
-    "den" as the literal token "1", since max_twist_table checks that the V_3
-    image is proportional to (1, -n+k).
+    {"k", "rounded", "boundary", "count"}, from the six pieces of one row
+    template, cut at its five slots.  The row's shape key gives the
+    boundary's "den" as the literal token "1", since max_twist_table checks
+    that the V_3 image is proportional to (1, -n+k).
+
+    The columns must be exactly the ranges k, -k, 6k+1, k-n and n-k that
+    max_twist_table returns (an O(1) comparison, raising ArithmeticError so
+    that -O keeps it).  So the digits of 0..n, converted once, serve k, -k
+    (a "-" ending the piece before it, but at k = 0), the boundary -(n-k),
+    the count n-k and each 6k+1 up to n; the rest of the 6k+1 column is
+    converted once.  out is extended by the row's pieces, 10 items a row,
+    and the slots are filled by slice assignment, so no row is formatted or
+    joined into a copy.
     """
+    n = value.n
+    if value[1:] != (range(n), range(0, -n, -1), range(1, 6 * n, 6), range(-n, 0), range(n, 0, -1)):
+        raise ArithmeticError(f"a sphere-family table for n = {n} whose columns are not its ranges")
+    if n < 1:
+        out.append("[]")
+        return
     inner = pad + "  "
     shape = (inner, ("k", "rounded", "boundary", "count"), "\0", *_NUM_DEN, ("num", "den"), "\0", "1", "\0")
     row, = _TEMPLATES.get(shape) or _template(shape, 5, 0)
-    rows = (",\n" + inner).join(map(row.__mod__, value.tuples()))
-    # three pieces, so the joined rows are not copied into a fourth
-    out.extend(("[\n" + inner, rows, "\n" + pad + "]") if rows else ("[]",))
+    head, after_k, after_num, after_den, after_boundary, tail = row.split("%s")
+    digits = list(map(str, range(n + 1)))
+    k, left, den = digits[:n], digits[n:0:-1], digits[1::6]  # k, n-k, and 6k+1 up to n
+    den += map(str, range(6 * len(den) + 1, 6 * n, 6))
+    at = len(out)  # out[at + 10 k:] holds row k: what comes before it, then each slot and the piece after it
+    out += [tail + ",\n" + inner + head, None, after_k + "-", None, after_num, None,
+            after_den + "-", None, after_boundary, None] * n
+    out[at + 1::10] = out[at + 3::10] = k
+    out[at + 5::10] = den
+    out[at + 7::10] = out[at + 9::10] = left
+    out[at] = "[\n" + inner + head
+    out[at + 2] = after_k  # -0 is written 0
+    out.append(tail + "\n" + pad + "]")
 
 
 def report(command: str, result: Any) -> str:

@@ -46,8 +46,8 @@ class Slope:
             g = gcd(num, den)
             num //= g
             den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)  # through the slots, past __setattr__
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Slope is immutable")
@@ -105,6 +105,7 @@ class Slope:
         return f"Slope({self.num}, {self.den})"
 
 
+_set_num, _set_den = Slope.num.__set__, Slope.den.__set__
 INF = Slope(1, 0)
 
 

@@ -190,17 +190,22 @@ def test_floer_cli(capsys):
     assert code == 0 and "not Stein fillable" in out
 
 
-def test_floer_reads_two_binomial_rows_per_class(capsys, monkeypatch):
-    # one row for the coefficients and one for the Laurent text of each class
+def test_floer_builds_each_binomial_row_once(capsys, monkeypatch):
+    # from an empty cache a table builds one signed binomial row per i, which
+    # every class with that i reads for its coefficients and its Laurent text;
+    # a second table reuses them, and the cap builds at most MAX_N rows
     floer = importlib.import_module("tightsf.floer")
     binomial_row = floer._binomial_row
     calls = []
     monkeypatch.setattr(floer, "_binomial_row", lambda i: calls.append(i) or binomial_row(i))
+    floer._row.cache_clear()
     code, out, err = run(capsys, "floer", "--n", "12", "--json")
     assert code == 0 and err == ""
-    classes = json.loads(out)["result"]["classes"]
-    assert len(classes) == 78 and len(calls) == 156
-    assert sorted(calls) == sorted(row["i"] for row in classes for _ in range(2))
+    assert len(json.loads(out)["result"]["classes"]) == 78 and sorted(calls) == list(range(12))
+    code, out, err = run(capsys, "floer", "--n", "12")
+    assert code == 0 and err == "" and len(calls) == 12
+    code, out, err = run(capsys, "floer", "--n", str(MAX_N))
+    assert code == 0 and err == "" and sorted(calls) == list(range(MAX_N))
 
 
 def test_floer_laurent_matches_the_oracle(capsys):
@@ -462,6 +467,22 @@ def test_sphere_family_report_at_the_cap(capsys):
     data = out.encode()
     assert len(data) == 24_138_027
     assert hashlib.sha256(data).hexdigest()[:16] == "1258dfac61ad5e06"
+
+
+def test_caps_are_the_same_bytes_from_cold_and_warm_caches(capsys):
+    # the floer rows, the power texts and the row template are built on first
+    # use; at each cap (pinned by digest above) a run that builds them prints
+    # the same bytes as one that reuses them
+    floer = importlib.import_module("tightsf.floer")
+    report = importlib.import_module("tightsf.report")
+    n = MAX_TWIST_ROWS
+    for argv in (("floer", "--n", str(MAX_N), "--json"), ("floer", "--n", str(MAX_N)),
+                 ("classify", f"-2;1/2,2/3,{5 * n + 1}/{6 * n + 1}", "--json")):
+        floer._row.cache_clear()
+        floer._powers.cache_clear()
+        report._TEMPLATES.clear()
+        cold = run(capsys, *argv)
+        assert cold[0] == 0 and cold[2] == "" and run(capsys, *argv) == cold, argv
 
 
 def test_floer_index_builds_one_class(capsys, monkeypatch):

@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -131,11 +134,24 @@ def test_each_class_is_one_row_and_one_object(monkeypatch):
         return binomial_row(i)
 
     monkeypatch.setattr(floer, "_binomial_row", counting_row)
+    floer._row.cache_clear()
     for n in (30, 100):
+        # every class reads its i's row, built once for the first class with
+        # that i and kept for the next table
         classes = index_set(n)
-        rows = 0
-        assert all(type(laurent_image(idx)) is str for idx in classes)
-        assert rows == len(classes) == n * (n + 1) // 2
+        assert all(type(laurent_image(idx)) is str and type(expansion(idx)) is ExpansionVector for idx in classes)
+        assert rows == n
+    assert all(floer._row(i)[0] is floer._row(i)[0] == tuple(binomial_row(i)) for i in range(MAX_N))
+    assert rows == MAX_N
+
+
+def test_importing_the_cli_builds_no_floer_row_or_power_table():
+    # the rows and the power texts are built on first use, not at import
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tightsf.cli, tightsf.floer as f; "
+            "print(f._row.cache_info().currsize, f._powers.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(Path(floer.__file__).parents[1])],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.stdout, proc.stderr, proc.returncode) == ("0 0\n", "", 0)
 
 
 def test_expansion_recursion():

@@ -426,15 +426,36 @@ def test_max_twist_table_writer_matches_json_dumps(monkeypatch):
                                             ("num", "den"), "\0", "\0", ("num", "den"), "\0", "1", "\0")]
 
 
-def test_max_twist_table_rows_are_one_piece():
-    # a non-empty table appends its opening, its joined rows and its closing
-    # as three pieces, so the rows' text is not copied into a fourth
+def test_max_twist_table_rows_reach_out_unjoined():
+    # a non-empty table appends each piece of its row template and each
+    # column's digits as an item of out: no row is formatted or joined into a
+    # copy, and the digits of k serve -k, the boundary -(n-k) and the count n-k
     for n in (1, 2, 800):
         for pad in ("", "    "):
-            out = []
+            out = ["before"]
             report._write_max_twist_table(max_twist_table(n), pad, out)
-            assert out[0] == "[\n" + pad + "  " and out[2] == "\n" + pad + "]" and len(out) == 3
-            assert out[1].count('"k": ') == n and "".join(out).replace("\n" + pad, "\n") == written(max_twist_table(n))
+            assert out[0] == "before" and len(out) == 10 * n + 2
+            assert out[1].startswith("[\n" + pad + "  ") and out[-1].endswith("\n" + pad + "]")
+            assert max(map(len, out)) < 100 and "".join(out[1:]).replace("\n" + pad, "\n") == written(max_twist_table(n))
+            rows = out[1:-1]
+            assert rows[1::10] == rows[3::10] == list(map(str, range(n)))
+            assert rows[5::10] == list(map(str, range(1, 6 * n, 6)))
+            assert rows[7::10] == rows[9::10] == list(map(str, range(n, 0, -1)))
+            assert all(a is b for a, b in zip(rows[1::10], rows[3::10]))
+            assert all(a is b for a, b in zip(rows[11::10], reversed(rows[9::10])))
+
+
+def test_max_twist_table_writer_checks_its_columns():
+    # the writer reads the columns as the ranges max_twist_table returns, and
+    # refuses a table whose columns are anything else, under -O too
+    table = max_twist_table(5)
+    for bad in (table._replace(count=range(6, 1, -1)), table._replace(boundary=range(-4, 1)),
+                table._replace(count=tuple(table.count)), table._replace(k=range(1, 6)), table._replace(n=6),
+                table._replace(rounded_den=range(1, 31, 7)), table._replace(rounded_num=range(5))):
+        with pytest.raises(ArithmeticError):
+            written(bad)
+        with pytest.raises(ArithmeticError):
+            report.report("classify", {"per_k": bad})
 
 
 def test_writer_int_tuples_and_fractions():
