@@ -103,7 +103,7 @@ def classify(sd: SeifertData) -> ClassificationResult:
         )
     if family.kind == sf.SPHERE_FAMILY:
         n = family.n
-        table = max_twist_table(n)
+        table = max_twist_table(sd, n)
         count = twist_count(table)
         data: dict[str, Any] = {"case": family.kind, "n": n, "per_k": table}
         if n == 1:  # also (1/2, 2/3, k/(k+1)) at k = 6, where the one structure is Stein

@@ -18,7 +18,7 @@ with the four rational coefficients computed by slope_coeffs.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .contfrac import Convergents
 from .seifert import SeifertData
@@ -178,55 +178,56 @@ MAX_TWIST_ROWS = 10**5
 
 
 class MaxTwistTable(NamedTuple):
-    """A sphere-family table as five columns, which max_twist_table makes
-    ranges; tuples() zips them into the rows (k, rounded_num, rounded_den,
-    boundary, count)."""
+    """A sphere-family table, held as its parameter n.  tuples() gives row
+    k < n as (k, -k, 6k+1, k-n, n-k): k, the rounded slope -k/(6k+1) as its
+    num and den > 0, the dV_3 boundary slope, the integer -n+k, and the count
+    n-k of tight structures on V_3 rel boundary."""
     n: int
-    k: Sequence[int]
-    rounded_num: Sequence[int]  # slope of the rounded torus, -k/(6k+1), reduced with den > 0
-    rounded_den: Sequence[int]
-    boundary: Sequence[int]  # dV_3 boundary slope, the integer -n+k
-    count: Sequence[int]  # tight structures on V_3 rel boundary
+
+    @property
+    def counts(self) -> range:
+        """The count column, n-k at row k."""
+        return range(self.n, 0, -1)
 
     def tuples(self) -> Iterator[tuple[int, ...]]:
-        return zip(self.k, self.rounded_num, self.rounded_den, self.boundary, self.count)
+        n = self.n
+        return zip(range(n), range(0, -n, -1), range(1, 6 * n, 6), range(-n, 0), self.counts)
 
     @property
     def total(self) -> int:
-        return sum(self.count)
+        return sum(self.counts)
 
 
-def _family_convergents(n: int) -> tuple[Convergents, Convergents, Convergents]:
-    """The convergents of the legs 1/2, 2/3 and (5n+1)/(6n+1), in closed form.
-
-    p v - q u = 1 with 0 < v < q makes v the inverse of p modulo q, which
-    fixes (u, v); and (5n+1) 6 - (6n+1) 5 = 1 with 6 < 6n+1 for n >= 1.
-    """
-    return Convergents(1, 2, 0, 1), Convergents(2, 3, 1, 2), Convergents(5 * n + 1, 6 * n + 1, 5, 6)
-
-
-def max_twist_table(n: int) -> MaxTwistTable:
-    """Upper-bound bookkeeping for M(-2; 1/2, 2/3, (5n+1)/(6n+1)).
+def max_twist_table(sd: SeifertData, n: int) -> MaxTwistTable:
+    """Upper-bound bookkeeping for sd = M(-2; 1/2, 2/3, (5n+1)/(6n+1)), with the
+    n that detect_family read off it.
 
     Maximal twisting forces n_1 = -3k-1, n_2 = -2k-1 for some 0 <= k <= n-1;
     rounding gives -k/(6k+1) and the V_3 boundary slope -n+k, a solid torus
     carrying n-k tight structures.  The rows sum to n(n+1)/2.
 
-    In plain integers at k = 0, 1, 2, along the route of v3_slope_stepwise,
-    the dividing counts must balance at delta = -(6k+1), the rounded
-    numerator must be num = k, and the inverse V_3 transfer must carry
-    (delta, -num) to an (x, y) with x != 0 and y = (k-n) x; each check raises
-    ArithmeticError, so -O keeps it.  These prove every row of every n: delta,
-    num, x and y are affine in k, so y - (k-n) x, of degree 2, vanishes
-    identically, which leaves x constant.  As gcd(k, 6k+1) = 1 and n-k is
-    solid_torus_count of -n+k, each column is a range (check_max_twist_chain
-    checks each row stepwise).  Raises ValueError above MAX_TWIST_ROWS rows.
+    In plain integers from the convergents in sd.conv, at k = 0, 1, 2, along
+    the route of v3_slope_stepwise, the dividing counts must balance at
+    delta = -(6k+1), the rounded numerator must be num = k, and the inverse
+    V_3 transfer must carry (delta, -num) to an (x, y) with x != 0 and
+    y = (k-n) x; each check raises ArithmeticError, so -O keeps it.  These
+    prove every row: delta, num, x and y are affine in k, so y - (k-n) x, of
+    degree 2, vanishes identically, which leaves x constant.  They also pin
+    the legs: the balance and the rounding need r_1 = 1/2 and r_2 = 2/3, a
+    constant x needs (u_3, v_3) = (5, 6), and then y = (k-n) x needs
+    r_3 = (5n+1)/(6n+1), so any manifold but the n-th member of the family
+    fails a check.  As gcd(k, 6k+1) = 1 and n-k is solid_torus_count of
+    -n+k, each row is read off n (check_max_twist_chain checks each row
+    stepwise).  Raises ValueError above MAX_TWIST_ROWS rows or unless
+    e0 = -2.
     """
     if n < 1:
         raise ValueError("family parameter must be positive")
     if n > MAX_TWIST_ROWS:
         raise ValueError(f"the table has {n} rows, more than the limit {MAX_TWIST_ROWS}")
-    (p1, q1, u1, v1), (p2, q2, u2, v2), conv3 = _family_convergents(n)
+    if sd.e0 != -2:
+        raise ValueError(f"e0 = {sd.e0}, not -2")
+    (p1, q1, u1, v1), (p2, q2, u2, v2), conv3 = sd.conv
     inv = fiber3_matrix(conv3).inverse()  # fiber3_matrix raises ValueError unless unimodular
     for k in (0, 1, 2):
         n1, n2 = -3 * k - 1, -2 * k - 1
@@ -241,7 +242,7 @@ def max_twist_table(n: int) -> MaxTwistTable:
         y = inv.c * delta - inv.d * num
         if x == 0 or y != (k - n) * x:
             raise ArithmeticError(f"row k = {k}: V_3 boundary slope {Slope(y, x)} is not -n+k = {k - n}")
-    return MaxTwistTable(n, range(n), range(0, -n, -1), range(1, 6 * n, 6), range(-n, 0), range(n, 0, -1))
+    return MaxTwistTable(n)
 
 
 def twist_count(table: MaxTwistTable) -> int:

@@ -75,16 +75,9 @@ def grid(n: int) -> tuple[int, ...]:
     return tuple(range(-n + 1, n, 2))
 
 
-class ExpansionVector(NamedTuple("ExpansionVector", [("n", int), ("coeffs", tuple[int, ...])])):
+class ExpansionVector(NamedTuple):
     """Coordinates of a contact class in the i = 0 basis, indexed by grid(n)."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace runs the check too
-
-    def __new__(cls, n: int, coeffs: tuple[int, ...]) -> "ExpansionVector":
-        if len(coeffs) != n:
-            raise ValueError("coefficient vector has wrong length")
-        return tuple.__new__(cls, (n, tuple(coeffs)))
+    coeffs: tuple[int, ...]
 
 
 def _binomial_row(i: int) -> list[int]:
@@ -116,7 +109,7 @@ def expansion(idx: ContactIndex) -> ExpansionVector:
     """Basis coordinates: (-1)^k binom(i, k) at j' = j + i - 2k, k = 0..i."""
     n, i = idx.n, idx.i
     low = (idx.j - i + n - 1) // 2  # the position of j' = j - i, where k = i
-    return ExpansionVector(n, (0,) * low + _row(i)[0][::-1] + (0,) * (n - 1 - low - i))
+    return ExpansionVector((0,) * low + _row(i)[0][::-1] + (0,) * (n - 1 - low - i))
 
 
 def laurent_image(idx: ContactIndex) -> str:

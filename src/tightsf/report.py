@@ -18,10 +18,10 @@ escaped str, an int, a bool's JSON word, a num or a den, an int of a short list
 of ints, the joined ints of a longer one, or the entries of an `Expansion` of at
 most _MAX_ITEMS entries.  A splice is text its own writer puts between two
 stretches of a template: a longer `Expansion`, a `MaxTwistTable` as the pieces
-of one row template around its columns' digits, each value converted once for
-the whole table, and any other list or tuple of more than _MAX_ITEMS items,
-item by item.  At most _MAX_SHAPES templates are kept; nothing is cached by
-value.
+of one row template around the digits of the rows its n fixes, each value
+converted once for the whole table, and any other list or tuple of more than
+_MAX_ITEMS items, item by item.  At most _MAX_SHAPES templates are kept;
+nothing is cached by value.
 """
 from __future__ import annotations
 
@@ -277,18 +277,14 @@ def _write_max_twist_table(value: MaxTwistTable, pad: str, out: list[str]) -> No
     boundary's "den" as the literal token "1", since max_twist_table checks
     that the V_3 image is proportional to (1, -n+k).
 
-    The columns must be exactly the ranges k, -k, 6k+1, k-n and n-k that
-    max_twist_table returns (an O(1) comparison, raising ArithmeticError so
-    that -O keeps it).  So the digits of 0..n, converted once, serve k, -k
-    (a "-" ending the piece before it, but at k = 0), the boundary -(n-k),
-    the count n-k and each 6k+1 up to n; the rest of the 6k+1 column is
-    converted once.  out is extended by the row's pieces, 10 items a row,
-    and the slots are filled by slice assignment, so no row is formatted or
-    joined into a copy.
+    The table holds only n, and row k is (k, -k, 6k+1, k-n, n-k).  So the
+    digits of 0..n, converted once, serve k, -k (a "-" ending the piece
+    before it, but at k = 0), the boundary -(n-k), the count n-k and each
+    6k+1 up to n; the rest of the 6k+1 column is converted once.  out is
+    extended by the row's pieces, 10 items a row, and the slots are filled
+    by slice assignment, so no row is formatted or joined into a copy.
     """
     n = value.n
-    if value[1:] != (range(n), range(0, -n, -1), range(1, 6 * n, 6), range(-n, 0), range(n, 0, -1)):
-        raise ArithmeticError(f"a sphere-family table for n = {n} whose columns are not its ranges")
     if n < 1:
         out.append("[]")
         return

@@ -109,11 +109,11 @@ def check_max_twist_chain(ns: Iterable[int] = range(1, 21)) -> str:
     tuple of plain ints."""
     rows = top = 0
     for n in ns:
-        table = max_twist_table(n)
+        sd = normalize((Fraction(1, 2), Fraction(2, 3), Fraction(5 * n + 1, 6 * n + 1)), -2)
+        table = max_twist_table(sd, n)
         twist_count(table)
         tuples = list(table.tuples())
         _check(table.n == n and len(tuples) == n, f"n = {n}: the table has {len(tuples)} rows, not n")
-        sd = normalize((Fraction(1, 2), Fraction(2, 3), Fraction(5 * n + 1, 6 * n + 1)), -2)
         q1, v1 = sd.conv[0].q, sd.conv[0].v
         transfer = fiber3_matrix(sd.conv[2]).inverse()
         for k, row in enumerate(tuples):

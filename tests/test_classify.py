@@ -74,7 +74,7 @@ def test_unknown_examples():
 def test_three_counts_agree():
     for n in range(1, 21):
         res = classify(parse_manifold(f"-2;1/2,2/3,{5 * n + 1}/{6 * n + 1}"))
-        assert res.count == max_twist_table(n).total == len(index_set(n))
+        assert res.count == max_twist_table(res.manifold, n).total == len(index_set(n))
 
 
 def test_permutation_invariance():

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from tightsf.cli import main
 from tightsf.contfrac import Expansion, solid_torus_count
 from tightsf.convex import (
-    MAX_TWIST_ROWS, max_twist_table, measured_slope, rounded_slope, slope_coeffs, v3_slope, v3_slope_stepwise,
+    MAX_TWIST_ROWS, MaxTwistTable, measured_slope, rounded_slope, slope_coeffs, v3_slope, v3_slope_stepwise,
 )
 from tightsf.floer import MAX_N, ContactIndex
 from tightsf.seifert import parse_manifold
@@ -75,31 +75,51 @@ _manifold = st.one_of(
     st.builds("{};{}".format, _number, st.lists(_spaced, min_size=2, max_size=4).map(",".join)),
     st.text(max_size=12),
 )
+# 10^5 characters: a head that reads as the start of a value, then one unit repeated
+LONG_TEXT = 10**5
+_long = st.builds(lambda head, unit: (head + unit * LONG_TEXT)[:LONG_TEXT],
+                  st.sampled_from(["", "-", "1/", "1,", "-2;1/2,2/3,", "-2;1/2,2/3,1/"]),
+                  st.sampled_from(["9", "1/2,", ",", "/", " ", "\n", "x", "\u00e9"]))
+# a --diagram path: a missing file, an empty one, a directory, a file that is not JSON
+_path = st.one_of(st.text(max_size=12), st.sampled_from(["", ".", os.devnull, __file__]))
+
+
+def _text(values):
+    """values, or 10^5 characters of text in their place."""
+    return st.one_of(values, _long)
 
 
 @st.composite
 def cli_argv(draw):
-    command = draw(st.sampled_from(["classify", "seifert", "slopes", "cf", "bypass", "floer"]))
+    command = draw(st.sampled_from(["classify", "seifert", "slopes", "cf", "bypass", "floer", "theta", "selftest"]))
     if command in ("classify", "seifert"):
-        argv = [command, draw(_manifold)]
+        argv = [command, draw(_text(_manifold))]
     elif command == "slopes":
-        argv = [command, draw(_manifold), "--n1", draw(_number)]
+        argv = [command, draw(_text(_manifold)), "--n1", draw(_text(_number))]
     elif command == "cf":
-        argv = [command, draw(_spaced)]
+        argv = [command, draw(_text(_spaced))]
     elif command == "bypass":
-        argv = [command, "--dividing", draw(_spaced), "--ruling", draw(_spaced)]
-        argv += draw(st.sampled_from([[], ["--oracle"], ["--side", "back", "--oracle"]]))
-    else:
-        argv = [command, "--n", str(draw(st.integers(-2, 30)))]
+        argv = [command, "--dividing", draw(_text(_spaced)), "--ruling", draw(_text(_spaced))]
+        side = _text(st.sampled_from(["front", "back"])).map(lambda text: ["--side", text])
+        argv += draw(st.one_of(st.just([]), side)) + draw(st.sampled_from([[], ["--oracle"]]))
+    elif command == "floer":
+        argv = [command, "--n", draw(_text(st.integers(-2, 30).map(str)))]
         index = st.one_of(st.builds("{},{}".format, st.integers(-2, 30), st.integers(-30, 30)), _fraction)
-        argv += draw(st.one_of(st.just([]), index.map(lambda text: ["--index", text])))
+        argv += draw(st.one_of(st.just([]), _text(index).map(lambda text: ["--index", text])))
+    elif command == "theta":
+        argv = [command, "--diagram", draw(_text(_path))]
+    else:
+        # selftest takes no argument, so each draw is a usage error; the
+        # suites themselves run in test_selftest_checks_survive_optimize
+        argv = [command, draw(_text(_fraction))]
     return argv + draw(st.sampled_from([[], ["--json"]]))
 
 
 @settings(max_examples=300, deadline=2000)
 @given(cli_argv())
 def test_cli_contract(argv):
-    # exit 0, 1 or 2; an error is one `error: ` line on stderr and nothing on stdout
+    # exit 0, 1 or 2; an error is one `error: ` line of under 200 bytes on
+    # stderr, whatever the length of the input, and nothing on stdout
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
@@ -107,6 +127,7 @@ def test_cli_contract(argv):
     if code == 1:
         assert out.getvalue() == "", argv
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: "), argv
+        assert len(err.getvalue().encode("utf-8", "backslashreplace")) < 200, argv
     else:
         assert err.getvalue() == "", argv
 
@@ -513,12 +534,7 @@ def test_floer_cap_fails_fast(capsys):
 def test_broken_table_identity_is_one_line_error(capsys, monkeypatch):
     # rows that no longer sum to n(n+1)/2 stop classify, with -O as without:
     # the count column loses its last row
-    def short_table(n):
-        table = max_twist_table(n)
-        return table._replace(count=table.count[:-1])
-
-    # the package exports the function classify under the submodule's name
-    monkeypatch.setattr(importlib.import_module("tightsf.classify"), "max_twist_table", short_table)
+    monkeypatch.setattr(MaxTwistTable, "counts", property(lambda table: range(table.n, 1, -1)))
     code, out, err = run(capsys, "classify", "-2;1/2,2/3,11/13", "--json")
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "n(n+1)/2" in err
@@ -526,17 +542,12 @@ def test_broken_table_identity_is_one_line_error(capsys, monkeypatch):
 
 SABOTAGED_SELFTEST = """
 import sys
-import tightsf.selftest as selftest
 from tightsf.cli import main
-from tightsf.convex import max_twist_table
-
-def sabotaged(n):
-    # the last row counts 2, not 1, so the counts sum to n(n+1)/2 + 1
-    table = max_twist_table(n)
-    return table._replace(count=(*table.count[:-1], 2))
+from tightsf.convex import MaxTwistTable
 
 if sys.argv[1] == "sabotage":
-    selftest.max_twist_table = sabotaged
+    # the last row counts 2, not 1, so the counts sum to n(n+1)/2 + 1
+    MaxTwistTable.counts = property(lambda table: (*range(table.n, 1, -1), 2))
 sys.exit(main(["selftest"]))
 """
 

@@ -16,6 +16,7 @@ from tightsf.convex import (
     MAX_TWIST_ROWS,
     RISING_DEPTH,
     LimitInfo,
+    MaxTwistTable,
     SlopeCoeffs,
     limit_regime,
     max_twist_table,
@@ -337,24 +338,30 @@ def test_limit_matches_fraction_oracle_on_big_legs(drawn, n1):
             v3_slope_limit(sd, c)
 
 
+def family_table(n):
+    return max_twist_table(sphere_family(n), n)
+
+
 def test_max_twist_table():
-    t1 = max_twist_table(1)
+    t1 = family_table(1)
     assert [(k, Slope(b), count) for k, _, _, b, count in t1.tuples()] == [(0, Slope(-1), 1)]
     assert t1.total == 1
-    t2 = max_twist_table(2)
+    t2 = family_table(2)
     assert [(k, Slope(b), count) for k, _, _, b, count in t2.tuples()] == [
         (0, Slope(-2), 2),
         (1, Slope(-1), 1),
     ]
     assert t2.total == 3
-    assert max_twist_table(5).total == 15
+    assert family_table(5).total == 15
+    # the table is its parameter: every column is read off n
+    assert MaxTwistTable._fields == ("n",) and t2 == MaxTwistTable(2)
 
 
 def test_max_twist_table_checks_each_boundary(monkeypatch):
     # a wrong V_3 transfer is caught by the row check, which -O keeps
     monkeypatch.setattr(convex, "fiber3_matrix", lambda sd: UniMat(1, 0, 0, 1))
     with pytest.raises(ArithmeticError, match="-n\\+k"):
-        max_twist_table(3)
+        family_table(3)
 
 
 def family_convergents(n):
@@ -362,19 +369,46 @@ def family_convergents(n):
 
 
 def test_family_convergents_closed_form():
+    # p v - q u = 1 with 0 < v < q makes v the inverse of p modulo q, and
+    # (5n+1) 6 - (6n+1) 5 = 1 with 6 < 6n+1 for n >= 1: parse reads these
+    # convergents off the family's legs, which max_twist_table checks
     for n in [*range(1, 200), 10**5, 10**40]:
-        assert convex._family_convergents(n) == family_convergents(n)
+        closed = ((1, 2, 0, 1), (2, 3, 1, 2), (5 * n + 1, 6 * n + 1, 5, 6))
+        assert sphere_family(n).conv == family_convergents(n) == closed
 
 
-def test_max_twist_table_checks_the_balance(monkeypatch):
+def doctored(n, leg, **shift):
+    """The n-th family member with one leg's convergents shifted, e.g. v=1."""
+    sd = sphere_family(n)
+    conv = list(sd.conv)
+    conv[leg] = conv[leg]._replace(**{name: getattr(conv[leg], name) + d for name, d in shift.items()})
+    return sd._replace(conv=tuple(conv))
+
+
+def test_max_twist_table_checks_the_balance():
     # dividing counts that fail to balance are caught by the row check, which -O keeps
-    def unbalanced(n):
-        conv1, conv2, conv3 = family_convergents(n)
-        return conv1, conv2._replace(v=conv2.v + 1), conv3
-
-    monkeypatch.setattr(convex, "_family_convergents", unbalanced)
     with pytest.raises(ArithmeticError, match="balance"):
-        max_twist_table(3)
+        max_twist_table(doctored(3, 1, v=1), 3)
+
+
+def test_max_twist_table_refuses_other_manifolds():
+    # the checks read the convergents of the manifold they are given, so a
+    # wrong n, a manifold outside the family or a doctored leg is refused
+    for n in (1, 2, 3, 7, 800):
+        sd = sphere_family(n)
+        assert max_twist_table(sd, n) == MaxTwistTable(n)
+        for wrong in {n - 1, n + 1, 2 * n} - {0}:
+            with pytest.raises(ArithmeticError, match="-n\\+k"):
+                max_twist_table(sd, wrong)
+    for text, n in (("-2;1/2,2/3,7/8", 1), ("-2;1/2,2/3,12/13", 2), ("-2;1/2,2/3,10/13", 2),
+                    ("-2;1/3,2/3,11/13", 2), ("-2;1/2,3/4,11/13", 2), ("-2;1/2,3/4,3/4", 1)):
+        with pytest.raises(ArithmeticError):
+            max_twist_table(parse_manifold(text), n)
+    with pytest.raises(ValueError, match="e0"):
+        max_twist_table(parse_manifold("-1;1/2,2/3,11/13"), 2)
+    for leg, shift in ((0, {"u": 1, "p": 2}), (1, {"p": 2, "u": 1}), (2, {"p": 5, "q": 6})):
+        with pytest.raises(ArithmeticError):
+            max_twist_table(doctored(3, leg, **shift), 3)
 
 
 def test_max_twist_table_builds_only_the_stored_slopes(monkeypatch):
@@ -394,15 +428,16 @@ def test_max_twist_table_builds_only_the_stored_slopes(monkeypatch):
     for name in ("measured_slope", "rounded_slope"):
         monkeypatch.setattr(convex, name, counted(name, getattr(convex, name)))
     for n in (1, 7, 300):
+        sd = sphere_family(n)
         calls.update(dict.fromkeys(calls, 0))
-        assert max_twist_table(n).total == n * (n + 1) // 2
+        assert max_twist_table(sd, n).total == n * (n + 1) // 2
         assert calls["Slope"] == 0
         assert calls["apply"] == calls["measured_slope"] == calls["rounded_slope"] == 0
 
 
 def test_sphere_family_work_per_table_is_constant(monkeypatch):
-    # counted work, not timing: the table is five ranges checked at three
-    # values of k, so building it makes as many Slope constructions at
+    # counted work, not timing: the table is its n, checked at three values
+    # of k, so building it makes as many Slope constructions at
     # n = MAX_TWIST_ROWS as at n = 1 and no solid_torus_count call, and holds
     # no table-sized memory; writing its report builds as many templates at
     # n = 1000 as at n = 10
@@ -420,15 +455,16 @@ def test_sphere_family_work_per_table_is_constant(monkeypatch):
     monkeypatch.setattr(convex, "solid_torus_count", stc, raising=False)  # a name convex might import
     built = []
     for n in (1, 7, 300, MAX_TWIST_ROWS):
+        sd = sphere_family(n)
         calls.update(dict.fromkeys(calls, 0))
-        assert max_twist_table(n).total == n * (n + 1) // 2
+        assert max_twist_table(sd, n).total == n * (n + 1) // 2
         built.append(calls["Slope"])
         assert calls["solid_torus_count"] == 0
     assert built[0] == built[1] == built[2] == built[3]
 
     tracemalloc.start()
     try:
-        table = max_twist_table(MAX_TWIST_ROWS)
+        table = max_twist_table(sd, MAX_TWIST_ROWS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -462,22 +498,18 @@ def test_max_twist_table_builds_one_transfer_matrix(monkeypatch):
     new = UniMat.__new__
     monkeypatch.setattr(UniMat, "__new__", lambda cls, *abcd: built.append(abcd) or new(cls, *abcd))
     for n in (1, 2, 7, 800):
+        sd = sphere_family(n)
         built.clear()
-        assert max_twist_table(n).total == n * (n + 1) // 2
+        assert max_twist_table(sd, n).total == n * (n + 1) // 2
         assert len(built) == 2
 
-    def skewed(n):
-        conv1, conv2, conv3 = family_convergents(n)
-        return conv1, conv2, conv3._replace(u=conv3.u + 1)
-
-    monkeypatch.setattr(convex, "_family_convergents", skewed)
     with pytest.raises(ValueError, match="unimodular"):
-        max_twist_table(3)
+        max_twist_table(doctored(3, 2, u=1), 3)
 
 
 def test_max_twist_rows_cap():
     with pytest.raises(ValueError, match="limit"):
-        max_twist_table(MAX_TWIST_ROWS + 1)
+        max_twist_table(sphere_family(MAX_TWIST_ROWS + 1), MAX_TWIST_ROWS + 1)
     with pytest.raises(ValueError):
-        max_twist_table(0)
+        max_twist_table(sphere_family(1), 0)
 

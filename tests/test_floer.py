@@ -239,14 +239,12 @@ def test_stein_obstruction():
 
 
 def test_vector_guards():
-    with pytest.raises(ValueError):
-        ExpansionVector(3, (1, 0))
-    with pytest.raises(ValueError):
-        ExpansionVector(2, (1, 0))._replace(n=3)
-    # the vector keeps a tuple, so its length stays the one it was checked at
-    coeffs = [1, 2, 3]
-    vector = ExpansionVector(3, coeffs)
-    coeffs.append(4)
-    assert vector.coeffs == (1, 2, 3)
+    # the vector keeps only its coefficients, a tuple with one entry per grid
+    # position, so no length is stored to disagree with them
+    assert ExpansionVector._fields == ("coeffs",)
+    for n in (1, 2, 7):
+        for idx in index_set(n):
+            coeffs = expansion(idx).coeffs
+            assert type(coeffs) is tuple and len(coeffs) == len(grid(n)) == n
     with pytest.raises(AttributeError):
-        vector.coeffs.append(4)
+        expansion(ContactIndex(3, 0, 2)).coeffs.append(4)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from tightsf import report
 from tightsf.classify import ClassificationResult, Fillability, classify
 from tightsf.contfrac import MAX_EXPANSION, Expansion, read_leg
-from tightsf.convex import LimitInfo, MaxTwistTable, SlopeCoeffs, max_twist_table
+from tightsf.convex import LimitInfo, MaxTwistTable, SlopeCoeffs
 from tightsf.seifert import SeifertData, parse_manifold
 from tightsf.slopes import INF, Slope
 from triples import FAMILY_TRIPLES, big_invariants, sorted_triples
@@ -135,7 +135,7 @@ leaves = st.one_of(
     st.fractions(min_value=0, max_value=1, max_denominator=10**4).filter(lambda r: 0 < r < 1).map(
         lambda r: read_leg(r.numerator, r.denominator)[0]),
     st.just(Expansion([])),
-    st.integers(min_value=1, max_value=20).map(max_twist_table),
+    st.integers(min_value=1, max_value=20).map(MaxTwistTable),
 )
 values = st.recursive(
     leaves,
@@ -408,7 +408,7 @@ def test_max_twist_table_writer_matches_json_dumps(monkeypatch):
     # a table is written from one row template; at any nesting depth the text
     # is json.dumps of its row objects
     for n in [*range(1, 41), 799, 800, 10**4]:
-        table = max_twist_table(n)
+        table = MaxTwistTable(n)
         want = json.dumps([
             {"k": k, "rounded": {"num": num, "den": den}, "boundary": {"num": boundary, "den": 1}, "count": count}
             for k, num, den, boundary, count in table.tuples()], indent=2)
@@ -416,12 +416,12 @@ def test_max_twist_table_writer_matches_json_dumps(monkeypatch):
             out = []
             report._write(table, pad, out)
             assert "".join(out) == want.replace("\n", "\n" + pad)
-    assert written(MaxTwistTable(0, *[range(0)] * 5)) == "[]"
+    assert written(MaxTwistTable(0)) == "[]"
     # the row template is the layout of the row's shape key, the boundary's
     # den the literal token "1", and it is kept in the one shape cache
     for pad in ("", "  ", "      "):
         monkeypatch.setattr(report, "_TEMPLATES", {})
-        report._write_max_twist_table(max_twist_table(3), pad, [])
+        report._write_max_twist_table(MaxTwistTable(3), pad, [])
         assert list(report._TEMPLATES) == [(pad + "  ", ("k", "rounded", "boundary", "count"), "\0",
                                             ("num", "den"), "\0", "\0", ("num", "den"), "\0", "1", "\0")]
 
@@ -433,10 +433,10 @@ def test_max_twist_table_rows_reach_out_unjoined():
     for n in (1, 2, 800):
         for pad in ("", "    "):
             out = ["before"]
-            report._write_max_twist_table(max_twist_table(n), pad, out)
+            report._write_max_twist_table(MaxTwistTable(n), pad, out)
             assert out[0] == "before" and len(out) == 10 * n + 2
             assert out[1].startswith("[\n" + pad + "  ") and out[-1].endswith("\n" + pad + "]")
-            assert max(map(len, out)) < 100 and "".join(out[1:]).replace("\n" + pad, "\n") == written(max_twist_table(n))
+            assert max(map(len, out)) < 100 and "".join(out[1:]).replace("\n" + pad, "\n") == written(MaxTwistTable(n))
             rows = out[1:-1]
             assert rows[1::10] == rows[3::10] == list(map(str, range(n)))
             assert rows[5::10] == list(map(str, range(1, 6 * n, 6)))
@@ -445,17 +445,17 @@ def test_max_twist_table_rows_reach_out_unjoined():
             assert all(a is b for a, b in zip(rows[11::10], reversed(rows[9::10])))
 
 
-def test_max_twist_table_writer_checks_its_columns():
-    # the writer reads the columns as the ranges max_twist_table returns, and
-    # refuses a table whose columns are anything else, under -O too
-    table = max_twist_table(5)
-    for bad in (table._replace(count=range(6, 1, -1)), table._replace(boundary=range(-4, 1)),
-                table._replace(count=tuple(table.count)), table._replace(k=range(1, 6)), table._replace(n=6),
-                table._replace(rounded_den=range(1, 31, 7)), table._replace(rounded_num=range(5))):
-        with pytest.raises(ArithmeticError):
-            written(bad)
-        with pytest.raises(ArithmeticError):
-            report.report("classify", {"per_k": bad})
+def test_max_twist_table_holds_no_columns():
+    # a table is its n alone, so the writer reads only n and has no column
+    # to check: no table can be built with a column of its own
+    table = MaxTwistTable(5)
+    assert MaxTwistTable._fields == ("n",)
+    for column in ("k", "rounded_num", "rounded_den", "boundary", "count"):
+        with pytest.raises(ValueError):
+            table._replace(**{column: range(5)})
+    with pytest.raises(TypeError):
+        MaxTwistTable(5, range(5))
+    assert json.loads(report.report("classify", {"per_k": table}))["result"]["per_k"] == json.loads(written(table))
 
 
 def test_writer_int_tuples_and_fractions():
