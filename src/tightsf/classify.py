@@ -25,7 +25,7 @@ from typing import Any, NamedTuple
 
 from . import seifert as sf
 from .contfrac import Convergents, Expansion, capped_count, shifted_product
-from .convex import max_twist_table, slope_coeffs, twist_count, v3_slope_limit
+from .convex import max_twist_table, slope_coeffs, v3_slope_limit
 from .seifert import SeifertData
 
 EXACT = "exact"
@@ -76,10 +76,11 @@ def _fiber_certificate(sd: SeifertData, case: str) -> dict[str, Any]:
     Each leg's expansion is the runs stored in sd at parse: its entry count
     is checked against MAX_EXPANSION, since the certificate prints every
     entry, and its T is taken once, from the run heads.  The boundary slope
-    ncf_eval(reverse_shift(leg).entries()) equals (p - q)/(v - u) from the
-    convergents stored in sd, and its solid-torus count is T: reverse_shift
-    keeps the shifted factors a_k + 1, and the head a_0 + 1 becomes the
-    unshifted last factor (checked by selftest.check_contfrac_identities).
+    selftest.ncf_eval(reverse_shift(leg).entries()) equals (p - q)/(v - u)
+    from the convergents stored in sd, and its solid-torus count is T:
+    reverse_shift keeps the shifted factors a_k + 1, and the head a_0 + 1
+    becomes the unshifted last factor (checked by
+    selftest.check_contfrac_identities).
     """
     t_values = []
     shortcut = []
@@ -103,14 +104,13 @@ def classify(sd: SeifertData) -> ClassificationResult:
         )
     if family.kind == sf.SPHERE_FAMILY:
         n = family.n
-        table = max_twist_table(sd, n)
-        count = twist_count(table)
-        data: dict[str, Any] = {"case": family.kind, "n": n, "per_k": table}
+        data: dict[str, Any] = {"case": family.kind, "n": n, "per_k": max_twist_table(sd, n)}
         if n == 1:  # also (1/2, 2/3, k/(k+1)) at k = 6, where the one structure is Stein
             data["also_k_over_k_plus_1"] = 6
         kind = ALL_STEIN if n == 1 else MIXED
         fill = Fillability(kind, stein_lower=n, non_stein_lower=n // 2, all_strong=True)
-        return ClassificationResult(sd, EXACT, count, fill, data)
+        # the count is the sum of the rows n-k, k < n, that max_twist_table proves
+        return ClassificationResult(sd, EXACT, n * (n + 1) // 2, fill, data)
     if family.kind in _PRODUCT_KINDS:
         data = _fiber_certificate(sd, family.kind)
         count = prod(data["t_values"])

@@ -18,7 +18,6 @@ from .convex import limit_regime, measured_slope, slope_coeffs, v3_slope, v3_slo
 from .farey import BACK, FRONT, bypass_attach, checked_bypass
 from .floer import ContactIndex, expansion, grid, index_set, laurent_image, pairwise_distinct, stein_obstructed
 from .seifert import detect_family, h1_order, linking_matrix, parse_manifold
-from .selftest import run_all
 from .slopes import Slope, parse_int
 from .theta import SurgeryDiagram, theta_parts
 
@@ -28,7 +27,7 @@ def _cmd_cf(args) -> int:
     entries, (p, q, u, v) = read_leg(*leg_of(x))
     capped_count(entries)
     shifted = reverse_shift(entries)
-    shifted_value = Slope(p - q, v - u)  # equals ncf_eval(shifted.entries())
+    shifted_value = Slope(p - q, v - u)  # equals selftest.ncf_eval(shifted.entries())
     t = shifted_product(entries)  # T(p/q), read off the expansion of -q/p
     if args.json:
         print(report.report("cf", {
@@ -188,6 +187,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_all  # the oracles load only when they run
+
     results = run_all()
     width = max(len(name) for name, _, _ in results)
     failed = 0

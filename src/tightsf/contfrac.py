@@ -146,17 +146,6 @@ def shifted_product(runs) -> int:
     return abs(prod(a + 1 for a, _ in runs if a != -2))
 
 
-def ncf_eval(entries) -> Slope:
-    """Right-to-left evaluation of a sequence of entries (an Expansion's
-    entries()); the empty sequence gives the infinite slope."""
-    n, d = 1, 0  # the infinite slope: a first entry a gives (a, 1)
-    for a in reversed(tuple(entries)):
-        if n == 0:
-            raise ValueError("intermediate zero denominator in evaluation")
-        n, d = a * n - d, n
-    return Slope(n, d)
-
-
 def reverse_shift(leg: Expansion) -> Expansion:
     """The runs of [a_m, ..., a_1, a_0 + 1] (derived form; last entry may be
     -1), for the runs of a canonical expansion [a_0, ..., a_m]: the runs

@@ -18,7 +18,7 @@ with the four rational coefficients computed by slope_coeffs.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .contfrac import Convergents
 from .seifert import SeifertData
@@ -38,18 +38,6 @@ def measured_slope(i: int, sd: SeifertData, n: int) -> Slope:
     if i in (2, 3):
         return Slope((q - p) * n + (v - u), den)
     raise ValueError("fiber index must be 1, 2 or 3")
-
-
-def rounded_slope(s_a: Slope, s_b: Slope, delta: int) -> Slope:
-    """Slope after cutting along the balanced annulus and rounding: sA + sB - 1/delta.
-
-    Both denominators divide delta, so the sum is one integer over delta.
-    """
-    if delta == 0:
-        raise ValueError("delta must be nonzero")
-    if s_a.is_inf or s_b.is_inf or delta % s_a.den or delta % s_b.den:
-        raise ValueError("imbalanced dividing sets")
-    return Slope(s_a.num * (delta // s_a.den) + s_b.num * (delta // s_b.den) - 1, delta)
 
 
 class SlopeCoeffs(NamedTuple):  # each coefficient a reduced integer pair (num, den) with den > 0
@@ -89,21 +77,6 @@ def fiber3_matrix(conv3: Convergents) -> UniMat:
     twisted down by one."""
     p, q, u, v = conv3
     return UniMat(q, v, q - p, v - u)
-
-
-def v3_slope_stepwise(sd: SeifertData, n1: int, n2: int) -> Slope:
-    """Edge rounding between V_1 and V_2 followed by transfer to dV_3.
-
-    Requires the balance q_1 n_1 + v_1 = q_2 n_2 + v_2.  The transfer applies
-    the inverse attaching matrix of V_3 to the negated rounded slope; lines
-    are unoriented, so this matches the oriented bookkeeping projectively.
-    """
-    (p1, q1, u1, v1), (p2, q2, u2, v2) = sd.conv[0], sd.conv[1]
-    delta = q1 * n1 + v1
-    if delta != q2 * n2 + v2:
-        raise ValueError("imbalanced dividing sets")
-    rounded = rounded_slope(measured_slope(1, sd, n1), measured_slope(2, sd, n2), delta)
-    return fiber3_matrix(sd.conv[2]).inverse().apply(-rounded)
 
 
 def v3_slope(sd: SeifertData, n1: int, coeffs: SlopeCoeffs) -> Slope:
@@ -178,24 +151,10 @@ MAX_TWIST_ROWS = 10**5
 
 
 class MaxTwistTable(NamedTuple):
-    """A sphere-family table, held as its parameter n.  tuples() gives row
-    k < n as (k, -k, 6k+1, k-n, n-k): k, the rounded slope -k/(6k+1) as its
-    num and den > 0, the dV_3 boundary slope, the integer -n+k, and the count
-    n-k of tight structures on V_3 rel boundary."""
+    """A sphere-family table, held as its parameter n: row k < n is k, the
+    rounded slope -k/(6k+1), the dV_3 boundary slope -n+k and the count n-k
+    of tight structures on V_3 rel boundary."""
     n: int
-
-    @property
-    def counts(self) -> range:
-        """The count column, n-k at row k."""
-        return range(self.n, 0, -1)
-
-    def tuples(self) -> Iterator[tuple[int, ...]]:
-        n = self.n
-        return zip(range(n), range(0, -n, -1), range(1, 6 * n, 6), range(-n, 0), self.counts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 def max_twist_table(sd: SeifertData, n: int) -> MaxTwistTable:
@@ -207,19 +166,19 @@ def max_twist_table(sd: SeifertData, n: int) -> MaxTwistTable:
     carrying n-k tight structures.  The rows sum to n(n+1)/2.
 
     In plain integers from the convergents in sd.conv, at k = 0, 1, 2, along
-    the route of v3_slope_stepwise, the dividing counts must balance at
-    delta = -(6k+1), the rounded numerator must be num = k, and the inverse
-    V_3 transfer must carry (delta, -num) to an (x, y) with x != 0 and
-    y = (k-n) x; each check raises ArithmeticError, so -O keeps it.  These
-    prove every row: delta, num, x and y are affine in k, so y - (k-n) x, of
-    degree 2, vanishes identically, which leaves x constant.  They also pin
-    the legs: the balance and the rounding need r_1 = 1/2 and r_2 = 2/3, a
-    constant x needs (u_3, v_3) = (5, 6), and then y = (k-n) x needs
-    r_3 = (5n+1)/(6n+1), so any manifold but the n-th member of the family
-    fails a check.  As gcd(k, 6k+1) = 1 and n-k is solid_torus_count of
-    -n+k, each row is read off n (check_max_twist_chain checks each row
-    stepwise).  Raises ValueError above MAX_TWIST_ROWS rows or unless
-    e0 = -2.
+    the route of selftest.v3_slope_stepwise, the dividing counts must
+    balance at delta = -(6k+1), the rounded numerator must be num = k, and
+    the inverse V_3 transfer must carry (delta, -num) to an (x, y) with
+    x != 0 and y = (k-n) x; each check raises ArithmeticError, so -O keeps
+    it.  These prove every row: delta, num, x and y are affine in k, so
+    y - (k-n) x, of degree 2, vanishes identically, which leaves x constant.
+    They also pin the legs: the balance and the rounding need r_1 = 1/2 and
+    r_2 = 2/3, a constant x needs (u_3, v_3) = (5, 6), and then y = (k-n) x
+    needs r_3 = (5n+1)/(6n+1), so any manifold but the n-th member of the
+    family fails a check.  As gcd(k, 6k+1) = 1 and n-k is solid_torus_count
+    of -n+k, each row is read off n (selftest.check_max_twist_chain checks
+    each row stepwise).  Raises ValueError above MAX_TWIST_ROWS rows or
+    unless e0 = -2.
     """
     if n < 1:
         raise ValueError("family parameter must be positive")
@@ -243,12 +202,3 @@ def max_twist_table(sd: SeifertData, n: int) -> MaxTwistTable:
         if x == 0 or y != (k - n) * x:
             raise ArithmeticError(f"row k = {k}: V_3 boundary slope {Slope(y, x)} is not -n+k = {k - n}")
     return MaxTwistTable(n)
-
-
-def twist_count(table: MaxTwistTable) -> int:
-    """The sphere-family count n(n+1)/2, checked against the table's counts."""
-    n = table.n
-    count = n * (n + 1) // 2
-    if table.total != count:
-        raise ArithmeticError(f"n = {n}: max_twist_table rows sum to {table.total}, not n(n+1)/2 = {count}")
-    return count

@@ -40,13 +40,9 @@ def _sum_ratio(conv) -> tuple[int, int]:
     return (p1 * q2 + p2 * q1) * q3 + p3 * q12, q12 * q3
 
 
-def normalize(raw, e0_raw: int) -> SeifertData:
-    """Normalized data from unnormalized invariants plus an integer part."""
-    return _normalize([(x.numerator, x.denominator) for x in map(Fraction, raw)], e0_raw)
-
-
 def _normalize(pairs, e0_raw: int) -> SeifertData:
-    """normalize on invariants given as integer pairs (p, q) with q != 0.
+    """Normalized data from three invariants, given as integer pairs (p, q)
+    with q != 0, plus an integer part.
 
     Each p/q is reduced with gcd and split by divmod into its floor, which
     moves into e0, and a part p'/q with 0 < p' < q.  The parts are sorted by

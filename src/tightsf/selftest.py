@@ -1,8 +1,11 @@
-"""Built-in consistency suites runnable from the command line.
+"""Built-in consistency suites runnable from the command line, and the slow
+routes they check the fast paths against.
 
 Each suite is the one implementation of its check: `tightsf selftest` runs it
-at the default sizes, and the test suite calls it at larger ones.  The
-generators the tests share live here too.
+at the default sizes, and the test suite calls it at larger ones.  Each slow
+route lives here once, beside the generators the tests share; the library
+modules keep only what a command runs, and only cli imports this module, when
+selftest runs.
 """
 from __future__ import annotations
 
@@ -11,12 +14,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator
 
-from .contfrac import convergents, expand, ncf_eval, reverse_shift, solid_torus_count, tight_count
-from .convex import (fiber3_matrix, max_twist_table, measured_slope, slope_coeffs, twist_count, v3_slope,
-                     v3_slope_stepwise)
+from .contfrac import Convergents, convergents, expand, reverse_shift, solid_torus_count, tight_count
+from .convex import MaxTwistTable, max_twist_table, measured_slope, slope_coeffs, v3_slope
 from .farey import BACK, FRONT, checked_bypass
-from .seifert import normalize
-from .slopes import INF, Slope
+from .seifert import SeifertData, _normalize
+from .slopes import INF, Slope, UniMat
 
 
 def _check(ok: bool, message: str) -> None:
@@ -47,9 +49,80 @@ def random_slope(rng: random.Random, max_den: int) -> Slope:
     return Slope(p, q)
 
 
+def normalize(raw, e0_raw: int) -> SeifertData:
+    """Normalized data from unnormalized invariants plus an integer part: the
+    Fraction front door to seifert._normalize."""
+    return _normalize([Fraction(x).as_integer_ratio() for x in raw], e0_raw)
+
+
+def ncf_eval(entries) -> Slope:
+    """Right-to-left evaluation of a sequence of entries (an Expansion's
+    entries()); the empty sequence gives the infinite slope."""
+    n, d = 1, 0  # the infinite slope: a first entry a gives (a, 1)
+    for a in reversed(tuple(entries)):
+        if n == 0:
+            raise ValueError("intermediate zero denominator in evaluation")
+        n, d = a * n - d, n
+    return Slope(n, d)
+
+
+def apply(m: UniMat, s: Slope) -> Slope:
+    """Image of the slope under the column-vector action of m, (x, y) read as y/x."""
+    den, num = s.vec()
+    x = m.a * den + m.b * num
+    y = m.c * den + m.d * num
+    if x == 0 and y == 0:
+        raise ArithmeticError(f"{m!r} kills the line of {s}, but a unimodular matrix kills none")
+    return Slope(y, x)
+
+
+def v3_transfer(conv3: Convergents) -> UniMat:
+    """The inverse attaching matrix of V_3, [[v-u, -v], [p-q, q]], written from
+    the convergents (p, q, u, v) of the third invariant: as p v - q u = 1, it
+    inverts convex.fiber3_matrix's [[q, v], [q-p, v-u]]."""
+    p, q, u, v = conv3
+    return UniMat(v - u, -v, p - q, q)
+
+
+def rounded_slope(s_a: Slope, s_b: Slope, delta: int) -> Slope:
+    """Slope after cutting along the balanced annulus and rounding: sA + sB - 1/delta.
+
+    Both denominators divide delta, so the sum is one integer over delta.
+    """
+    if delta == 0:
+        raise ValueError("delta must be nonzero")
+    if s_a.den == 0 or s_b.den == 0 or delta % s_a.den or delta % s_b.den:
+        raise ValueError("imbalanced dividing sets")
+    return Slope(s_a.num * (delta // s_a.den) + s_b.num * (delta // s_b.den) - 1, delta)
+
+
 def rounded_slope_fraction(s_a: Slope, s_b: Slope, delta: int) -> Slope:
     """The rounding as a Fraction sum, sA + sB - 1/delta: oracle for rounded_slope."""
-    return Slope.from_fraction(s_a.as_fraction() + s_b.as_fraction() - Fraction(1, delta))
+    return Slope(*(s_a.as_fraction() + s_b.as_fraction() - Fraction(1, delta)).as_integer_ratio())
+
+
+def v3_slope_stepwise(sd: SeifertData, n1: int, n2: int) -> Slope:
+    """Edge rounding between V_1 and V_2 followed by transfer to dV_3: oracle
+    for convex.v3_slope.
+
+    Requires the balance q_1 n_1 + v_1 = q_2 n_2 + v_2.  The transfer applies
+    the inverse attaching matrix of V_3 to the negated rounded slope; lines
+    are unoriented, so this matches the oriented bookkeeping projectively.
+    """
+    (p1, q1, u1, v1), (p2, q2, u2, v2) = sd.conv[0], sd.conv[1]
+    delta = q1 * n1 + v1
+    if delta != q2 * n2 + v2:
+        raise ValueError("imbalanced dividing sets")
+    rounded = rounded_slope(measured_slope(1, sd, n1), measured_slope(2, sd, n2), delta)
+    return apply(v3_transfer(sd.conv[2]), -rounded)
+
+
+def max_twist_rows(table: MaxTwistTable) -> Iterator[tuple[int, ...]]:
+    """Row k < n of a sphere-family table as (k, -k, 6k+1, k-n, n-k): k, the
+    rounded slope -k/(6k+1) as its num and den > 0, the dV_3 boundary slope
+    -n+k as an integer, and the count n-k."""
+    n = table.n
+    return zip(range(n), range(0, -n, -1), range(1, 6 * n, 6), range(-n, 0), range(n, 0, -1))
 
 
 def check_contfrac_identities(max_q: int = 100) -> str:
@@ -103,25 +176,26 @@ def check_closed_form(samples: int = 200, seed: int = 11, min_n1: int = -40) -> 
 
 
 def check_max_twist_chain(ns: Iterable[int] = range(1, 21)) -> str:
-    """Each row against its own route: measured slopes summed as Fractions,
-    carried to dV_3 by v3_slope_stepwise and by the inverse attaching matrix,
-    and the count of the boundary slope from solid_torus_count; every row is a
-    tuple of plain ints."""
+    """Each row against its own route: the dividing counts balanced, the
+    measured slopes summed as Fractions and carried once to dV_3 by
+    v3_transfer, and the count of the boundary slope from
+    solid_torus_count; every row is a tuple of plain ints."""
     rows = top = 0
     for n in ns:
         sd = normalize((Fraction(1, 2), Fraction(2, 3), Fraction(5 * n + 1, 6 * n + 1)), -2)
         table = max_twist_table(sd, n)
-        twist_count(table)
-        tuples = list(table.tuples())
+        tuples = list(max_twist_rows(table))
         _check(table.n == n and len(tuples) == n, f"n = {n}: the table has {len(tuples)} rows, not n")
-        q1, v1 = sd.conv[0].q, sd.conv[0].v
-        transfer = fiber3_matrix(sd.conv[2]).inverse()
+        (_, q1, _, v1), (_, q2, _, v2) = sd.conv[0], sd.conv[1]
+        transfer = v3_transfer(sd.conv[2])
         for k, row in enumerate(tuples):
             n1, n2 = -3 * k - 1, -2 * k - 1
-            rounded = rounded_slope_fraction(measured_slope(1, sd, n1), measured_slope(2, sd, n2), q1 * n1 + v1)
+            delta = q1 * n1 + v1
+            _check(delta == q2 * n2 + v2, f"n = {n}, k = {k}: dividing counts do not balance")
+            rounded = rounded_slope_fraction(measured_slope(1, sd, n1), measured_slope(2, sd, n2), delta)
             _check(rounded == Slope(-k, 6 * k + 1), f"n = {n}, k = {k}: rounded is not -k/(6k+1)")
-            boundary = v3_slope_stepwise(sd, n1, n2)
-            _check(boundary == transfer.apply(-rounded) == Slope(-n + k), f"n = {n}, k = {k}: boundary is not -n+k")
+            boundary = apply(transfer, -rounded)
+            _check(boundary == Slope(-n + k), f"n = {n}, k = {k}: boundary is not -n+k")
             count = solid_torus_count(boundary)
             _check(count == n - k, f"n = {n}, k = {k}: count is not n-k")
             _check(row == (k, rounded.num, rounded.den, boundary.num, count) and set(map(type, row)) == {int},

@@ -52,10 +52,6 @@ class Slope:
     def __setattr__(self, name, value):
         raise AttributeError("Slope is immutable")
 
-    @property
-    def is_inf(self) -> bool:
-        return self.den == 0
-
     def vec(self) -> tuple[int, int]:
         """The line vector (den, num); (0, 1) for the infinite slope."""
         return (self.den, self.num)
@@ -64,10 +60,6 @@ class Slope:
         if self.den == 0:
             raise ValueError("infinite slope has no rational value")
         return Fraction(self.num, self.den)
-
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "Slope":
-        return cls(f.numerator, f.denominator)
 
     @classmethod
     def parse(cls, text: str) -> "Slope":
@@ -127,12 +119,3 @@ class UniMat(NamedTuple("UniMat", [("a", int), ("b", int), ("c", int), ("d", int
     def inverse(self) -> "UniMat":
         s = self.det  # +-1, so the integer adjugate is the inverse up to sign
         return UniMat(s * self.d, -s * self.b, -s * self.c, s * self.a)
-
-    def apply(self, s: Slope) -> Slope:
-        """Image of the slope under the column-vector action, (x, y) read as y/x."""
-        den, num = s.vec()
-        x = self.a * den + self.b * num
-        y = self.c * den + self.d * num
-        if x == 0 and y == 0:
-            raise ArithmeticError(f"{self!r} kills the line of {s}, but a unimodular matrix kills none")
-        return Slope(y, x)

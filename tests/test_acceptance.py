@@ -6,14 +6,16 @@ import random
 from fractions import Fraction
 
 from tightsf.classify import EXACT, INFINITE, classify
-from tightsf.contfrac import expand, ncf_eval, reverse_shift, solid_torus_count, tight_count
+from tightsf.contfrac import expand, reverse_shift, solid_torus_count, tight_count
 from tightsf.floer import expansion, grid, index_set, laurent_image, stein_obstructed
-from tightsf.seifert import linking_matrix, normalize, parse_manifold, h1_order
+from tightsf.seifert import linking_matrix, parse_manifold, h1_order
 from tightsf.selftest import (
     check_bypass_oracle,
     check_closed_form,
     check_contfrac_identities,
     check_max_twist_chain,
+    ncf_eval,
+    normalize,
 )
 from tightsf.theta import SurgeryDiagram, signature, theta
 from test_floer import laurent_text, product_image

@@ -16,11 +16,16 @@ import tightsf.seifert as seifert
 from tightsf import report
 from tightsf.classify import ALL_STEIN, EXACT, INFINITE, MIXED, TORSION, UNKNOWN, _fiber_certificate, classify
 from tightsf.contfrac import expand, shifted_product
-from tightsf.convex import max_twist_table
-from tightsf.floer import index_set
-from tightsf.seifert import normalize, parse_manifold
+from tightsf.floer import MAX_N, index_set
+from tightsf.seifert import parse_manifold
+from tightsf.selftest import normalize
 from tightsf.slopes import Slope
 from triples import big_invariants, sorted_triples
+
+
+def printed_per_k(res):
+    """The per_k rows of a sphere-family result, as classify --json prints them."""
+    return json.loads(report.report("classify", res))["result"]["certificate"]["per_k"]
 
 
 def test_sphere_family_example():
@@ -31,7 +36,7 @@ def test_sphere_family_example():
     assert res.fillability.non_stein_lower == 1
     assert res.fillability.all_strong
     assert res.certificate["case"] == "sphere_family"
-    assert [count for *_, count in res.certificate["per_k"].tuples()] == [2, 1]
+    assert [row["count"] for row in printed_per_k(res)] == [2, 1]
 
 
 def test_overlap_example():
@@ -72,9 +77,14 @@ def test_unknown_examples():
 
 
 def test_three_counts_agree():
-    for n in range(1, 21):
+    # the n rows the report prints sum to the count, which is the number of
+    # floer classes wherever index_set builds them (n <= MAX_N)
+    for n in [*range(1, 21), 800]:
         res = classify(parse_manifold(f"-2;1/2,2/3,{5 * n + 1}/{6 * n + 1}"))
-        assert res.count == max_twist_table(res.manifold, n).total == len(index_set(n))
+        counts = [row["count"] for row in printed_per_k(res)]
+        assert len(counts) == n and sum(counts) == res.count
+        if n <= MAX_N:
+            assert res.count == len(index_set(n))
 
 
 def test_permutation_invariance():

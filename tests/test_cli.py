@@ -16,13 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 from tightsf.cli import main
 from tightsf.contfrac import Expansion, solid_torus_count
-from tightsf.convex import (
-    MAX_TWIST_ROWS, MaxTwistTable, measured_slope, rounded_slope, slope_coeffs, v3_slope, v3_slope_stepwise,
-)
+from tightsf.convex import MAX_TWIST_ROWS, measured_slope, slope_coeffs, v3_slope
 from tightsf.floer import MAX_N, ContactIndex
 from tightsf.seifert import parse_manifold
-from tightsf.selftest import check_bypass_oracle, check_closed_form
-from tightsf.slopes import MAX_INPUT_DIGITS, Slope
+from tightsf.selftest import check_bypass_oracle, check_closed_form, rounded_slope, v3_slope_stepwise
+from tightsf.slopes import MAX_INPUT_DIGITS, Slope, UniMat
 from test_floer import laurent_text, product_image
 
 
@@ -272,7 +270,7 @@ def test_selftest_cli(capsys):
 def test_selftest_closed_form_accepts_the_pole():
     # seed 18 draws M(-2; 1/2, 5/7, 5/6) at n1 = -13, n2 = -4: a pole of the closed form
     sd = parse_manifold("-2;1/2,5/7,5/6")
-    assert v3_slope(sd, -13, slope_coeffs(sd)).is_inf
+    assert v3_slope(sd, -13, slope_coeffs(sd)).den == 0
     assert v3_slope(sd, -13, slope_coeffs(sd)) == v3_slope_stepwise(sd, -13, -4)
     assert check_closed_form(seed=18) == "200 random tuples, closed form = stepwise rounding"
 
@@ -532,22 +530,23 @@ def test_floer_cap_fails_fast(capsys):
 
 
 def test_broken_table_identity_is_one_line_error(capsys, monkeypatch):
-    # rows that no longer sum to n(n+1)/2 stop classify, with -O as without:
-    # the count column loses its last row
-    monkeypatch.setattr(MaxTwistTable, "counts", property(lambda table: range(table.n, 1, -1)))
+    # a V_3 transfer that no longer carries row k to -n+k stops classify, with
+    # -O as without: the attaching matrix becomes the identity
+    monkeypatch.setattr(importlib.import_module("tightsf.convex"), "fiber3_matrix", lambda conv3: UniMat(1, 0, 0, 1))
     code, out, err = run(capsys, "classify", "-2;1/2,2/3,11/13", "--json")
     assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "n(n+1)/2" in err
+    assert err == "error: row k = 0: V_3 boundary slope 0 is not -n+k = -2\n"
 
 
 SABOTAGED_SELFTEST = """
 import sys
+import tightsf.convex as convex
 from tightsf.cli import main
-from tightsf.convex import MaxTwistTable
+from tightsf.slopes import UniMat
 
 if sys.argv[1] == "sabotage":
-    # the last row counts 2, not 1, so the counts sum to n(n+1)/2 + 1
-    MaxTwistTable.counts = property(lambda table: (*range(table.n, 1, -1), 2))
+    # the V_3 attaching matrix becomes the identity, so row 0 maps to 0, not -n
+    convex.fiber3_matrix = lambda conv3: UniMat(1, 0, 0, 1)
 sys.exit(main(["selftest"]))
 """
 
@@ -565,4 +564,4 @@ def test_selftest_checks_survive_optimize():
     assert code == 0 and out.count("PASS") == 4 and "FAIL" not in out
     code, out = outs["sabotage"]
     assert code == 1 and out.count("PASS") == 3
-    assert "FAIL  maximal twisting tables" in out and "n(n+1)/2" in out
+    assert out.splitlines()[-1].split() == "FAIL maximal twisting tables row k = 0: V_3 boundary slope 0 is not -n+k = -1".split()

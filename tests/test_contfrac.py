@@ -12,14 +12,13 @@ from tightsf.contfrac import (
     Expansion,
     convergents,
     expand,
-    ncf_eval,
     read_leg,
     reverse_shift,
     shifted_product,
     solid_torus_count,
     tight_count,
 )
-from tightsf.selftest import fractions_upto
+from tightsf.selftest import fractions_upto, ncf_eval
 from tightsf.slopes import INF, Slope
 
 

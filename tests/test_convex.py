@@ -18,18 +18,20 @@ from tightsf.convex import (
     LimitInfo,
     MaxTwistTable,
     SlopeCoeffs,
+    fiber3_matrix,
     limit_regime,
     max_twist_table,
     measured_slope,
-    rounded_slope,
     slope_coeffs,
     v3_slope,
     v3_slope_limit,
-    v3_slope_stepwise,
 )
-from tightsf.seifert import normalize, parse_manifold
-from tightsf.selftest import random_invariant, rounded_slope_fraction
+from tightsf.seifert import parse_manifold
+from tightsf.selftest import (
+    fractions_upto, normalize, random_invariant, rounded_slope, rounded_slope_fraction, v3_slope_stepwise, v3_transfer,
+)
 from tightsf.slopes import INF, Slope, UniMat
+from test_classify import printed_per_k
 from triples import big_invariants, sorted_triples
 
 
@@ -145,7 +147,7 @@ def test_v3_slope_k_family():
         for n1 in range(-50, 0):
             den = (k - 6) * n1 + k - 3
             if den == 0:
-                assert v3_slope(sd, n1, coeffs).is_inf
+                assert v3_slope(sd, n1, coeffs).den == 0
                 if (2 * n1 - 1) % 3 == 0:  # a balanced annulus exists here
                     assert v3_slope(sd, n1, coeffs) == v3_slope_stepwise(sd, n1, (2 * n1 - 1) // 3)
                 continue
@@ -301,7 +303,7 @@ def v3_slope_limit_fraction(sd, coeffs):
     limit = A * q3 / (C * v3)
     increasing = A * D < F * C and not -RISING_DEPTH <= -D / C <= -1
     threshold_ok = limit <= Fraction(p3 - q3, v3 - u3)
-    return LimitInfo(Slope.from_fraction(limit), increasing, threshold_ok)
+    return LimitInfo(Slope(*limit.as_integer_ratio()), increasing, threshold_ok)
 
 
 def v3_slope_fraction(sd, n1, coeffs):
@@ -309,7 +311,7 @@ def v3_slope_fraction(sd, n1, coeffs):
     A, C, F, D = fractions_of(coeffs)
     _, q3, _, v3 = sd.conv[2]
     den = (C * n1 + D) * v3
-    return INF if den == 0 else Slope.from_fraction((A * n1 + F) * q3 / den)
+    return INF if den == 0 else Slope(*((A * n1 + F) * q3 / den).as_integer_ratio())
 
 
 @settings(max_examples=300, deadline=None)
@@ -343,18 +345,12 @@ def family_table(n):
 
 
 def test_max_twist_table():
-    t1 = family_table(1)
-    assert [(k, Slope(b), count) for k, _, _, b, count in t1.tuples()] == [(0, Slope(-1), 1)]
-    assert t1.total == 1
-    t2 = family_table(2)
-    assert [(k, Slope(b), count) for k, _, _, b, count in t2.tuples()] == [
-        (0, Slope(-2), 2),
-        (1, Slope(-1), 1),
-    ]
-    assert t2.total == 3
-    assert family_table(5).total == 15
+    # the rows classify --json prints (test_three_counts_agree sums them)
+    for n, rows in ((1, [(0, -1, 1)]), (2, [(0, -2, 2), (1, -1, 1)])):
+        per_k = printed_per_k(classify(sphere_family(n)))
+        assert [(row["k"], row["boundary"]["num"], row["count"]) for row in per_k] == rows
     # the table is its parameter: every column is read off n
-    assert MaxTwistTable._fields == ("n",) and t2 == MaxTwistTable(2)
+    assert MaxTwistTable._fields == ("n",) and family_table(2) == MaxTwistTable(2)
 
 
 def test_max_twist_table_checks_each_boundary(monkeypatch):
@@ -362,6 +358,19 @@ def test_max_twist_table_checks_each_boundary(monkeypatch):
     monkeypatch.setattr(convex, "fiber3_matrix", lambda sd: UniMat(1, 0, 0, 1))
     with pytest.raises(ArithmeticError, match="-n\\+k"):
         family_table(3)
+
+
+def test_v3_transfer_inverts_the_attaching_matrix():
+    # selftest writes the inverse V_3 transfer from the convergents, so its
+    # routes do not read fiber3_matrix or UniMat.inverse, which they check
+    rng = random.Random(61)
+    legs = list(fractions_upto(60))
+    for bits in (64, 512):
+        q = rng.getrandbits(bits) | (1 << (bits - 1))
+        legs += [(p // gcd(p, q), q // gcd(p, q)) for p in (1, q - 1, rng.randrange(1, q))]
+    for p, q in legs:
+        conv = convergents(Fraction(-q, p))
+        assert fiber3_matrix(conv).inverse() == v3_transfer(conv), (p, q)
 
 
 def family_convergents(n):
@@ -412,10 +421,10 @@ def test_max_twist_table_refuses_other_manifolds():
 
 
 def test_max_twist_table_builds_only_the_stored_slopes(monkeypatch):
-    # the table derives its slopes in plain integers and stores them as
-    # integer columns: it builds no Slope object, and the stepwise helpers
-    # stay off its path
-    calls = dict.fromkeys(("Slope", "apply", "measured_slope", "rounded_slope"), 0)
+    # the table derives its slopes in plain integers and stores only n: it
+    # builds no Slope object and calls no measured_slope (the stepwise
+    # rounding and transfer live in selftest, which convex never imports)
+    calls = dict.fromkeys(("Slope", "measured_slope"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -424,15 +433,12 @@ def test_max_twist_table_builds_only_the_stored_slopes(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Slope, "__init__", counted("Slope", Slope.__init__))
-    monkeypatch.setattr(UniMat, "apply", counted("apply", UniMat.apply))
-    for name in ("measured_slope", "rounded_slope"):
-        monkeypatch.setattr(convex, name, counted(name, getattr(convex, name)))
+    monkeypatch.setattr(convex, "measured_slope", counted("measured_slope", convex.measured_slope))
     for n in (1, 7, 300):
         sd = sphere_family(n)
         calls.update(dict.fromkeys(calls, 0))
-        assert max_twist_table(sd, n).total == n * (n + 1) // 2
-        assert calls["Slope"] == 0
-        assert calls["apply"] == calls["measured_slope"] == calls["rounded_slope"] == 0
+        assert max_twist_table(sd, n) == MaxTwistTable(n)
+        assert calls == {"Slope": 0, "measured_slope": 0}
 
 
 def test_sphere_family_work_per_table_is_constant(monkeypatch):
@@ -457,7 +463,7 @@ def test_sphere_family_work_per_table_is_constant(monkeypatch):
     for n in (1, 7, 300, MAX_TWIST_ROWS):
         sd = sphere_family(n)
         calls.update(dict.fromkeys(calls, 0))
-        assert max_twist_table(sd, n).total == n * (n + 1) // 2
+        assert max_twist_table(sd, n) == MaxTwistTable(n)
         built.append(calls["Slope"])
         assert calls["solid_torus_count"] == 0
     assert built[0] == built[1] == built[2] == built[3]
@@ -500,7 +506,7 @@ def test_max_twist_table_builds_one_transfer_matrix(monkeypatch):
     for n in (1, 2, 7, 800):
         sd = sphere_family(n)
         built.clear()
-        assert max_twist_table(sd, n).total == n * (n + 1) // 2
+        assert max_twist_table(sd, n) == MaxTwistTable(n)
         assert len(built) == 2
 
     with pytest.raises(ValueError, match="unimodular"):

@@ -267,27 +267,152 @@ def test_unused_definition_scan_sees_strays():
     assert unused_definitions({"m": parser}, consumed={"P"}) == {}
 
 
+def benchmark_consumed():
+    """The names perfbench imports from tightsf or traces as a stage."""
+    consumed = {name for _, name in benchmark_imports() if name is not None}
+    return consumed | {stage.partition(".")[2] for stage in benchmark_stages()}
+
+
 def test_every_definition_has_a_consumer():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE_DIR.glob("*.py"))}
-    consumed = {name for _, name in benchmark_imports() if name is not None}
-    consumed |= {stage.partition(".")[2] for stage in benchmark_stages()}
-    assert unused_definitions(sources, consumed) == {}
+    assert unused_definitions(sources, benchmark_consumed()) == {}
+
+
+def test_library_modules_keep_only_what_a_command_runs():
+    # with selftest, the one home of the slow routes, left out, every
+    # definition still has a consumer among the commands and the benchmark;
+    # without the benchmark too, only the wrappers it traces as stages are left
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE_DIR.glob("*.py"))
+               if path.stem != "selftest"}
+    assert unused_definitions(sources, benchmark_consumed()) == {}
+    assert {module: [name for _, name in found] for module, found in unused_definitions(sources).items()} == {
+        "contfrac": ["expand", "convergents", "tight_count", "solid_torus_count"],
+        "report": ["classification_json"],
+        "theta": ["signature", "c1_squared"],
+    }
+
+
+def selftest_imports(source):
+    """For each import of the selftest module in source, whether it is a
+    statement of the module's top level."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" if node.module else alias.name for alias in node.names]
+            names.append(node.module or "")
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[:2] in (["selftest"], ["tightsf", "selftest"]) for name in names):
+            found.append(node in tree.body)
+    return found
+
+
+def test_only_the_selftest_command_imports_selftest():
+    stray = ("from .selftest import run_all\nimport tightsf.selftest\nfrom . import selftest\n"
+             "def f():\n    from .selftest import SUITES\nfrom .seifert import parse_manifold\n")
+    assert selftest_imports(stray) == [True, True, True, False]
+    found = {path.stem: selftest_imports(path.read_text(encoding="utf-8")) for path in PACKAGE_DIR.glob("*.py")}
+    assert {name: imports for name, imports in found.items() if imports} == {"cli": [False]}
+
+
+# Each public function of a library module that a command runs: its oracle,
+# as selftest.<name>, test_<file>.<name> or an outside library's name, and
+# the test that compares the two; or None and the reason it has no oracle.
+FAST_MODULES = ("contfrac", "convex", "seifert", "slopes")
+ORACLES = {
+    "contfrac.Expansion.entry_count": ("test_contfrac.expand_stepwise",
+                                       "test_contfrac::test_fast_paths_match_stepwise_oracles"),
+    "contfrac.Expansion.entries": ("test_contfrac.expand_stepwise",
+                                   "test_contfrac::test_fast_paths_match_stepwise_oracles"),
+    "contfrac.leg_of": (None, "reads (p, q) off its argument's fields; test_expand_domain_errors pins its refusals"),
+    "contfrac.read_leg": ("test_contfrac.runs_oracle", "test_contfrac::test_one_pass_matches_pow_and_the_run_loop"),
+    "contfrac.capped_count": (None, "a bound, not a value; test_expansion_cap pins it at MAX_EXPANSION"),
+    "contfrac.expand": ("selftest.ncf_eval", "test_acceptance::test_criterion_6_number_theory_suites"),
+    "contfrac.convergents": ("test_contfrac.convergents_via_eval",
+                             "test_contfrac::test_fast_paths_match_stepwise_oracles"),
+    "contfrac.shifted_product": ("test_contfrac.prod_shifted", "test_contfrac::test_fast_paths_match_stepwise_oracles"),
+    "contfrac.reverse_shift": ("test_contfrac.runs_of", "test_contfrac::test_fast_paths_match_stepwise_oracles"),
+    "contfrac.tight_count": ("test_contfrac.prod_shifted", "test_contfrac::test_fast_paths_match_stepwise_oracles"),
+    "contfrac.solid_torus_count": ("test_contfrac.unshifted_last_count",
+                                   "test_contfrac::test_integer_slope_count_matches_stepwise"),
+    "convex.measured_slope": (None, "the slope formulas themselves; test_measured_slope_formulas pins the family's"),
+    "convex.slope_coeffs": ("test_convex.slope_coeffs_fraction_sum",
+                            "test_convex::test_slope_coeffs_matches_fraction_sum_sweep"),
+    "convex.fiber3_matrix": ("selftest.v3_transfer", "test_convex::test_v3_transfer_inverts_the_attaching_matrix"),
+    "convex.v3_slope": ("selftest.v3_slope_stepwise", "test_acceptance::test_criterion_4_slope_calculus_consistency"),
+    "convex.limit_regime": ("test_convex.limit_regime_fraction", "test_convex::test_increasing_matches_stepwise_sweep"),
+    "convex.v3_slope_limit": ("test_convex.v3_slope_limit_fraction",
+                              "test_convex::test_increasing_matches_stepwise_sweep"),
+    "convex.max_twist_table": ("selftest.v3_slope_stepwise",
+                               "test_cli::test_printed_sphere_rows_match_the_stepwise_route"),
+    "seifert.SeifertData.r": ("test_seifert.normalize_fraction",
+                              "test_seifert::test_integer_route_matches_fraction_oracle_on_big_legs"),
+    "seifert.parse_manifold": ("test_seifert.normalize_fraction",
+                               "test_seifert::test_integer_route_matches_fraction_oracle_on_big_legs"),
+    "seifert.h1_order": ("sympy.Matrix.det", "test_seifert::test_h1_order_matches_sympy_determinant"),
+    "seifert.linking_matrix": (None, "the plumbing written out; test_linking_matrix_examples pins two"),
+    "seifert.detect_family": ("test_seifert.detect_family_fraction",
+                              "test_seifert::test_integer_route_matches_fraction_oracle_on_big_legs"),
+    "slopes.parse_int": (None, "int() under a length cap; test_input_integer_cap_is_one_line pins the cap"),
+    "slopes.Slope.vec": (None, "returns the two stored fields"),
+    "slopes.Slope.as_fraction": (None, "the Fraction of the two stored fields"),
+    "slopes.Slope.parse": (None, "int() on each part; test_parse_and_str round-trips it through str"),
+    "slopes.UniMat.det": (None, "the determinant formula itself"),
+    "slopes.UniMat.inverse": ("selftest.apply", "test_slopes::test_inverse_round_trip"),
+}
+TESTS_DIR = Path(__file__).resolve().parent
+
+
+def _test_file_names(stem):
+    tree = ast.parse((TESTS_DIR / f"{stem}.py").read_text(encoding="utf-8"))
+    return {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def _resolves(oracle):
+    module, _, name = oracle.partition(".")
+    if module.startswith("test_"):
+        return name in _test_file_names(module)
+    value = importlib.import_module("tightsf.selftest" if module == "selftest" else module)
+    for part in name.split("."):
+        value = getattr(value, part, None)
+    return callable(value)
+
+
+def test_each_fast_function_has_an_oracle_or_a_reason():
+    public = set()
+    for module in FAST_MODULES:
+        tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8"))
+        public |= {f"{module}.{qualname}" for qualname, node, _ in _definitions(tree)
+                   if isinstance(node, ast.FunctionDef) and not qualname.rpartition(".")[2].startswith("_")}
+    assert sorted(public - set(ORACLES)) == [] and sorted(set(ORACLES) - public) == []
+    for function, (oracle, test) in ORACLES.items():
+        if oracle is None:
+            assert test and "\n" not in test, function
+            continue
+        stem, _, name = test.partition("::")
+        assert name.startswith("test_") and name in _test_file_names(stem), (function, test)
+        assert _resolves(oracle), (function, oracle)
 
 
 # Run with the package directory's parent as argv[1]: classify one manifold and
-# print, to stderr, the record modules then loaded and main's exit code.
+# print, to stderr, which of the record modules and the selftest modules are
+# then loaded, and main's exit code.
 CLASSIFY_IMPORTS = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from tightsf.cli import main
 code = main(["classify", "-2;1/3,2/5,3/7", "--json"])
-print(sorted({"dataclasses", "inspect"} & set(sys.modules)), code, file=sys.stderr)
+print(sorted({"dataclasses", "inspect", "tightsf.selftest", "random"} & set(sys.modules)), code, file=sys.stderr)
 """
 
 
 def test_classify_loads_neither_dataclasses_nor_inspect():
-    # every library record is a named tuple; -S keeps a .pth hook of site
-    # from loading either module before the package does
+    # every library record is a named tuple, and selftest, with its random
+    # draws, loads only when it runs; -S keeps a .pth hook of site from
+    # loading any of them before the package does
     proc = subprocess.run([sys.executable, "-S", "-c", CLASSIFY_IMPORTS, str(PACKAGE_DIR.parent)],
                           capture_output=True, text=True, timeout=60)
     assert (proc.stderr, proc.returncode) == ("[] 0\n", 0)

@@ -16,6 +16,7 @@ from tightsf.classify import ClassificationResult, Fillability, classify
 from tightsf.contfrac import MAX_EXPANSION, Expansion, read_leg
 from tightsf.convex import LimitInfo, MaxTwistTable, SlopeCoeffs
 from tightsf.seifert import SeifertData, parse_manifold
+from tightsf.selftest import max_twist_rows
 from tightsf.slopes import INF, Slope
 from triples import FAMILY_TRIPLES, big_invariants, sorted_triples
 
@@ -73,7 +74,7 @@ def oracle(value):
         return {"num": value.numerator, "den": value.denominator}
     if isinstance(value, MaxTwistTable):
         return [{"k": k, "rounded": Slope(num, den), "boundary": Slope(boundary), "count": count}
-                for k, num, den, boundary, count in value.tuples()]
+                for k, num, den, boundary, count in max_twist_rows(value)]
     if isinstance(value, Fillability):
         fill = {"kind": value.kind}
         if value.stein_lower is not None:
@@ -411,7 +412,7 @@ def test_max_twist_table_writer_matches_json_dumps(monkeypatch):
         table = MaxTwistTable(n)
         want = json.dumps([
             {"k": k, "rounded": {"num": num, "den": den}, "boundary": {"num": boundary, "den": 1}, "count": count}
-            for k, num, den, boundary, count in table.tuples()], indent=2)
+            for k, num, den, boundary, count in max_twist_rows(table)], indent=2)
         for pad in ("", "  ", "      "):
             out = []
             report._write(table, pad, out)

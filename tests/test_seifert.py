@@ -23,9 +23,9 @@ from tightsf.seifert import (
     detect_family,
     h1_order,
     linking_matrix,
-    normalize,
     parse_manifold,
 )
+from tightsf.selftest import normalize
 from tightsf.slopes import Slope
 from triples import big_invariants
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from tightsf.selftest import apply
 from tightsf.slopes import INF, Slope, UniMat
 
 
@@ -51,13 +52,13 @@ def test_parse_and_str():
 
 def test_apply_mat_examples():
     a1 = UniMat(2, 1, -1, 0)
-    assert a1.apply(Slope(-1)) == Slope(-1)
-    assert UniMat(1, 0, 0, 1).apply(Slope(-7, 5)) == Slope(-7, 5)
+    assert apply(a1, Slope(-1)) == Slope(-1)
+    assert apply(UniMat(1, 0, 0, 1), Slope(-7, 5)) == Slope(-7, 5)
     # inverse attaching matrix of the n = 3 sphere family member applied to
     # the vector (6k+1, k) at k = 1 gives -n+k
     n, k = 3, 1
     a3inv = UniMat(1, -6, -n, 6 * n + 1)
-    assert a3inv.apply(Slope(k, 6 * k + 1)) == Slope(-n + k)
+    assert apply(a3inv, Slope(k, 6 * k + 1)) == Slope(-n + k)
 
 
 def test_projective_sign_insensitivity():
@@ -65,7 +66,7 @@ def test_projective_sign_insensitivity():
     assert Slope(-1, 0) == INF
     m = UniMat(3, 2, 1, 1)
     s = Slope(5, 7)
-    assert m.apply(s) == m.apply(Slope(-5, -7))
+    assert apply(m, s) == apply(m, Slope(-5, -7))
 
 
 def _random_unimodular(rng, bound=50):
@@ -83,7 +84,7 @@ def test_inverse_round_trip():
     for _ in range(300):
         m = _random_unimodular(rng)
         s = Slope(rng.randint(-50, 50), rng.randint(1, 50)) if rng.random() > 0.02 else INF
-        assert m.inverse().apply(m.apply(s)) == s
+        assert apply(m.inverse(), apply(m, s)) == s
 
 
 def test_unimodular_validation():
