@@ -11,15 +11,13 @@ _VALUE_PATTERN = re.compile(r"^-\d")
 # an error line keeps at most this many UTF-8 bytes of its message, so an echoed input cannot make it long
 MAX_ERROR_BYTES = 150
 
+# farey, floer, theta and selftest are imported by the one command that runs each
 from . import report
 from .classify import EXACT, INFINITE, UNKNOWN, classify
 from .contfrac import capped_count, leg_of, read_leg, reverse_shift, shifted_product
 from .convex import limit_regime, measured_slope, slope_coeffs, v3_slope, v3_slope_limit
-from .farey import BACK, FRONT, bypass_attach, checked_bypass
-from .floer import ContactIndex, expansion, grid, index_set, laurent_image, pairwise_distinct, stein_obstructed
 from .seifert import detect_family, h1_order, linking_matrix, parse_manifold
 from .slopes import Slope, parse_int
-from .theta import SurgeryDiagram, theta_parts
 
 
 def _cmd_cf(args) -> int:
@@ -47,6 +45,8 @@ def _cmd_cf(args) -> int:
 
 
 def _cmd_bypass(args) -> int:
+    from .farey import bypass_attach, checked_bypass
+
     dividing = Slope.parse(args.dividing)
     ruling = Slope.parse(args.ruling)
     result = (checked_bypass if args.oracle else bypass_attach)(dividing, ruling, args.side)
@@ -110,6 +110,8 @@ def _cmd_slopes(args) -> int:
 
 
 def _cmd_floer(args) -> int:
+    from .floer import ContactIndex, expansion, grid, index_set, laurent_image, pairwise_distinct, stein_obstructed
+
     n = parse_int(args.n)
     distinct = pairwise_distinct(n)  # refuses the n that index_set refuses, with its messages
     if args.index:
@@ -141,6 +143,8 @@ def _cmd_floer(args) -> int:
 
 
 def _cmd_theta(args) -> int:
+    from .theta import SurgeryDiagram, theta_parts
+
     with open(args.diagram, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh, parse_int=parse_int)
@@ -227,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("bypass", _cmd_bypass, "dividing slope after a bypass attachment")
     p.add_argument("--dividing", required=True)
     p.add_argument("--ruling", required=True)
-    p.add_argument("--side", choices=(FRONT, BACK), default=FRONT)
+    p.add_argument("--side", choices=("front", "back"), default="front")  # farey's FRONT and BACK, so the parser loads no farey
     p.add_argument("--oracle", action="store_true", help="cross-check with brute force")
 
     p = add("seifert", _cmd_seifert, "normalized invariants, homology, family, linking matrix")

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import io
@@ -14,7 +15,8 @@ from time import perf_counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tightsf.cli import main
+from tightsf import farey
+from tightsf.cli import build_parser, main
 from tightsf.contfrac import Expansion, solid_torus_count
 from tightsf.convex import MAX_TWIST_ROWS, measured_slope, slope_coeffs, v3_slope
 from tightsf.floer import MAX_N, ContactIndex
@@ -168,6 +170,13 @@ def test_bypass_cli(capsys):
     doc = json.loads(out)
     assert doc["result"]["result"] == {"num": -2, "den": 1}
     assert doc["result"]["oracle"] == {"num": -2, "den": 1}
+
+
+def test_side_choices_are_fareys_sides():
+    # the parser writes the two sides out, so that building it loads no farey
+    sub = next(action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction))
+    side = next(action for action in sub.choices["bypass"]._actions if action.dest == "side")
+    assert side.choices == (farey.FRONT, farey.BACK) and side.default == farey.FRONT
 
 
 def test_seifert_cli(capsys):
@@ -509,7 +518,8 @@ def test_floer_index_builds_one_class(capsys, monkeypatch):
     def refuse(n):
         raise AssertionError("the whole index set was built")
 
-    monkeypatch.setattr(importlib.import_module("tightsf.cli"), "index_set", refuse)
+    # cli imports floer when the command runs, so it reads the patched name
+    monkeypatch.setattr(importlib.import_module("tightsf.floer"), "index_set", refuse)
     code, out, err = run(capsys, "floer", "--n", str(MAX_N), "--index", "1,0", "--json")
     assert code == 0 and err == ""
     assert [(row["i"], row["j"]) for row in json.loads(out)["result"]["classes"]] == [(1, 0)]

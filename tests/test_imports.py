@@ -397,23 +397,52 @@ def test_each_fast_function_has_an_oracle_or_a_reason():
         assert _resolves(oracle), (function, oracle)
 
 
-# Run with the package directory's parent as argv[1]: classify one manifold and
-# print, to stderr, which of the record modules and the selftest modules are
-# then loaded, and main's exit code.
-CLASSIFY_IMPORTS = """
+# Run with the package directory's parent as argv[1] and a command line after
+# it: run the command and print, to stderr, the tightsf modules then loaded,
+# which of the record modules and the selftest modules are loaded, and main's
+# exit code.
+COMMAND_IMPORTS = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from tightsf.cli import main
-code = main(["classify", "-2;1/3,2/5,3/7", "--json"])
-print(sorted({"dataclasses", "inspect", "tightsf.selftest", "random"} & set(sys.modules)), code, file=sys.stderr)
+code = main(sys.argv[2:])
+loaded = set(sys.modules)
+print(sorted(m for m in loaded if m.partition(".")[0] == "tightsf"), file=sys.stderr)
+print(sorted({"dataclasses", "inspect", "tightsf.selftest", "random"} & loaded), code, file=sys.stderr)
 """
+# what classify runs, and so what every command loads
+CLASSIFY_PATH = ["tightsf", "tightsf.classify", "tightsf.cli", "tightsf.contfrac", "tightsf.convex",
+                 "tightsf.report", "tightsf.seifert", "tightsf.slopes"]
+
+
+def loaded_by(*argv):
+    """(tightsf modules loaded, stray modules loaded, JSON report) after one
+    command under -S, which keeps a .pth hook of site from loading any of
+    them before the package does."""
+    proc = subprocess.run([sys.executable, "-S", "-c", COMMAND_IMPORTS, str(PACKAGE_DIR.parent), *argv],
+                          capture_output=True, text=True, timeout=60)
+    modules, strays = proc.stderr.splitlines()
+    assert (strays, proc.returncode) == ("[] 0", 0), argv
+    return ast.literal_eval(modules), json.loads(proc.stdout)["result"]
 
 
 def test_classify_loads_neither_dataclasses_nor_inspect():
     # every library record is a named tuple, and selftest, with its random
-    # draws, loads only when it runs; -S keeps a .pth hook of site from
-    # loading any of them before the package does
-    proc = subprocess.run([sys.executable, "-S", "-c", CLASSIFY_IMPORTS, str(PACKAGE_DIR.parent)],
-                          capture_output=True, text=True, timeout=60)
-    assert (proc.stderr, proc.returncode) == ("[] 0\n", 0)
-    assert json.loads(proc.stdout)["result"]["status"] == "exact"
+    # draws, loads only when it runs; nor do farey, floer and theta
+    modules, result = loaded_by("classify", "-2;1/3,2/5,3/7", "--json")
+    assert modules == CLASSIFY_PATH
+    assert result["status"] == "exact"
+
+
+def test_each_command_adds_only_its_own_module(tmp_path):
+    diagram = tmp_path / "F.json"
+    diagram.write_text(json.dumps({"L": [[-2]], "rot": [0]}))
+    for module, argv, key, value in (
+        ("tightsf.farey", ("bypass", "--dividing", "-7/3", "--ruling", "-1/999", "--side", "back", "--oracle"),
+         "oracle", {"num": -2, "den": 1}),
+        ("tightsf.floer", ("floer", "--n", "2"), "pairwise_distinct", True),
+        ("tightsf.theta", ("theta", "--diagram", str(diagram)), "theta", {"num": -1, "den": 1}),
+    ):
+        modules, result = loaded_by(*argv, "--json")
+        assert modules == sorted(CLASSIFY_PATH + [module]), argv
+        assert result[key] == value, argv
