@@ -158,11 +158,11 @@ def test_float_scan_sees_strays():
 
 def test_no_floats_in_src():
     # the library is exact: its one float is selftest's 5% draw of the
-    # infinite slope, and its one true division runs on theta's Fraction pivots
+    # infinite slope, and it has no true division
     found = {path.stem: {(function, what) for function, _, what in float_uses(path.read_text(encoding="utf-8"))}
              for path in PACKAGE_DIR.glob("*.py")}
     assert {name: uses for name, uses in found.items() if uses} == {
-        "selftest": {("random_slope", "0.05")}, "theta": {("congruence", "/")}}
+        "selftest": {("random_slope", "0.05")}}
 
 
 def _overridden(tree):

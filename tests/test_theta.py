@@ -269,6 +269,32 @@ def test_congruence_matches_dense_on_random_matrices():
     assert not_liftable > 150
 
 
+def test_congruence_matches_dense_on_big_entries():
+    # entries of 40-80 bits, so the lazy rescale and the checked exact divisions
+    # run on multi-digit ints; a diagonal congruence keeps each shape's kernel
+    rng = random.Random(59)
+    not_liftable = big = 0
+    for _ in range(300):
+        m = rng.randint(1, 10)
+        a = _awkward_symmetric(rng, m)
+        if rng.random() < 0.5:
+            f = [rng.getrandbits(rng.randint(20, 40)) | 1 for _ in range(m)]
+            a = [[f[i] * x * f[j] for j, x in enumerate(row)] for i, row in enumerate(a)]
+        else:
+            for i in range(m):
+                for j in range(i, m):
+                    a[i][j] = a[j][i] = a[i][j] * (rng.getrandbits(rng.randint(40, 80)) | 1)
+        if rng.random() < 0.5:
+            rot = [rng.getrandbits(60) - (1 << 59) for _ in range(m)]  # often outside the span
+        else:
+            x = [rng.randint(-2, 2) for _ in range(m)]
+            rot = [sum(a[i][j] * x[j] for j in range(m)) for i in range(m)]
+        not_liftable += _c1_or_none(dense_c1_squared, a, rot) is None
+        big += max(abs(x) for row in a for x in row).bit_length() > 40
+        assert_matches_dense(a, rot)
+    assert 30 < not_liftable < 150 and big > 200
+
+
 def _star_plumbing(manifold, rot_shift=2):
     matrix = linking_matrix(parse_manifold(manifold))
     return matrix, [matrix[i][i] + rot_shift for i in range(len(matrix))]
@@ -413,3 +439,24 @@ def test_theta_cli_eliminates_once_and_checks_once(counted, tmp_path, capsys):
     c1sq = dense_c1_squared(E8, [2] * 8)
     assert result["c1sq"] == {"num": c1sq.numerator, "den": c1sq.denominator}
     assert (result["sigma"], result["chi"]) == (-8, 9)
+
+
+def test_an_elimination_builds_one_fraction(monkeypatch):
+    # the elimination runs in integers: its one Fraction is the returned c1^2
+    star = SurgeryDiagram(*_star_plumbing("-2;7/9,13/14,24/25"))
+    dense = _random_symmetric(random.Random(61), 8)
+    zero_diagonal = ((0, 1, 2, 0), (1, 0, -1, 3), (2, -1, 0, 1), (0, 3, 1, 0))
+    diagrams = [star, SurgeryDiagram(dense, [sum(row) for row in dense]),
+                SurgeryDiagram(zero_diagonal, (1, 1, 1, 1))]
+    wanted = [dense_c1_squared(*diagram) for diagram in diagrams]
+    built, new = Counter(), Fraction.__new__
+
+    def counted_fraction(cls, *args, **kwargs):
+        built["fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_fraction)
+    for diagram, c1sq in zip(diagrams, wanted):
+        built.clear()
+        assert theta_module.congruence(diagram)[1] == c1sq
+        assert built["fraction"] == 1
