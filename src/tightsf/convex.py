@@ -20,9 +20,8 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .contfrac import Convergents
 from .seifert import SeifertData
-from .slopes import Slope, UniMat
+from .slopes import Slope
 
 
 def measured_slope(i: int, sd: SeifertData, n: int) -> Slope:
@@ -69,14 +68,6 @@ def slope_coeffs(sd: SeifertData) -> SlopeCoeffs:
         _reduced((p3 * q2 + p2 * q3 - 2 * q2 * q3) * v1 + e * q3, q12 * q3),
         _reduced(((2 * q2 - p2) * v3 - u3 * q2) * v1 - e * v3, q12 * v3),
     )
-
-
-def fiber3_matrix(conv3: Convergents) -> UniMat:
-    """Attaching matrix of V_3, from the convergents of the third invariant, in
-    the presentation with the first invariant untwisted and the last two
-    twisted down by one."""
-    p, q, u, v = conv3
-    return UniMat(q, v, q - p, v - u)
 
 
 def v3_slope(sd: SeifertData, n1: int, coeffs: SlopeCoeffs) -> Slope:
@@ -165,20 +156,23 @@ def max_twist_table(sd: SeifertData, n: int) -> MaxTwistTable:
     rounding gives -k/(6k+1) and the V_3 boundary slope -n+k, a solid torus
     carrying n-k tight structures.  The rows sum to n(n+1)/2.
 
-    In plain integers from the convergents in sd.conv, at k = 0, 1, 2, along
-    the route of selftest.v3_slope_stepwise, the dividing counts must
-    balance at delta = -(6k+1), the rounded numerator must be num = k, and
-    the inverse V_3 transfer must carry (delta, -num) to an (x, y) with
-    x != 0 and y = (k-n) x; each check raises ArithmeticError, so -O keeps
-    it.  These prove every row: delta, num, x and y are affine in k, so
-    y - (k-n) x, of degree 2, vanishes identically, which leaves x constant.
-    They also pin the legs: the balance and the rounding need r_1 = 1/2 and
-    r_2 = 2/3, a constant x needs (u_3, v_3) = (5, 6), and then y = (k-n) x
-    needs r_3 = (5n+1)/(6n+1), so any manifold but the n-th member of the
-    family fails a check.  As gcd(k, 6k+1) = 1 and n-k is solid_torus_count
-    of -n+k, each row is read off n (selftest.check_max_twist_chain checks
-    each row stepwise).  Raises ValueError above MAX_TWIST_ROWS rows or
-    unless e0 = -2.
+    The attaching matrix of V_3 is [[q_3, v_3], [q_3-p_3, v_3-u_3]] and its
+    inverse, the V_3 transfer, is [[v_3-u_3, -v_3], [p_3-q_3, q_3]].  In plain
+    integers from the convergents in sd.conv, at k = 0, 1, 2, along the
+    route of selftest.v3_slope_stepwise, the dividing counts must balance at
+    delta = -(6k+1), the rounded numerator must be num = k, and the transfer
+    must carry (delta, -num) to an (x, y) with x != 0 and y = (k-n) x; each
+    check raises ArithmeticError, so -O keeps it.  These prove every row:
+    delta, num, x and y are affine in k, so y - (k-n) x, of degree 2,
+    vanishes identically, which leaves x constant.  They also pin the legs:
+    the balance and the rounding need r_1 = 1/2 and r_2 = 2/3, a constant x
+    needs (u_3, v_3) = (5, 6), and then y = (k-n) x needs
+    r_3 = (5n+1)/(6n+1), so any manifold but the n-th member of the family
+    fails a check.  So the checks imply p_3 v_3 - q_3 u_3 = 1, and the
+    transfer written from the convergents is the inverse.  As
+    gcd(k, 6k+1) = 1 and n-k is solid_torus_count of -n+k, each row is read
+    off n (selftest.check_max_twist_chain checks each row stepwise).  Raises
+    ValueError above MAX_TWIST_ROWS rows or unless e0 = -2.
     """
     if n < 1:
         raise ValueError("family parameter must be positive")
@@ -186,8 +180,7 @@ def max_twist_table(sd: SeifertData, n: int) -> MaxTwistTable:
         raise ValueError(f"the table has {n} rows, more than the limit {MAX_TWIST_ROWS}")
     if sd.e0 != -2:
         raise ValueError(f"e0 = {sd.e0}, not -2")
-    (p1, q1, u1, v1), (p2, q2, u2, v2), conv3 = sd.conv
-    inv = fiber3_matrix(conv3).inverse()  # fiber3_matrix raises ValueError unless unimodular
+    (p1, q1, u1, v1), (p2, q2, u2, v2), (p3, q3, u3, v3) = sd.conv
     for k in (0, 1, 2):
         n1, n2 = -3 * k - 1, -2 * k - 1
         delta = q1 * n1 + v1
@@ -197,8 +190,8 @@ def max_twist_table(sd: SeifertData, n: int) -> MaxTwistTable:
         num = (-p1 * n1 - u1) + ((q2 - p2) * n2 + (v2 - u2)) - 1
         if num != k or delta != -6 * k - 1:
             raise ArithmeticError(f"row k = {k}: rounded slope {num}/{delta} is not -k/(6k+1)")
-        x = inv.a * delta - inv.b * num
-        y = inv.c * delta - inv.d * num
+        x = (v3 - u3) * delta + v3 * num
+        y = (p3 - q3) * delta - q3 * num
         if x == 0 or y != (k - n) * x:
             raise ArithmeticError(f"row k = {k}: V_3 boundary slope {Slope(y, x)} is not -n+k = {k - n}")
     return MaxTwistTable(n)

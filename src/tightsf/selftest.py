@@ -18,7 +18,7 @@ from .contfrac import Convergents, convergents, expand, reverse_shift, solid_tor
 from .convex import MaxTwistTable, max_twist_table, measured_slope, slope_coeffs, v3_slope
 from .farey import BACK, FRONT, checked_bypass
 from .seifert import SeifertData, _normalize
-from .slopes import INF, Slope, UniMat
+from .slopes import INF, Slope
 
 
 def _check(ok: bool, message: str) -> None:
@@ -66,38 +66,29 @@ def ncf_eval(entries) -> Slope:
     return Slope(n, d)
 
 
-def apply(m: UniMat, s: Slope) -> Slope:
-    """Image of the slope under the column-vector action of m, (x, y) read as y/x."""
+def apply(m: tuple[int, int, int, int], s: Slope) -> Slope:
+    """Image of the slope under m = (a, b, c, d), the column-vector action of
+    [[a, b], [c, d]], with (x, y) read as y/x."""
+    a, b, c, d = m
     den, num = s.vec()
-    x = m.a * den + m.b * num
-    y = m.c * den + m.d * num
+    x = a * den + b * num
+    y = c * den + d * num
     if x == 0 and y == 0:
-        raise ArithmeticError(f"{m!r} kills the line of {s}, but a unimodular matrix kills none")
+        raise ArithmeticError(f"{m} kills the line of {s}, but a unimodular matrix kills none")
     return Slope(y, x)
 
 
-def v3_transfer(conv3: Convergents) -> UniMat:
-    """The inverse attaching matrix of V_3, [[v-u, -v], [p-q, q]], written from
-    the convergents (p, q, u, v) of the third invariant: as p v - q u = 1, it
-    inverts convex.fiber3_matrix's [[q, v], [q-p, v-u]]."""
+def v3_transfer(conv3: Convergents) -> tuple[int, int, int, int]:
+    """The inverse attaching matrix of V_3, [[v-u, -v], [p-q, q]] as a 4-tuple,
+    from the convergents (p, q, u, v) of the third invariant: as p v - q u = 1,
+    it inverts the attaching matrix [[q, v], [q-p, v-u]]."""
     p, q, u, v = conv3
-    return UniMat(v - u, -v, p - q, q)
+    return (v - u, -v, p - q, q)
 
 
 def rounded_slope(s_a: Slope, s_b: Slope, delta: int) -> Slope:
-    """Slope after cutting along the balanced annulus and rounding: sA + sB - 1/delta.
-
-    Both denominators divide delta, so the sum is one integer over delta.
-    """
-    if delta == 0:
-        raise ValueError("delta must be nonzero")
-    if s_a.den == 0 or s_b.den == 0 or delta % s_a.den or delta % s_b.den:
-        raise ValueError("imbalanced dividing sets")
-    return Slope(s_a.num * (delta // s_a.den) + s_b.num * (delta // s_b.den) - 1, delta)
-
-
-def rounded_slope_fraction(s_a: Slope, s_b: Slope, delta: int) -> Slope:
-    """The rounding as a Fraction sum, sA + sB - 1/delta: oracle for rounded_slope."""
+    """Slope after cutting along the balanced annulus and rounding, as the
+    Fraction sum sA + sB - 1/delta."""
     return Slope(*(s_a.as_fraction() + s_b.as_fraction() - Fraction(1, delta)).as_integer_ratio())
 
 
@@ -192,7 +183,7 @@ def check_max_twist_chain(ns: Iterable[int] = range(1, 21)) -> str:
             n1, n2 = -3 * k - 1, -2 * k - 1
             delta = q1 * n1 + v1
             _check(delta == q2 * n2 + v2, f"n = {n}, k = {k}: dividing counts do not balance")
-            rounded = rounded_slope_fraction(measured_slope(1, sd, n1), measured_slope(2, sd, n2), delta)
+            rounded = rounded_slope(measured_slope(1, sd, n1), measured_slope(2, sd, n2), delta)
             _check(rounded == Slope(-k, 6 * k + 1), f"n = {n}, k = {k}: rounded is not -k/(6k+1)")
             boundary = apply(transfer, -rounded)
             _check(boundary == Slope(-n + k), f"n = {n}, k = {k}: boundary is not -n+k")

@@ -1,11 +1,11 @@
-"""Exact slopes on a torus and unimodular integer matrix actions.
+"""Exact slopes on a torus.
 
 A slope is an isotopy class of essential curves on a torus: a point of the
 projective line over Z, written p/q with gcd(|p|, q) = 1 and q >= 0, or the
 infinite slope 1/0.  The slope p/q is the line through the column vector
-(q, p); a matrix [[a, b], [c, d]] acts on column vectors, so it sends p/q to
-the slope (c*q + d*p) / (a*q + b*p).  Lines are unoriented, so negating a
-vector gives the same slope.
+(q, p); a matrix [[a, b], [c, d]] acts on column vectors (selftest.apply), so
+it sends p/q to the slope (c*q + d*p) / (a*q + b*p).  Lines are unoriented,
+so negating a vector gives the same slope.
 
 Everything here is arbitrary-precision integer arithmetic; no floats.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
 # An input integer is read from a text of at most this many characters.  int()
 # takes time quadratic in the length of the text, and outside theta every
@@ -99,23 +98,3 @@ class Slope:
 
 _set_num, _set_den = Slope.num.__set__, Slope.den.__set__
 INF = Slope(1, 0)
-
-
-class UniMat(NamedTuple("UniMat", [("a", int), ("b", int), ("c", int), ("d", int)])):
-    """Integer 2x2 matrix [[a, b], [c, d]] with determinant +1 or -1."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace runs the check too
-
-    def __new__(cls, a: int, b: int, c: int, d: int) -> "UniMat":
-        if a * d - b * c not in (1, -1):
-            raise ValueError(f"matrix [[{a},{b}],[{c},{d}]] is not unimodular")
-        return tuple.__new__(cls, (a, b, c, d))
-
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    def inverse(self) -> "UniMat":
-        s = self.det  # +-1, so the integer adjugate is the inverse up to sign
-        return UniMat(s * self.d, -s * self.b, -s * self.c, s * self.a)

@@ -22,7 +22,7 @@ from tightsf.convex import MAX_TWIST_ROWS, measured_slope, slope_coeffs, v3_slop
 from tightsf.floer import MAX_N, ContactIndex
 from tightsf.seifert import parse_manifold
 from tightsf.selftest import check_bypass_oracle, check_closed_form, rounded_slope, v3_slope_stepwise
-from tightsf.slopes import MAX_INPUT_DIGITS, Slope, UniMat
+from tightsf.slopes import MAX_INPUT_DIGITS, Slope
 from test_floer import laurent_text, product_image
 
 
@@ -539,24 +539,37 @@ def test_floer_cap_fails_fast(capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and "limit" in err
 
 
+def with_third_leg_p_raised(table):
+    """table, called on the manifold with its third leg's convergent p raised by 1."""
+    def sabotaged(sd, n):
+        c1, c2, c3 = sd.conv
+        return table(sd._replace(conv=(c1, c2, c3._replace(p=c3.p + 1))), n)
+    return sabotaged
+
+
 def test_broken_table_identity_is_one_line_error(capsys, monkeypatch):
     # a V_3 transfer that no longer carries row k to -n+k stops classify, with
-    # -O as without: the attaching matrix becomes the identity
-    monkeypatch.setattr(importlib.import_module("tightsf.convex"), "fiber3_matrix", lambda conv3: UniMat(1, 0, 0, 1))
+    # -O as without: the table reads a third leg whose p is raised by 1
+    classify_module = importlib.import_module("tightsf.classify")
+    monkeypatch.setattr(classify_module, "max_twist_table", with_third_leg_p_raised(classify_module.max_twist_table))
     code, out, err = run(capsys, "classify", "-2;1/2,2/3,11/13", "--json")
     assert code == 1 and out == ""
-    assert err == "error: row k = 0: V_3 boundary slope 0 is not -n+k = -2\n"
+    assert err == "error: row k = 0: V_3 boundary slope -1 is not -n+k = -2\n"
 
 
 SABOTAGED_SELFTEST = """
 import sys
-import tightsf.convex as convex
+import tightsf.selftest as selftest
 from tightsf.cli import main
-from tightsf.slopes import UniMat
 
 if sys.argv[1] == "sabotage":
-    # the V_3 attaching matrix becomes the identity, so row 0 maps to 0, not -n
-    convex.fiber3_matrix = lambda conv3: UniMat(1, 0, 0, 1)
+    # the table reads a third leg whose p is raised by 1, so row 0 maps to 0, not -n
+    table = selftest.max_twist_table
+
+    def sabotaged(sd, n):
+        c1, c2, c3 = sd.conv
+        return table(sd._replace(conv=(c1, c2, c3._replace(p=c3.p + 1))), n)
+    selftest.max_twist_table = sabotaged
 sys.exit(main(["selftest"]))
 """
 

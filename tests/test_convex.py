@@ -18,7 +18,6 @@ from tightsf.convex import (
     LimitInfo,
     MaxTwistTable,
     SlopeCoeffs,
-    fiber3_matrix,
     limit_regime,
     max_twist_table,
     measured_slope,
@@ -28,9 +27,9 @@ from tightsf.convex import (
 )
 from tightsf.seifert import parse_manifold
 from tightsf.selftest import (
-    fractions_upto, normalize, random_invariant, rounded_slope, rounded_slope_fraction, v3_slope_stepwise, v3_transfer,
+    fractions_upto, normalize, random_invariant, rounded_slope, v3_slope_stepwise, v3_transfer,
 )
-from tightsf.slopes import INF, Slope, UniMat
+from tightsf.slopes import INF, Slope
 from test_classify import printed_per_k
 from triples import big_invariants, sorted_triples
 
@@ -61,20 +60,6 @@ def test_rounded_slope_theorem_instance():
 
 def test_rounded_slope_arithmetic():
     assert rounded_slope(Slope(0), Slope(0), -1) == Slope(1)
-    with pytest.raises(ValueError):
-        rounded_slope(Slope(1, 3), Slope(1, 2), 4)  # 3 does not divide 4
-
-
-def test_rounded_slope_matches_fraction_sum():
-    rng = random.Random(23)
-    for _ in range(2000):
-        delta = rng.choice((-1, 1)) * rng.randint(1, 10**rng.randint(1, 30))
-        divisors = [d for d in (1, 2, 3, 5, 6, 7, abs(delta)) if delta % d == 0]
-        da, db = rng.choice(divisors), rng.choice(divisors)
-        bound = 10**rng.randint(1, 30)
-        s_a = Slope(rng.randint(-bound, bound), da)
-        s_b = Slope(rng.randint(-bound, bound), db)
-        assert rounded_slope(s_a, s_b, delta) == rounded_slope_fraction(s_a, s_b, delta)
 
 
 def slope_coeffs_fraction_sum(sd):
@@ -353,16 +338,15 @@ def test_max_twist_table():
     assert MaxTwistTable._fields == ("n",) and family_table(2) == MaxTwistTable(2)
 
 
-def test_max_twist_table_checks_each_boundary(monkeypatch):
-    # a wrong V_3 transfer is caught by the row check, which -O keeps
-    monkeypatch.setattr(convex, "fiber3_matrix", lambda sd: UniMat(1, 0, 0, 1))
+def test_max_twist_table_checks_each_boundary():
+    # a third leg whose V_3 transfer misses -n+k is caught by the row check, which -O keeps
     with pytest.raises(ArithmeticError, match="-n\\+k"):
-        family_table(3)
+        max_twist_table(doctored(3, 2, p=1), 3)
 
 
 def test_v3_transfer_inverts_the_attaching_matrix():
-    # selftest writes the inverse V_3 transfer from the convergents, so its
-    # routes do not read fiber3_matrix or UniMat.inverse, which they check
+    # selftest writes the inverse V_3 transfer from the convergents; times the
+    # attaching matrix [[q, v], [q-p, v-u]] it gives the identity
     rng = random.Random(61)
     legs = list(fractions_upto(60))
     for bits in (64, 512):
@@ -370,7 +354,10 @@ def test_v3_transfer_inverts_the_attaching_matrix():
         legs += [(p // gcd(p, q), q // gcd(p, q)) for p in (1, q - 1, rng.randrange(1, q))]
     for p, q in legs:
         conv = convergents(Fraction(-q, p))
-        assert fiber3_matrix(conv).inverse() == v3_transfer(conv), (p, q)
+        _, _, u, v = conv
+        a, b, c, d = v3_transfer(conv)
+        product = (q * a + v * c, q * b + v * d, (q - p) * a + (v - u) * c, (q - p) * b + (v - u) * d)
+        assert product == (1, 0, 0, 1), (p, q)
 
 
 def family_convergents(n):
@@ -418,6 +405,14 @@ def test_max_twist_table_refuses_other_manifolds():
     for leg, shift in ((0, {"u": 1, "p": 2}), (1, {"p": 2, "u": 1}), (2, {"p": 5, "q": 6})):
         with pytest.raises(ArithmeticError):
             max_twist_table(doctored(3, leg, **shift), 3)
+    # the row checks pin every convergent, so p_3 v_3 - q_3 u_3 = 1 needs no
+    # check of its own: a unit move of any of the twelve fields fails row 0
+    for n in (1, 2, 7, 800):
+        for leg in range(3):
+            for field in ("p", "q", "u", "v"):
+                for d in (1, -1):
+                    with pytest.raises(ArithmeticError, match="^row k = 0"):
+                        max_twist_table(doctored(n, leg, **{field: d}), n)
 
 
 def test_max_twist_table_builds_only_the_stored_slopes(monkeypatch):
@@ -495,22 +490,6 @@ def test_sphere_family_work_per_table_is_constant(monkeypatch):
             templated.append(calls["_template"])
         assert templated == ([0, 0] if max_shapes else [2, 2])
         assert len(report._TEMPLATES) == (2 if max_shapes else 0)
-
-
-def test_max_twist_table_builds_one_transfer_matrix(monkeypatch):
-    # the inverse V_3 transfer is UniMat.inverse of the one attaching matrix,
-    # whose constructor keeps the unimodularity check: two builds per table
-    built = []
-    new = UniMat.__new__
-    monkeypatch.setattr(UniMat, "__new__", lambda cls, *abcd: built.append(abcd) or new(cls, *abcd))
-    for n in (1, 2, 7, 800):
-        sd = sphere_family(n)
-        built.clear()
-        assert max_twist_table(sd, n) == MaxTwistTable(n)
-        assert len(built) == 2
-
-    with pytest.raises(ValueError, match="unimodular"):
-        max_twist_table(doctored(3, 2, u=1), 3)
 
 
 def test_max_twist_rows_cap():

@@ -341,7 +341,6 @@ ORACLES = {
     "convex.measured_slope": (None, "the slope formulas themselves; test_measured_slope_formulas pins the family's"),
     "convex.slope_coeffs": ("test_convex.slope_coeffs_fraction_sum",
                             "test_convex::test_slope_coeffs_matches_fraction_sum_sweep"),
-    "convex.fiber3_matrix": ("selftest.v3_transfer", "test_convex::test_v3_transfer_inverts_the_attaching_matrix"),
     "convex.v3_slope": ("selftest.v3_slope_stepwise", "test_acceptance::test_criterion_4_slope_calculus_consistency"),
     "convex.limit_regime": ("test_convex.limit_regime_fraction", "test_convex::test_increasing_matches_stepwise_sweep"),
     "convex.v3_slope_limit": ("test_convex.v3_slope_limit_fraction",
@@ -360,8 +359,6 @@ ORACLES = {
     "slopes.Slope.vec": (None, "returns the two stored fields"),
     "slopes.Slope.as_fraction": (None, "the Fraction of the two stored fields"),
     "slopes.Slope.parse": (None, "int() on each part; test_parse_and_str round-trips it through str"),
-    "slopes.UniMat.det": (None, "the determinant formula itself"),
-    "slopes.UniMat.inverse": ("selftest.apply", "test_slopes::test_inverse_round_trip"),
 }
 TESTS_DIR = Path(__file__).resolve().parent
 
