@@ -55,15 +55,18 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
 def slope_coeffs(sd: SeifertData) -> SlopeCoeffs:
     """A, C, F, D: r_1 + r_2 + r_3 - 2, 2 - r_1 - r_2 - u_3/v_3,
     (r_2 + r_3 - 2) v_1/q_1 + e/q12 and (2 - r_2 - u_3/v_3) v_1/q_1 - e/q12, with
-    q12 = q_1 q_2 and e = u_1 q_2 + q_2 - 1.  Each is one integer numerator over
-    q12 q_3 (A, F) or q12 v_3 (C, D), read off the convergents and reduced once.
+    q12 = q_1 q_2 and e = u_1 q_2 + q_2 - 1.  A is (S.num - 2 S.den, S.den) for
+    the sum S = r_1 + r_2 + r_3 that parse stored reduced, so it is reduced too.
+    C, F and D are each one integer numerator over q12 v_3 (C, D) or q12 q_3
+    (F), read off the convergents and reduced once.
     """
     (p1, q1, u1, v1), (p2, q2, u2, v2), (p3, q3, u3, v3) = sd.conv
     q12 = q1 * q2
     e = u1 * q2 + q2 - 1
     s12 = p1 * q2 + p2 * q1 - 2 * q12  # q12 (r_1 + r_2 - 2)
+    s = sd.invariant_sum
     return SlopeCoeffs(
-        _reduced(s12 * q3 + p3 * q12, q12 * q3),
+        (s.num - 2 * s.den, s.den),
         _reduced(-s12 * v3 - u3 * q12, q12 * v3),
         _reduced((p3 * q2 + p2 * q3 - 2 * q2 * q3) * v1 + e * q3, q12 * q3),
         _reduced(((2 * q2 - p2) * v3 - u3 * q2) * v1 - e * v3, q12 * v3),

@@ -20,8 +20,9 @@ not depend on that overall choice.
 Both expansion and laurent_image read that signed binomial row, built in i
 steps of one multiply and one exact division each.  Each row is built once
 per process, on first use, together with the text each entry puts before its
-power of t; at most MAX_N rows of at most MAX_N entries are kept.  So a class
-costs one slice of its row: expansion pads it with zeros, and laurent_image
+power of t and the reversed row with MAX_N - 1 - i zeros on each side; at
+most MAX_N rows are kept, each padded row of at most 2 MAX_N - 1 ints.  So a
+class costs one slice: expansion slices the padded row, and laurent_image
 interleaves the row's texts with a slice of one table of power texts, also
 built on first use.  The i-fold product of Laurent polynomials is kept only
 as the test oracle.
@@ -60,14 +61,14 @@ class ContactIndex(NamedTuple("ContactIndex", [("n", int), ("i", int), ("j", int
 
 
 def index_set(n: int) -> list[ContactIndex]:
-    """All valid (i, j) for the given n; there are n(n+1)/2 of them."""
+    """All valid (i, j) for the given n; there are n(n+1)/2 of them.
+
+    n is checked once, and each index is built past ContactIndex's check,
+    which it passes by construction: 0 <= i <= n-1, j runs from -(n-i-1) to
+    n-i-1, and j - (n+1-i) = j - (n-i-1) - 2 is even.
+    """
     _check_table_size(n)
-    out = []
-    for i in range(n):
-        top = n - i - 1
-        for j in range(-top, top + 1, 2):
-            out.append(ContactIndex(n, i, j))
-    return out
+    return [tuple.__new__(ContactIndex, (n, i, j)) for i in range(n) for j in range(i + 1 - n, n - i, 2)]
 
 
 def grid(n: int) -> tuple[int, ...]:
@@ -91,12 +92,14 @@ def _binomial_row(i: int) -> list[int]:
 
 
 @cache
-def _row(i: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """The signed binomial row i as a tuple, and the text each entry puts before
-    its power of t: a bare sign for +-1, else the signed coefficient and "*".
-    A ContactIndex has i < MAX_N, so at most MAX_N rows are kept."""
+def _row(i: int) -> tuple[tuple[int, ...], tuple[str, ...], tuple[int, ...]]:
+    """The signed binomial row i as a tuple, the text each entry puts before
+    its power of t (a bare sign for +-1, else the signed coefficient and "*"),
+    and the reversed row with MAX_N - 1 - i zeros on each side, 2 MAX_N - 1 - i
+    ints.  A ContactIndex has i < MAX_N, so at most MAX_N rows are kept."""
     row = tuple(_binomial_row(i))
-    return row, tuple("+" if c == 1 else "-" if c == -1 else "%+d*" % c for c in row)
+    zeros = (0,) * (MAX_N - 1 - i)
+    return row, tuple("+" if c == 1 else "-" if c == -1 else "%+d*" % c for c in row), zeros + row[::-1] + zeros
 
 
 @cache
@@ -106,10 +109,17 @@ def _powers() -> tuple[str, ...]:
 
 
 def expansion(idx: ContactIndex) -> ExpansionVector:
-    """Basis coordinates: (-1)^k binom(i, k) at j' = j + i - 2k, k = 0..i."""
-    n, i = idx.n, idx.i
-    low = (idx.j - i + n - 1) // 2  # the position of j' = j - i, where k = i
-    return ExpansionVector((0,) * low + _row(i)[0][::-1] + (0,) * (n - 1 - low - i))
+    """Basis coordinates: (-1)^k binom(i, k) at j' = j + i - 2k, k = 0..i.
+
+    The top entry, k = 0, sits at grid position (n-1+i+j)/2, and in the padded
+    row at MAX_N - 1, so the vector is the n entries of the padded row from
+    MAX_N - 1 - (n-1+i+j)/2.  That start is at least MAX_N - n >= 0, since
+    j <= n-i-1, and the slice ends at most MAX_N - 1 - i + n <= 2 MAX_N - 1 - i,
+    since j >= i+1-n, so it stays inside the row.
+    """
+    n, i, j = idx
+    start = MAX_N - 1 - (n - 1 + i + j) // 2
+    return tuple.__new__(ExpansionVector, (_row(i)[2][start:start + n],))
 
 
 def laurent_image(idx: ContactIndex) -> str:
@@ -123,7 +133,7 @@ def laurent_image(idx: ContactIndex) -> str:
     "+" of the first term (whose coefficient is 1) is dropped.
     """
     i, j = idx.i, idx.j
-    row, prefixes = _row(i)
+    row, prefixes, _ = _row(i)
     top = j + i + MAX_N  # the index of the highest power, t^((j+i)/2)
     parts = [""] * (2 * i + 2)
     parts[::2] = prefixes

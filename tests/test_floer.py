@@ -75,6 +75,40 @@ def test_index_set_examples():
         assert len(index_set(n)) == n * (n + 1) // 2
 
 
+def checked_index_set(n):
+    # the oracle: every index through ContactIndex's own check, i ascending,
+    # then j ascending
+    return [ContactIndex(n, i, j) for i in range(n) for j in range(-(n - i - 1), n - i, 2)]
+
+
+def test_index_set_is_the_checked_constructor():
+    for n in range(1, MAX_N + 1):
+        classes = index_set(n)
+        assert classes == checked_index_set(n)
+        assert all(type(idx) is ContactIndex for idx in classes)
+    for n, message in ((0, "n must be positive"), (MAX_N + 1, f"n = {MAX_N + 1} is more than the limit {MAX_N}")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            index_set(n)
+
+
+def test_index_set_checks_n_once(monkeypatch):
+    # the indices are valid by construction, so none goes through the check
+    calls = 0
+    new = ContactIndex.__new__
+
+    def counting_new(cls, *args):
+        nonlocal calls
+        calls += 1
+        return new(cls, *args)
+
+    monkeypatch.setattr(ContactIndex, "__new__", staticmethod(counting_new))
+    ContactIndex(3, 1, -1)
+    assert calls == 1  # the patch is the constructor's check
+    calls = 0
+    assert len(index_set(30)) == 465
+    assert calls == 0
+
+
 def test_expansion_examples():
     v = expansion(ContactIndex(2, 1, 0))
     assert grid(2) == (-1, 1)
@@ -96,12 +130,27 @@ def test_laurent_examples():
         assert laurent_image(idx) == laurent_text(product_image(idx)) == text
 
 
+def oracle_coeffs(terms, n):
+    """The product oracle's dict read on grid(n): the expected coefficients."""
+    return tuple(terms.get(position, 0) for position in grid(n))
+
+
 def test_laurent_image_matches_the_oracle_up_to_the_cap():
     # the text depends on (i, j) alone, and n = 99 and n = 100 between them
-    # give every (i, j) of every n <= MAX_N
+    # give every (i, j) of every n <= MAX_N; the vector also depends on n,
+    # through the slice of the padded row, so it is checked at both
     for n in (MAX_N - 1, MAX_N):
         for idx in index_set(n):
-            assert laurent_image(idx) == laurent_text(product_image(idx)), idx
+            terms = product_image(idx)
+            assert laurent_image(idx) == laurent_text(terms), idx
+            assert expansion(idx).coeffs == oracle_coeffs(terms, n), idx
+
+
+def test_expansion_matches_the_oracle_on_every_small_table():
+    # every class of every n the sphere_family benchmark builds a table for
+    for n in range(1, 31):
+        for idx in index_set(n):
+            assert expansion(idx).coeffs == oracle_coeffs(product_image(idx), n), idx
 
 
 class CountedIndex(int):
