@@ -18,10 +18,15 @@ escaped str, an int, a bool's JSON word, a num or a den, an int of a short list
 of ints, the joined ints of a longer one, or the entries of an `Expansion` of at
 most _MAX_ITEMS entries.  A splice is text its own writer puts between two
 stretches of a template: a longer `Expansion`, a `MaxTwistTable` as the pieces
-of one row template around the digits of the rows its n fixes, each value
-converted once for the whole table, and any other list or tuple of more than
-_MAX_ITEMS items, item by item.  At most _MAX_SHAPES templates are kept;
-nothing is cached by value.
+of one row template around the digits of the rows its n fixes, and any other
+list or tuple of more than _MAX_ITEMS items, item by item.
+
+A process keeps two things: at most _MAX_SHAPES (64) templates, and the texts
+of the two columns of the largest sphere-family table written so far, of N
+rows: 0..N and 6k+1 for k < N, each one newline-joined string.  A later table
+of n <= N rows splits its texts off those two and converts no integer; a
+larger one converts each value once and replaces them.  Nothing else is
+cached by value.
 """
 from __future__ import annotations
 
@@ -270,6 +275,32 @@ def _write_items(value: list | tuple, pad: str, out: list[str]) -> None:
     out.append("\n" + pad + "]")
 
 
+# The texts of the columns of the largest sphere-family table written so far,
+# of N rows: (N, the texts of 0..N, the texts of 6k+1 for k < N), each list
+# joined by newlines.  A larger table replaces all three in one assignment, so
+# threads that race on them can only build them twice.
+_COLUMNS: tuple[int, str, str] = (0, "0", "")
+
+
+def _columns(n: int) -> tuple[list[str], list[str]]:
+    """The texts of 0..n and of 6k+1 for k < n.  For n <= N each is split off
+    the kept text, with no integer converted; for a larger n the digits of 0..n
+    are converted once, serving each 6k+1 up to n, the rest of the 6k+1 column
+    is converted once, and the joined lists become the kept texts."""
+    global _COLUMNS
+    kept, digits_text, den_text = _COLUMNS
+    if n <= kept:
+        digits = digits_text.split("\n", n + 1)
+        den = den_text.split("\n", n)
+        del digits[n + 1:], den[n:]  # the unsplit rest of a longer text
+        return digits, den
+    digits = list(map(str, range(n + 1)))
+    den = digits[1::6]  # 6k+1 up to n
+    den += map(str, range(6 * len(den) + 1, 6 * n, 6))
+    _COLUMNS = n, "\n".join(digits), "\n".join(den)
+    return digits, den
+
+
 def _write_max_twist_table(value: MaxTwistTable, pad: str, out: list[str]) -> None:
     """Append the JSON list of a sphere-family table's rows, each the object
     {"k", "rounded", "boundary", "count"}, from the six pieces of one row
@@ -278,11 +309,12 @@ def _write_max_twist_table(value: MaxTwistTable, pad: str, out: list[str]) -> No
     that the V_3 image is proportional to (1, -n+k).
 
     The table holds only n, and row k is (k, -k, 6k+1, k-n, n-k).  So the
-    digits of 0..n, converted once, serve k, -k (a "-" ending the piece
-    before it, but at k = 0), the boundary -(n-k), the count n-k and each
-    6k+1 up to n; the rest of the 6k+1 column is converted once.  out is
-    extended by the row's pieces, 10 items a row, and the slots are filled
-    by slice assignment, so no row is formatted or joined into a copy.
+    texts of 0..n, from _columns, serve k, -k (a "-" ending the piece before
+    it, but at k = 0), the boundary -(n-k) and the count n-k, and _columns
+    gives the 6k+1 column too: split off the texts kept from the largest table
+    written so far, or else converted once.  out is extended by the row's
+    pieces, 10 items a row, and the slots are filled by slice assignment, so
+    no row is formatted or joined into a copy.
     """
     n = value.n
     if n < 1:
@@ -292,9 +324,8 @@ def _write_max_twist_table(value: MaxTwistTable, pad: str, out: list[str]) -> No
     shape = (inner, ("k", "rounded", "boundary", "count"), "\0", *_NUM_DEN, ("num", "den"), "\0", "1", "\0")
     row, = _TEMPLATES.get(shape) or _template(shape, 5, 0)
     head, after_k, after_num, after_den, after_boundary, tail = row.split("%s")
-    digits = list(map(str, range(n + 1)))
-    k, left, den = digits[:n], digits[n:0:-1], digits[1::6]  # k, n-k, and 6k+1 up to n
-    den += map(str, range(6 * len(den) + 1, 6 * n, 6))
+    digits, den = _columns(n)
+    k, left = digits[:n], digits[n:0:-1]  # k, and n-k
     at = len(out)  # out[at + 10 k:] holds row k: what comes before it, then each slot and the piece after it
     out += [tail + ",\n" + inner + head, None, after_k + "-", None, after_num, None,
             after_den + "-", None, after_boundary, None] * n

@@ -111,7 +111,8 @@ def test_slope_coeffs_example():
 
 
 def test_coeff_sum_identity():
-    # A + C collapses to 1/(q3 v3) via the convergent determinant
+    # A + C collapses to 1/(q3 v3) via the convergent determinant, and A is
+    # r1 + r2 + r3 - 2, summed from the drawn invariants
     rng = random.Random(1)
     for _ in range(200):
         rs = sorted(random_invariant(rng) for _ in range(3))
@@ -119,7 +120,7 @@ def test_coeff_sum_identity():
         A, C, _, _ = fractions_of(slope_coeffs(sd))
         q3, v3 = sd.conv[2].q, sd.conv[2].v
         assert A + C == Fraction(1, q3 * v3)
-        assert A == sd.invariant_sum.as_fraction() - 2
+        assert A == sum(rs) - 2
 
 
 def test_v3_slope_k_family():

@@ -1,3 +1,4 @@
+import builtins
 import json
 import random
 from dataclasses import dataclass
@@ -407,8 +408,12 @@ def test_expansion_writer_matches_json_dumps():
 
 def test_max_twist_table_writer_matches_json_dumps(monkeypatch):
     # a table is written from one row template; at any nesting depth the text
-    # is json.dumps of its row objects
-    for n in [*range(1, 41), 799, 800, 10**4]:
+    # is json.dumps of its row objects, both for a table larger than any
+    # written before (ascending n, from no kept column texts) and for one
+    # whose column texts are split off the kept ones (descending n)
+    monkeypatch.setattr(report, "_COLUMNS", (0, "0", ""))
+    ascending = [*range(1, 41), 799, 800, 10**4]
+    for n in ascending + ascending[::-1]:
         table = MaxTwistTable(n)
         want = json.dumps([
             {"k": k, "rounded": {"num": num, "den": den}, "boundary": {"num": boundary, "den": 1}, "count": count}
@@ -417,6 +422,7 @@ def test_max_twist_table_writer_matches_json_dumps(monkeypatch):
             out = []
             report._write(table, pad, out)
             assert "".join(out) == want.replace("\n", "\n" + pad)
+    assert report._COLUMNS[0] == 10**4
     assert written(MaxTwistTable(0)) == "[]"
     # the row template is the layout of the row's shape key, the boundary's
     # den the literal token "1", and it is kept in the one shape cache
@@ -444,6 +450,40 @@ def test_max_twist_table_rows_reach_out_unjoined():
             assert rows[7::10] == rows[9::10] == list(map(str, range(n, 0, -1)))
             assert all(a is b for a, b in zip(rows[1::10], rows[3::10]))
             assert all(a is b for a, b in zip(rows[11::10], reversed(rows[9::10])))
+
+
+def test_max_twist_table_converts_each_text_once_per_process(monkeypatch):
+    # counted work, not timing: a table larger than any written before
+    # converts 0..n and each 6k+1 > n, one str call each, and keeps the texts
+    # of 0..n and of 6k+1 for k < n; a table of no more rows than that
+    # converts nothing and splits its texts off the kept ones
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return builtins.str(value)
+
+    # the row template is laid out, with its own uses of str, and kept first
+    monkeypatch.setattr(report, "_TEMPLATES", {})
+    report._write_max_twist_table(MaxTwistTable(1), "  ", [])
+    monkeypatch.setattr(report, "_COLUMNS", (0, "0", ""))
+    monkeypatch.setattr(report, "str", counted, raising=False)
+    largest = 0
+    for n in (5, 3, 5, 1, 800, 799, 2, 800, 801, 10**4, 40, 10**4, 1):
+        calls.clear()
+        out = []
+        report._write_max_twist_table(MaxTwistTable(n), "  ", out)
+        if n > largest:
+            assert len(calls) == n + 1 + sum(6 * k + 1 > n for k in range(n))
+            largest = n
+        else:
+            assert calls == []
+        assert out[1::10] == out[3::10] == list(map(builtins.str, range(n)))
+        assert out[5::10] == list(map(builtins.str, range(1, 6 * n, 6)))
+        kept, digits, den = report._COLUMNS
+        assert kept == largest
+        assert digits.split("\n") == list(map(builtins.str, range(largest + 1)))
+        assert den.split("\n") == list(map(builtins.str, range(1, 6 * largest, 6)))
 
 
 def test_max_twist_table_holds_no_columns():
