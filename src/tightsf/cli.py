@@ -86,7 +86,7 @@ def _cmd_slopes(args) -> int:
         raise ValueError("twisting --n1 must be negative")
     coeffs = slope_coeffs(sd)
     measured = [measured_slope(i, sd, n1) for i in (1, 2, 3)]
-    closed = v3_slope(sd, n1, coeffs)
+    closed = v3_slope(coeffs, n1)
     limit = None
     if limit_regime(coeffs):
         limit = v3_slope_limit(sd, coeffs)

@@ -80,33 +80,40 @@ def read_leg(p: int, q: int) -> tuple[Expansion, Convergents]:
     """The runs of the canonical expansion of -q/p and the convergents
     (p, q, u, v), for the leg r = p/q with 0 < p < q coprime, from one pass.
 
-    The pass is Euclid's on (q, p).  A step with n/d in (1, 2] starts a run of
-    -2 entries whose length d // (n - d) is read off at once; any other step
-    is one entry -b, b = ceil(n/d).  Beside it runs the numerator continuant
-    N_k of [a_0, ..., a_k] (N_{-2} = 0, N_{-1} = 1, N_k = -a_k N_{k-1} - N_{k-2}):
-    an entry -b sets N <- b N_1 - N_0, and a run of m entries -2 is an
-    arithmetic progression, m steps of N_1 - N_0 at once.  At the end N = q,
-    so v = N_{m-1}, and u = (p v - 1)/q.  O(log q) steps, however long the
-    expansion is.
+    The pass is Euclid's on (q, p), one divmod(n, d) = (c, r) a step: c is
+    the regular partial quotient (Knuth, TAOCP vol. 2, 4.5.3).  c == 1, that
+    is n/d in (1, 2), starts a run of -2 entries, and (m, s) = divmod(d, r)
+    gives its length m and the next state (s + r, s) at once; a remainder
+    r != 0 with c > 1 gives one entry -(c + 1) and the next state
+    (d, d - r); r == 0 gives the last entry, -c.  Beside it runs the
+    numerator continuant N_k of [a_0, ..., a_k] (N_{-2} = 0, N_{-1} = 1,
+    N_k = -a_k N_{k-1} - N_{k-2}): an entry -b sets N <- b N_1 - N_0, and a
+    run of m entries -2 is an arithmetic progression, m steps of N_1 - N_0
+    at once.  At the end N = q, so v = N_{m-1}, and u = (p v - 1)/q.  So a
+    leg costs one divmod per run, and one more per run of -2 entries:
+    O(log q) steps, however long the expansion is.
     """
     runs = []
     n, d = q, p
     v, w = 0, 1  # the continuants N_{k-1}, N_k of the entries read so far
     while d:
-        e = n - d
-        if e <= d:
-            m = d // e
+        c, r = divmod(n, d)
+        if c == 1:
+            m, s = divmod(d, r)
             runs.append((-2, m))
-            n, d = d - (m - 1) * e, d - m * e
+            n, d = s + r, s
             step = w - v
             v = w + (m - 1) * step
             w = v + step
+        elif r:
+            runs.append((-c - 1, 1))
+            # remainder 1/(c + 1 - n/d) = d/(d - r)
+            n, d = d, d - r
+            v, w = w, (c + 1) * w - v
         else:
-            b = -(-n // d)  # ceiling
-            runs.append((-b, 1))
-            # remainder 1/(b - n/d) = d/(b*d - n)
-            n, d = d, b * d - n
-            v, w = w, b * w - v
+            runs.append((-c, 1))
+            v = w
+            break
     # tuple.__new__ types the convergents without the NamedTuple's Python-level __new__
     return Expansion(runs), tuple.__new__(Convergents, (p, q, (p * v - 1) // q, v))
 

@@ -11,9 +11,11 @@ dividing counts balance (q_1 n_1 + v_1 = q_2 n_2 + v_2 = delta) and rounding
 the edges gives a torus parallel to dV_3 of slope s_1 + s_2 - 1/delta; pushed
 into the V_3 coordinates this is the closed form
 
-    ((A n_1 + F) q_3) / ((C n_1 + D) v_3)
+    ((A n_1 + F) q_3) / ((C n_1 + D) v_3) = (a n_1 + f) / (k n_1 + d)
 
-with the four rational coefficients computed by slope_coeffs.
+with the four rational coefficients and the four integers computed by
+slope_coeffs; a, f, k and d are A q_3, F q_3, C v_3 and D v_3 over their
+common denominator q_1 q_2.
 """
 from __future__ import annotations
 
@@ -39,11 +41,16 @@ def measured_slope(i: int, sd: SeifertData, n: int) -> Slope:
     raise ValueError("fiber index must be 1, 2 or 3")
 
 
-class SlopeCoeffs(NamedTuple):  # each coefficient a reduced integer pair (num, den) with den > 0
+class SlopeCoeffs(NamedTuple):
+    """The closed form: A, C, F and D, each a reduced integer pair (num, den)
+    with den > 0, which a report prints; and form, the integers (a, f, k, d)
+    of the Moebius map n_1 -> (a n_1 + f)/(k n_1 + d), which v3_slope and
+    v3_slope_limit read."""
     A: tuple[int, int]
     C: tuple[int, int]
     F: tuple[int, int]
     D: tuple[int, int]
+    form: tuple[int, int, int, int]
 
 
 def _reduced(num: int, den: int) -> tuple[int, int]:
@@ -55,33 +62,36 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
 def slope_coeffs(sd: SeifertData) -> SlopeCoeffs:
     """A, C, F, D: r_1 + r_2 + r_3 - 2, 2 - r_1 - r_2 - u_3/v_3,
     (r_2 + r_3 - 2) v_1/q_1 + e/q12 and (2 - r_2 - u_3/v_3) v_1/q_1 - e/q12, with
-    q12 = q_1 q_2 and e = u_1 q_2 + q_2 - 1.  A is (S.num - 2 S.den, S.den) for
-    the sum S = r_1 + r_2 + r_3 that parse stored reduced, so it is reduced too.
-    C, F and D are each one integer numerator over q12 v_3 (C, D) or q12 q_3
-    (F), read off the convergents and reduced once.
+    q12 = q_1 q_2 and e = u_1 q_2 + q_2 - 1, and the closed form's integers.
+
+    The integers are read once off the convergents: a = Sigma - 2Q, with
+    Q = q_1 q_2 q_3 and Sigma = Q (r_1 + r_2 + r_3); f is F's numerator over
+    q12 q_3; k and d are C's and D's numerators over q12 v_3.  A is
+    (S.num - 2 S.den, S.den) for the sum S = r_1 + r_2 + r_3 that parse stored
+    reduced, so it is reduced too; C, F and D are k, f and d reduced once.
     """
     (p1, q1, u1, v1), (p2, q2, u2, v2), (p3, q3, u3, v3) = sd.conv
     q12 = q1 * q2
     e = u1 * q2 + q2 - 1
     s12 = p1 * q2 + p2 * q1 - 2 * q12  # q12 (r_1 + r_2 - 2)
+    f = (p3 * q2 + p2 * q3 - 2 * q2 * q3) * v1 + e * q3
+    k = -s12 * v3 - u3 * q12
+    d = ((2 * q2 - p2) * v3 - u3 * q2) * v1 - e * v3
     s = sd.invariant_sum
-    return SlopeCoeffs(
-        (s.num - 2 * s.den, s.den),
-        _reduced(-s12 * v3 - u3 * q12, q12 * v3),
-        _reduced((p3 * q2 + p2 * q3 - 2 * q2 * q3) * v1 + e * q3, q12 * q3),
-        _reduced(((2 * q2 - p2) * v3 - u3 * q2) * v1 - e * v3, q12 * v3),
-    )
+    return SlopeCoeffs((s.num - 2 * s.den, s.den), _reduced(k, q12 * v3), _reduced(f, q12 * q3),
+                       _reduced(d, q12 * v3), (s12 * q3 + p3 * q12, f, k, d))
 
 
-def v3_slope(sd: SeifertData, n1: int, coeffs: SlopeCoeffs) -> Slope:
+def v3_slope(coeffs: SlopeCoeffs, n1: int) -> Slope:
     """Closed form ((A n_1 + F) q_3)/((C n_1 + D) v_3) for the dV_3 slope after
-    rounding, cross-multiplied from the integer pairs; at a pole of the form,
-    where C n_1 + D = 0, the slope is inf."""
+    rounding, as the Moebius map (a n_1 + f)/(k n_1 + d); at a pole of the
+    form, where k n_1 + d = 0, the slope is inf.  Numerator and denominator
+    never vanish together: that needs a d = f k, which holds only for
+    q_1 = q_2 = 2 (see v3_slope_limit), and then the pole is -1/2."""
     if n1 >= 0:
         raise ValueError("twisting must be negative")
-    (an, ad), (cn, cd), (fn, fd), (dn, dd) = coeffs
-    _, q3, _, v3 = sd.conv[2]
-    return Slope((an * fd * n1 + fn * ad) * q3 * cd * dd, (cn * dd * n1 + dn * cd) * v3 * ad * fd)
+    a, f, k, d = coeffs.form
+    return Slope(a * n1 + f, k * n1 + d)
 
 
 def limit_regime(coeffs: SlopeCoeffs) -> bool:
@@ -102,7 +112,7 @@ RISING_DEPTH = 100
 
 
 def v3_slope_limit(sd: SeifertData, coeffs: SlopeCoeffs) -> LimitInfo:
-    """Limit A q_3 / (C v_3) of the closed form as n_1 -> -inf.
+    """Limit A q_3 / (C v_3) = a/k of the closed form as n_1 -> -inf.
 
     Only meaningful under limit_regime (the two finite-count regimes with
     C of a definite sign).  "increasing" means the value strictly rises toward
@@ -110,31 +120,43 @@ def v3_slope_limit(sd: SeifertData, coeffs: SlopeCoeffs) -> LimitInfo:
     threshold_ok records whether the limit stays on the attainable side of
     (p_3 - q_3)/(v_3 - u_3).
 
-    The closed form is the Moebius function (a n + f)/(c n + d) of n_1 with
-    (a, f, c, d) = (A q_3, F q_3, C v_3, D v_3), and one step from n + 1 down
-    to n changes it by (f c - a d) divided by the product of the two
-    denominators.  Away from the pole -d/c = -D/C that product is positive, so
-    the values rise at every step exactly when a d - f c, of the sign of
-    A D - F C, is negative and the pole lies outside [-RISING_DEPTH, -1].  The
-    flag can therefore come back False for honest reasons near the -1 end: the
-    form is constant whenever the first two invariants both make balanced
-    standard neighborhoods (for example r_1 = r_2 = 1/2), and a pole between
-    -2 and -1 puts n_1 = -1 on the far branch.  The tail toward -infinity is
-    monotone in every case.
+    The closed form is the Moebius map (a n + f)/(k n + d) of slope_coeffs,
+    and one step from n + 1 down to n changes it by (f k - a d) divided by
+    the product of the two denominators.  Away from the pole -d/k that
+    product is positive, so the values rise at every step exactly when
+    a d - f k is negative and the pole lies outside [-RISING_DEPTH, -1].
 
-    A, C, F and D come as integer pairs with positive denominators, so each
-    comparison cross-multiplies ints (threshold_ok uses v_3 > u_3) and the
-    limit's Slope is the one rational built.
+    a d - f k = (q_1 q_2)^2 q_3 v_3 (A D - F C) = q_2 (q_1 + q_2 - q_1 q_2), as
+
+        A D - F C = (q_1 + q_2 - q_1 q_2) / (q_1^2 q_2 q_3 v_3).
+
+    Proof: write P = r_2 + r_3 - 2, P' = 2 - r_2 - u_3/v_3, s = v_1/q_1 and
+    t = e/q12.  Then A = r_1 + P, C = P' - r_1, F = P s + t and D = P' s - t,
+    so A D - F C = (P + P')(r_1 s - t).  P + P' = r_3 - u_3/v_3 = 1/(q_3 v_3),
+    as p_3 v_3 - q_3 u_3 = 1; and r_1 s - t = (q_2 (p_1 v_1 - q_1 u_1) -
+    q_1 q_2 + q_1)/(q_1^2 q_2) = (q_1 + q_2 - q_1 q_2)/(q_1^2 q_2), as
+    p_1 v_1 - q_1 u_1 = 1.
+
+    So the product clause is q_1 + q_2 < q_1 q_2.  As q_1 q_2 - q_1 - q_2 =
+    (q_1 - 1)(q_2 - 1) - 1, it fails exactly when q_1 = q_2 = 2, that is
+    r_1 = r_2 = 1/2, where a d = f k and the form is constant; and a pole
+    in [-RISING_DEPTH, -1] puts the first steps on the far branch.  Either
+    way the flag comes back False for honest reasons near the -1 end; the
+    tail toward -infinity is monotone in every case.
+
+    The limit's Slope is the one rational built, reduced from a and k;
+    threshold_ok cross-multiplies it with v_3 > u_3.
     """
     if not limit_regime(coeffs):
         raise ValueError("gap region")
-    (an, ad), (cn, cd), (fn, fd), (dn, dd) = coeffs
-    if cn == 0:
+    a, _, k, d = coeffs.form
+    if k == 0:
         raise ArithmeticError("coefficient C vanishes outside the gap region")
+    q1, q2 = sd.conv[0].q, sd.conv[1].q
     p3, q3, u3, v3 = sd.conv[2]
-    limit = Slope(an * q3 * cd, ad * cn * v3)
-    pole_num, pole_den = (dn * cd, dd * cn) if cn > 0 else (-dn * cd, -dd * cn)  # = D/C, pole_den > 0
-    increasing = an * dn * fd * cd < fn * cn * ad * dd and not pole_den <= pole_num <= RISING_DEPTH * pole_den
+    limit = Slope(a, k)
+    pole_num, pole_den = (d, k) if k > 0 else (-d, -k)  # = d/k, the pole negated, pole_den > 0
+    increasing = q1 + q2 < q1 * q2 and not pole_den <= pole_num <= RISING_DEPTH * pole_den
     threshold_ok = limit.num * (v3 - u3) <= (p3 - q3) * limit.den
     return LimitInfo(limit, increasing, threshold_ok)
 

@@ -1,11 +1,12 @@
 """Canonical JSON reports, each its document's shape template filled with its leaves.
 
 The writer renders library values itself: a `Slope`, a `Fraction` and each
-integer pair (num, den) of `SlopeCoeffs` is a {"num", "den"} object (the
-infinite slope is {"num": 1, "den": 0}), and a record, any other named tuple
-such as `Fillability`, is an object of its `_fields` in order, leaving out
-fields that are None.  A classify report is written from the
-`ClassificationResult` itself, whose report fields lead with its manifold's.
+integer pair (num, den) A, C, F and D of `SlopeCoeffs` is a {"num", "den"}
+object (the infinite slope is {"num": 1, "den": 0}; `SlopeCoeffs.form` is
+not printed), and a record, any other named tuple such as `Fillability`, is
+an object of its `_fields` in order, leaving out fields that are None.  A
+classify report is written from the `ClassificationResult` itself, whose
+report fields lead with its manifold's.
 
 Every document takes one path: _walk, the one dispatch on exact value types,
 reads its shape key and its leaves, _layout, the one place that knows the JSON

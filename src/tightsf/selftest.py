@@ -160,7 +160,7 @@ def check_closed_form(samples: int = 200, seed: int = 11, min_n1: int = -40) -> 
         if (delta - v2) % q2:
             continue
         n2 = (delta - v2) // q2
-        _check(v3_slope(sd, n1, slope_coeffs(sd)) == v3_slope_stepwise(sd, n1, n2),
+        _check(v3_slope(slope_coeffs(sd), n1) == v3_slope_stepwise(sd, n1, n2),
                f"closed form differs from stepwise rounding at {sd.r}, n1 = {n1}")
         done += 1
     return f"{done} random tuples, closed form = stepwise rounding"

@@ -279,8 +279,8 @@ def test_selftest_cli(capsys):
 def test_selftest_closed_form_accepts_the_pole():
     # seed 18 draws M(-2; 1/2, 5/7, 5/6) at n1 = -13, n2 = -4: a pole of the closed form
     sd = parse_manifold("-2;1/2,5/7,5/6")
-    assert v3_slope(sd, -13, slope_coeffs(sd)).den == 0
-    assert v3_slope(sd, -13, slope_coeffs(sd)) == v3_slope_stepwise(sd, -13, -4)
+    assert v3_slope(slope_coeffs(sd), -13).den == 0
+    assert v3_slope(slope_coeffs(sd), -13) == v3_slope_stepwise(sd, -13, -4)
     assert check_closed_form(seed=18) == "200 random tuples, closed form = stepwise rounding"
 
 

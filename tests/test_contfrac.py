@@ -1,3 +1,4 @@
+import builtins
 import random
 from fractions import Fraction
 from math import gcd
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tightsf.contfrac as contfrac
 from tightsf.contfrac import (
     MAX_EXPANSION,
     Convergents,
@@ -256,3 +258,54 @@ def test_one_pass_matches_pow_and_the_run_loop(leg):
     assert list(runs) == runs_oracle(q, p)
     assert conv == convergents_via_pow(p, q)
     assert p * conv.v - q * conv.u == 1
+
+
+def read_leg_counted(monkeypatch, p, q):
+    """read_leg(p, q)'s runs and the number of divmod calls it made."""
+    calls = 0
+
+    def counted(n, d):
+        nonlocal calls
+        calls += 1
+        return builtins.divmod(n, d)
+
+    with monkeypatch.context() as m:
+        m.setattr(contfrac, "divmod", counted, raising=False)
+        runs, _ = read_leg(p, q)
+    return runs, calls
+
+
+def fibonacci_leg(bits):
+    """F_k/F_{k+1}, the first consecutive Fibonacci pair with F_{k+1} of at
+    least bits bits: every regular partial quotient is 1."""
+    a, b = 1, 2
+    while b.bit_length() < bits:
+        a, b = b, a + b
+    return a, b
+
+
+def test_read_leg_work_is_counted(monkeypatch):
+    # counted work, not timing: one divmod per run and one more per run of
+    # -2 entries; and at most one run per regular partial quotient, of which
+    # Lame's theorem allows log_phi q + 1 < 1.45 bits + 2 (a Fibonacci ratio,
+    # whose partial quotients are all 1, makes the most Euclid steps)
+    rng = random.Random(37)
+    cases = []
+    for bits in (2**k for k in range(4, 14)):
+        q = rng.getrandbits(bits) | (1 << (bits - 1))
+        p = rng.randrange(1, q)
+        g = gcd(p, q)
+        cases += [fibonacci_leg(bits), (p // g, q // g)]
+    cases += [(q - 1, q) for q in (2, 3, 10, 999, 10**6, 10**9 + 7, 10**12)]
+    for p, q in cases:
+        runs, calls = read_leg_counted(monkeypatch, p, q)
+        assert list(runs) == runs_oracle(q, p)
+        assert calls <= len(runs) + sum(a == -2 for a, _ in runs), (p, q)
+        assert 100 * len(runs) <= 145 * q.bit_length() + 200, (p, q)
+    # (q-1)/q is one run of q - 1 entries -2, read in two divmod calls
+    assert read_leg_counted(monkeypatch, 10**12 - 1, 10**12) == (((-2, 10**12 - 1),), 2)
+    # and on every leg with q < 400 the runs are the run loop's
+    for q in range(2, 400):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                assert list(read_leg(p, q)[0]) == runs_oracle(q, p), (p, q)

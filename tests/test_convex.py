@@ -64,7 +64,8 @@ def test_rounded_slope_arithmetic():
 
 def slope_coeffs_fraction_sum(sd):
     # oracle: the coefficients as sums of Fractions, term by term, each
-    # written as its (numerator, denominator) pair
+    # written as its (numerator, denominator) pair, and the closed form's
+    # integers as A q3, F q3, C v3 and D v3 times q1 q2
     r1, r2, r3 = sd.r
     (p1, q1, u1, v1), (p2, q2, u2, v2), (p3, q3, u3, v3) = sd.conv
     a = r1 + r2 + r3 - 2
@@ -72,12 +73,15 @@ def slope_coeffs_fraction_sum(sd):
     edge_term = Fraction(u1 * q2 + q2 - 1, q1 * q2)
     f = (r3 + r2 - 2) * Fraction(v1, q1) + edge_term
     d = (2 - r2 - Fraction(u3, v3)) * Fraction(v1, q1) - edge_term
-    return SlopeCoeffs(*(x.as_integer_ratio() for x in (a, c, f, d)))
+    q12 = q1 * q2
+    form = (a * q3 * q12, f * q3 * q12, c * v3 * q12, d * v3 * q12)
+    assert all(x.denominator == 1 for x in form)
+    return SlopeCoeffs(*(x.as_integer_ratio() for x in (a, c, f, d)), tuple(map(int, form)))
 
 
 def fractions_of(coeffs):
     # A, C, F and D as Fractions, from their integer pairs
-    return tuple(Fraction(*pair) for pair in coeffs)
+    return tuple(Fraction(*pair) for pair in coeffs[:4])
 
 
 def integer_form(sd, coeffs):
@@ -133,14 +137,14 @@ def test_v3_slope_k_family():
         for n1 in range(-50, 0):
             den = (k - 6) * n1 + k - 3
             if den == 0:
-                assert v3_slope(sd, n1, coeffs).den == 0
+                assert v3_slope(coeffs, n1).den == 0
                 if (2 * n1 - 1) % 3 == 0:  # a balanced annulus exists here
-                    assert v3_slope(sd, n1, coeffs) == v3_slope_stepwise(sd, n1, (2 * n1 - 1) // 3)
+                    assert v3_slope(coeffs, n1) == v3_slope_stepwise(sd, n1, (2 * n1 - 1) // 3)
                 continue
             expected = Slope(-((k - 5) * n1 + k - 2), den)
-            assert v3_slope(sd, n1, coeffs) == expected
+            assert v3_slope(coeffs, n1) == expected
     sd = parse_manifold("-2;1/2,2/3,7/8")
-    assert v3_slope(sd, -1, slope_coeffs(sd)) == Slope(-1)
+    assert v3_slope(slope_coeffs(sd), -1) == Slope(-1)
 
 
 def test_v3_slope_guide_formula():
@@ -161,7 +165,7 @@ def test_v3_slope_guide_formula():
         for n1 in range(-50, 0):
             expected = Slope((6 * p - 5 * q) * n1 + 3 * p - 2 * q,
                              (5 * v - 6 * u) * n1 + 2 * v - 3 * u)
-            assert v3_slope(sd, n1, coeffs) == expected
+            assert v3_slope(coeffs, n1) == expected
         seen += 1
 
 
@@ -207,14 +211,14 @@ def _check_tail_monotone(sd, coeffs, info):
     a, f, c, d = integer_form(sd, coeffs)
     limit = Fraction(a, c)
     if a * d - f * c == 0:
-        assert v3_slope(sd, -1, coeffs).as_fraction() == limit
-        assert v3_slope(sd, -17, coeffs).as_fraction() == limit
+        assert v3_slope(coeffs, -1).as_fraction() == limit
+        assert v3_slope(coeffs, -17).as_fraction() == limit
         return
     start = -1
     pole = Fraction(-d, c)
     if pole < 0:
         start = min(-1, floor(pole) - (1 if pole == floor(pole) else 0))
-    values = [v3_slope(sd, n, coeffs).as_fraction() for n in range(start, start - 30, -1)]
+    values = [v3_slope(coeffs, n).as_fraction() for n in range(start, start - 30, -1)]
     assert all(x < y for x, y in zip(values, values[1:]))
     assert all(v < limit for v in values)
 
@@ -236,20 +240,33 @@ def increasing_stepwise(sd, coeffs):
 
 def test_increasing_matches_stepwise_sweep():
     # every sorted triple with q_i <= 12 in the two limit regimes, each field
-    # also against the Fraction formulas
-    checked = rising = 0
+    # also against the Fraction formulas and the closed form's identities.
+    # The rising flag is false on 350 of them: 23 sum < 2 triples, each with
+    # r1 = r2 = 1/2 (the constant form), and 327 sum >= 9/4 triples with a
+    # pole in [-RISING_DEPTH, -1]
+    checked = 0
+    falls = {"sum_lt_2": 0, "sum_ge_9_4": 0}
     for triple in sorted_triples(12):
         sd = normalize(triple, -2)
         c = slope_coeffs(sd)
         assert limit_regime(c) == limit_regime_fraction(c)
         if not limit_regime(c):
             continue
-        info = v3_slope_limit(sd, c)
+        info = check_closed_form_identities(sd, c, (-1, -2, -7, -RISING_DEPTH, -(10**6)))
         assert info.increasing == increasing_stepwise(sd, c)
         assert info == v3_slope_limit_fraction(sd, c)
         checked += 1
-        rising += info.increasing
-    assert checked == 14686 and 0 < rising < checked
+        if info.increasing:
+            continue
+        A, C, _, D = fractions_of(c)
+        constant = sd.conv[0].q == sd.conv[1].q == 2
+        if A < 0:
+            falls["sum_lt_2"] += 1
+            assert constant and sd.r[:2] == (Fraction(1, 2), Fraction(1, 2))
+        else:
+            falls["sum_ge_9_4"] += 1
+            assert not constant and -RISING_DEPTH <= -D / C <= -1
+    assert checked == 14686 and falls == {"sum_lt_2": 23, "sum_ge_9_4": 327}
 
 
 def test_increasing_matches_stepwise_windows_and_big_legs():
@@ -300,26 +317,59 @@ def v3_slope_fraction(sd, n1, coeffs):
     return INF if den == 0 else Slope(*((A * n1 + F) * q3 / den).as_integer_ratio())
 
 
+# The route v3_slope_limit took before it read the closed form's integers:
+# products of the four reduced coefficients, kept as its oracle.
+
+def v3_slope_limit_products(sd, coeffs):
+    if not limit_regime(coeffs):
+        raise ValueError("gap region")
+    (an, ad), (cn, cd), (fn, fd), (dn, dd) = coeffs[:4]
+    p3, q3, u3, v3 = sd.conv[2]
+    limit = Slope(an * q3 * cd, ad * cn * v3)
+    pole_num, pole_den = (dn * cd, dd * cn) if cn > 0 else (-dn * cd, -dd * cn)  # = D/C, pole_den > 0
+    increasing = an * dn * fd * cd < fn * cn * ad * dd and not pole_den <= pole_num <= RISING_DEPTH * pole_den
+    threshold_ok = limit.num * (v3 - u3) <= (p3 - q3) * limit.den
+    return LimitInfo(limit, increasing, threshold_ok)
+
+
+def check_closed_form_identities(sd, c, twists):
+    """The closed form c = slope_coeffs(sd) against its Fraction oracles:
+    (i) the identity A D - F C = (q1 + q2 - q1 q2)/(q1^2 q2 q3 v3),
+    (ii) v3_slope_limit against the product route and (iii) v3_slope against
+    ((A n1 + F) q3)/((C n1 + D) v3) at each twist and at the pole -D/C where
+    that is a negative integer.  Returns the LimitInfo, or None in the gap
+    region."""
+    A, C, F, D = fractions_of(c)
+    q1, q2 = sd.conv[0].q, sd.conv[1].q
+    _, q3, _, v3 = sd.conv[2]
+    assert A * D - F * C == Fraction(q1 + q2 - q1 * q2, q1**2 * q2 * q3 * v3)
+    twists = list(twists)
+    if C and (-D / C).denominator == 1 and -D / C < 0:
+        twists.append(int(-D / C))
+        assert v3_slope(c, twists[-1]) == INF
+    for n in twists:
+        assert v3_slope(c, n) == v3_slope_fraction(sd, n, c), n
+    if not limit_regime(c):
+        return None
+    info = v3_slope_limit(sd, c)
+    assert info == v3_slope_limit_products(sd, c)
+    return info
+
+
 @settings(max_examples=300, deadline=None)
 @given(big_invariants(), st.integers(-(2**80), -3))
 def test_limit_matches_fraction_oracle_on_big_legs(drawn, n1):
     # 64-512-bit legs, random legs and scaled family triples alike; the
-    # coefficients, the regime, the limit and the closed form at n1 = -1, -2,
-    # a drawn n1 and the pole -D/C where that is a negative integer
+    # coefficients, the regime, the identities of the closed form, the limit
+    # and the closed form at n1 = -1, -2, a drawn n1 and the pole -D/C where
+    # that is a negative integer
     _, legs = drawn
     sd = normalize([Fraction(p, q) for p, q in legs], -2)
     c = slope_coeffs(sd)
     assert c == slope_coeffs_fraction_sum(sd)
     assert limit_regime(c) == limit_regime_fraction(c)
-    _, C, _, D = fractions_of(c)
-    twists = [-1, -2, n1]
-    if C and (-D / C).denominator == 1 and -D / C < 0:
-        twists.append(int(-D / C))
-        assert v3_slope(sd, twists[-1], c) == INF
-    for n in twists:
-        assert v3_slope(sd, n, c) == v3_slope_fraction(sd, n, c), n
+    info = check_closed_form_identities(sd, c, (-1, -2, n1))
     if limit_regime(c):
-        info = v3_slope_limit(sd, c)
         assert info == v3_slope_limit_fraction(sd, c) and type(info.limit) is Slope
     else:
         with pytest.raises(ValueError, match="gap region"):
